@@ -1,6 +1,7 @@
 // Package repro_test is the benchmark harness: one benchmark per paper
 // table and figure (regenerating its rows via the experiment drivers) plus
-// the ablation studies listed in DESIGN.md and throughput benchmarks for
+// ablations that switch off one model option or protocol feature at a time
+// (the Ablation benchmarks below) and throughput benchmarks for
 // the substrates (simulator event rate, real kernel grind time, model
 // evaluation cost at full machine scale).
 //
@@ -106,7 +107,7 @@ func BenchmarkFig6Measured(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md) ---
+// --- Ablations: one model option or protocol feature at a time ---
 
 // BenchmarkAblationSyncTerms quantifies the SP/2 handshake back-propagation
 // terms the paper omits on the XT4 (Section 4.2).

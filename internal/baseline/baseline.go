@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/logp"
 )
@@ -50,8 +51,8 @@ func (c Sweep3DConfig) Validate() error {
 		return fmt.Errorf("baseline: invalid grid %v", c.Grid)
 	case c.N <= 1 || c.M <= 1:
 		return fmt.Errorf("baseline: Table 4 model requires n, m > 1 (got %dx%d)", c.N, c.M)
-	case c.WgAngle < 0:
-		return fmt.Errorf("baseline: negative WgAngle")
+	case !(c.WgAngle >= 0) || math.IsInf(c.WgAngle, 1): // NaN fails >= 0
+		return fmt.Errorf("baseline: WgAngle = %v, want finite and non-negative", c.WgAngle)
 	case c.MK <= 0 || c.MMI <= 0 || c.MMO <= 0 || c.MMO%c.MMI != 0:
 		return fmt.Errorf("baseline: invalid angle blocking mk=%d mmi=%d mmo=%d", c.MK, c.MMI, c.MMO)
 	}
@@ -86,22 +87,28 @@ func Evaluate(c Sweep3DConfig) (Result, error) {
 	sEW := 8 * c.MMI * c.MK * jt
 	sNS := 8 * c.MMI * c.MK * it
 
-	// (s2): StartP recurrence. All communication off-node (the SP/2 had
-	// single-core nodes).
-	start := startPRecurrence(c.N, c.M, w, p, sEW, sNS)
-	s1m := start[idx(1, c.M, c.N)]
-	snm := start[idx(c.N, c.M, c.N)]
-	sn1m := start[idx(c.N-1, c.M, c.N)]
+	sendE := p.SendOffNode(sEW)
+	recvW := p.ReceiveOffNode(sEW)
+	recvN := p.ReceiveOffNode(sNS)
+
+	// (s2): the plug-and-play model's StartP recurrence with every message
+	// off-node (the SP/2 had single-core nodes) and the origin at 0.
+	h := core.NewHops(c.N, c.M)
+	totalE, totalS := p.TotalCommOffNode(sEW), p.TotalCommOffNode(sNS)
+	for i := range h.TotalE {
+		h.TotalE[i], h.SendE[i] = totalE, sendE
+	}
+	for j := range h.TotalS {
+		h.TotalS[j], h.RecvN[j] = totalS, recvN
+	}
+	last := core.StartP(c.N, c.M, 0, w, h)
+	s1m, sn1m, snm := last[1], last[c.N-1], last[c.N]
 
 	sync3, sync4 := 0.0, 0.0
 	if c.SyncTerms {
 		sync3 = float64(c.M-1) * p.L
 		sync4 = float64(c.M-1)*p.L + float64(c.N-2)*p.L
 	}
-
-	sendE := p.SendOffNode(sEW)
-	recvW := p.ReceiveOffNode(sEW)
-	recvN := p.ReceiveOffNode(sNS)
 
 	// (s3): time until the corner processor on the main diagonal finishes
 	// its stack of tiles in the sweep.
@@ -123,43 +130,6 @@ func Evaluate(c Sweep3DConfig) (Result, error) {
 		Total:    total,
 	}, nil
 }
-
-// startPRecurrence evaluates equation (s2) over the full processor array
-// and returns StartP values in row-major order (1-based coordinates).
-func startPRecurrence(n, m int, w float64, p logp.Params, sEW, sNS int) []float64 {
-	start := make([]float64, (n+1)*(m+1))
-	totalE := p.TotalCommOffNode(sEW)
-	totalS := p.TotalCommOffNode(sNS)
-	recvN := p.ReceiveOffNode(sNS)
-	sendE := p.SendOffNode(sEW)
-	for j := 1; j <= m; j++ {
-		for i := 1; i <= n; i++ {
-			if i == 1 && j == 1 {
-				start[idx(i, j, n)] = 0
-				continue
-			}
-			west, north := math.Inf(-1), math.Inf(-1)
-			if i > 1 {
-				t := start[idx(i-1, j, n)] + w + totalE
-				if j > 1 {
-					t += recvN
-				}
-				west = t
-			}
-			if j > 1 {
-				t := start[idx(i, j-1, n)] + w + totalS
-				if i < n {
-					t += sendE
-				}
-				north = t
-			}
-			start[idx(i, j, n)] = math.Max(west, north)
-		}
-	}
-	return start
-}
-
-func idx(i, j, n int) int { return j*(n+1) + i }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 

@@ -79,8 +79,9 @@ func (a App) Validate() error {
 	switch {
 	case a.Grid.Nx <= 0 || a.Grid.Ny <= 0 || a.Grid.Nz <= 0:
 		return fmt.Errorf("core: app %q has invalid grid %v", a.Name, a.Grid)
-	case a.Wg < 0 || a.WgPre < 0:
-		return fmt.Errorf("core: app %q has negative per-cell work", a.Name)
+	case !(a.Wg >= 0 && a.WgPre >= 0) || math.IsInf(a.Wg, 1) || math.IsInf(a.WgPre, 1): // NaN fails >= 0
+		return fmt.Errorf("core: app %q has per-cell work Wg=%v WgPre=%v, want finite and non-negative",
+			a.Name, a.Wg, a.WgPre)
 	case a.Htile <= 0:
 		return fmt.Errorf("core: app %q has invalid Htile %d", a.Name, a.Htile)
 	case a.NSweeps <= 0:
@@ -202,15 +203,7 @@ func (mo *Model) Evaluate(dec grid.Decomposition) (Report, error) {
 		return Report{}, fmt.Errorf("core: decomposition grid %v does not match app grid %v",
 			dec.Grid, mo.App.Grid)
 	}
-	full := mo.evaluate(dec, mo.Machine.Params, mo.Opts)
-
-	// The computation component of the critical path is the model with all
-	// communication costs zeroed; the communication component is the rest
-	// (paper Figure 11's breakdown).
-	comp := mo.evaluate(dec, logp.Params{Name: "zero-comm"}, Options{NoContention: true})
-	full.ComputePerIter = comp.TimePerIteration
-	full.CommPerIter = full.TimePerIteration - comp.TimePerIteration
-	return full, nil
+	return mo.evaluate(dec), nil
 }
 
 // EvaluateP predicts runtime on p cores using the most-square decomposition.
@@ -222,20 +215,11 @@ func (mo *Model) EvaluateP(p int) (Report, error) {
 	return mo.Evaluate(dec)
 }
 
-// edge identifies one of the four per-tile communication operations of the
-// steady-state pipeline (equation r4).
-type edge int
-
-const (
-	edgeRecvW edge = iota
-	edgeRecvN
-	edgeSendE
-	edgeSendS
-)
-
-func (mo *Model) evaluate(dec grid.Decomposition, prm logp.Params, opts Options) Report {
+func (mo *Model) evaluate(dec grid.Decomposition) Report {
 	app := mo.App
 	mach := mo.Machine
+	prm := &mach.Params
+	opts := mo.Opts
 	n, m := dec.N, dec.M
 
 	w := app.Wg * dec.CellsPerTile(app.Htile)       // (r1b)
@@ -243,74 +227,24 @@ func (mo *Model) evaluate(dec grid.Decomposition, prm logp.Params, opts Options)
 	sEW := app.EWBytes(dec, app.Htile)
 	sNS := app.NSBytes(dec, app.Htile)
 
-	// pathE reports whether the east-going message into column i (from
-	// i−1) is on-chip; pathS likewise for the south-going message into
-	// row j. Placement follows Table 6: each node's cores form a Cx × Cy
-	// rectangle of the logical grid.
-	onChipE := func(i int) bool {
-		if opts.ForceOffNode || mach.Cx == 1 {
-			return false
-		}
-		return (i-1)%mach.Cx != 0 // i and i−1 in the same Cx block
-	}
-	onChipS := func(j int) bool {
-		if opts.ForceOffNode || mach.Cy == 1 {
-			return false
-		}
-		return (j-1)%mach.Cy != 0
-	}
-	path := func(onChip bool) logp.Path {
-		if onChip {
-			return logp.OnChip
-		}
-		return logp.OffNode
-	}
+	// Pipeline fills (r3a, r3b) from the StartP recurrence over the
+	// canonical sweep from (1,1).
+	last := StartP(n, m, wpre, w, mo.hops(n, m, sEW, sNS))
+	tDiag := last[1] // StartP(1,m), equation (r3a)
+	tFull := last[n] // StartP(n,m), equation (r3b)
 
-	// StartP recurrence (r2a, r2b) over the canonical sweep from (1,1).
-	// Row-major dynamic program; only the previous row is retained.
-	prev := make([]float64, n+1) // StartP(·, j−1)
-	cur := make([]float64, n+1)
-	var tDiag, tFull float64
-	for j := 1; j <= m; j++ {
-		for i := 1; i <= n; i++ {
-			if i == 1 && j == 1 {
-				cur[i] = wpre // (r2a)
-				continue
-			}
-			// First term of (r2b): the west message arrives last. The
-			// north message preceded it but is received after it (blocking
-			// receives in west-then-north order), so its Receive cost is
-			// exposed — only where a north neighbour exists.
-			west := math.Inf(-1)
-			if i > 1 {
-				t := cur[i-1] + w + prm.TotalComm(path(onChipE(i)), sEW)
-				if j > 1 {
-					t += prm.Receive(path(onChipS(j)), sNS)
-				}
-				west = t
-			}
-			// Second term of (r2b): the north message arrives last;
-			// processor (i,j−1) sent east before sending south, exposing
-			// its SendE cost — only where an east neighbour exists.
-			north := math.Inf(-1)
-			if j > 1 {
-				t := prev[i] + w + prm.TotalComm(path(onChipS(j)), sNS)
-				if i < n {
-					t += prm.Send(path(onChipE(i+1)), sEW)
-				}
-				north = t
-			}
-			cur[i] = math.Max(west, north)
+	// The computation component of the critical path is the model with all
+	// communication costs zeroed and no contention; the communication
+	// component is the rest (paper Figure 11's breakdown). With every hop
+	// cost zero, all cells of an anti-diagonal of the recurrence hold the
+	// same value, so the compute-only fills are one scalar per diagonal.
+	compDiag, compFull := wpre, wpre
+	for k, c := 1, wpre; k <= n+m-2; k++ {
+		c += w
+		if k == m-1 {
+			compDiag = c
 		}
-		if j == m {
-			tDiag = cur[1] // StartP(1,m), equation (r3a)
-			tFull = cur[n] // StartP(n,m), equation (r3b)
-		}
-		prev, cur = cur, prev
-	}
-	if m == 1 {
-		// Degenerate single-row array: the "diagonal corner" is the origin.
-		tDiag = wpre
+		compFull = c
 	}
 
 	if opts.SyncTerms {
@@ -327,25 +261,32 @@ func (mo *Model) evaluate(dec grid.Decomposition, prm logp.Params, opts Options)
 	// because the blocking sends and receives rate-match the pipeline
 	// (paper Section 4.2).
 	tiles := float64(dec.TilesPerStack(app.Htile))
-	perTile := w + wpre
-	if n > 1 {
-		perTile += prm.ReceiveOffNode(sEW) + prm.SendOffNode(sEW)
+	stack := func(prm *logp.Params, contention bool) float64 {
+		perTile := w + wpre
+		if n > 1 {
+			perTile += prm.ReceiveOffNode(sEW) + prm.SendOffNode(sEW)
+		}
+		if m > 1 {
+			perTile += prm.ReceiveOffNode(sNS) + prm.SendOffNode(sNS)
+		}
+		if contention && n > 1 && m > 1 {
+			perTile += mo.contention(*prm, mach, sEW, sNS)
+		}
+		return perTile*tiles - wpre
 	}
-	if m > 1 {
-		perTile += prm.ReceiveOffNode(sNS) + prm.SendOffNode(sNS)
-	}
-	if !opts.NoContention && n > 1 && m > 1 {
-		perTile += mo.contention(prm, mach, sEW, sNS)
-	}
-	tStack := perTile*tiles - wpre
 
 	var tNon float64
 	if app.NonWavefront != nil {
 		tNon = app.NonWavefront(Env{Machine: mach, Dec: dec, Htile: app.Htile})
 	}
+	iteration := func(tDiag, tFull, tStack float64) float64 {
+		return float64(app.NDiag)*tDiag + float64(app.NFull)*tFull +
+			float64(app.NSweeps)*tStack + tNon // (r5)
+	}
 
-	perIter := float64(app.NDiag)*tDiag + float64(app.NFull)*tFull +
-		float64(app.NSweeps)*tStack + tNon // (r5)
+	tStack := stack(prm, !opts.NoContention)
+	perIter := iteration(tDiag, tFull, tStack)
+	compIter := iteration(compDiag, compFull, stack(&logp.Params{}, false))
 
 	return Report{
 		App:              app.Name,
@@ -361,10 +302,119 @@ func (mo *Model) evaluate(dec grid.Decomposition, prm logp.Params, opts Options)
 		TNonWavefront:    tNon,
 		TimePerIteration: perIter,
 		FillTimePerIter:  float64(app.NDiag)*tDiag + float64(app.NFull)*tFull,
+		ComputePerIter:   compIter,
+		CommPerIter:      perIter - compIter,
 		MsgBytesEW:       sEW,
 		MsgNSz:           sNS,
 		Total:            perIter * float64(app.Iterations),
 	}
+}
+
+// Hops are the communication costs the StartP recurrence (r2b) adds on an
+// n × m processor array, indexed by 1-based column i and row j.
+type Hops struct {
+	// TotalE[i] is TotalComm of the east-going message into column i
+	// (i ≥ 2). SendE[i] is the Send of the east-going message out of
+	// column i (i < n), exposed when the north message arrives last.
+	TotalE, SendE []float64
+	// TotalS[j] is TotalComm of the south-going message into row j
+	// (j ≥ 2). RecvN[j] is the Receive of that message, exposed when the
+	// west message arrives last.
+	TotalS, RecvN []float64
+}
+
+// NewHops returns zeroed hop tables for an n × m processor array.
+func NewHops(n, m int) Hops {
+	buf := make([]float64, 2*(n+1)+2*(m+1))
+	cols, rows := buf[:2*(n+1)], buf[2*(n+1):]
+	return Hops{TotalE: cols[:n+1], SendE: cols[n+1:], TotalS: rows[:m+1], RecvN: rows[m+1:]}
+}
+
+// hops tabulates the model's hop costs on an n × m array. Placement follows
+// Table 6: each node's cores form a Cx × Cy rectangle of the logical grid,
+// so the east-going message into column i is on-chip when i and i−1 share
+// a Cx block, and likewise the south-going message into row j.
+func (mo *Model) hops(n, m, sEW, sNS int) Hops {
+	prm := &mo.Machine.Params
+	path := func(k, c int) logp.Path {
+		if mo.Opts.ForceOffNode || c == 1 || (k-1)%c == 0 {
+			return logp.OffNode
+		}
+		return logp.OnChip
+	}
+	var totalE, sendE, totalS, recvN [2]float64
+	for _, p := range []logp.Path{logp.OffNode, logp.OnChip} {
+		totalE[p], sendE[p] = prm.TotalComm(p, sEW), prm.Send(p, sEW)
+		totalS[p], recvN[p] = prm.TotalComm(p, sNS), prm.Receive(p, sNS)
+	}
+	h := NewHops(n, m)
+	for i := 2; i <= n; i++ {
+		p := path(i, mo.Machine.Cx)
+		h.TotalE[i], h.SendE[i-1] = totalE[p], sendE[p]
+	}
+	for j := 2; j <= m; j++ {
+		p := path(j, mo.Machine.Cy)
+		h.TotalS[j], h.RecvN[j] = totalS[p], recvN[p]
+	}
+	return h
+}
+
+// StartP evaluates the StartP recurrence on an n × m processor array with
+// StartP(1,1) = origin (r2a) and per-tile work w, and returns the last row:
+// last[i] = StartP(i, m) for i in 1..n. Each cell takes the later of its two
+// arrivals (r2b):
+//
+//	west:  ((StartP(i−1, j) + w) + TotalE[i]) + RecvN[j]   (RecvN only if j > 1)
+//	north: ((StartP(i, j−1) + w) + TotalS[j]) + SendE[i]   (SendE only if i < n)
+//
+// The west term is the case where the west message arrives last: the north
+// message preceded it but is received after it (blocking receives in
+// west-then-north order), so its Receive is exposed. In the north term,
+// processor (i, j−1) sent east before sending south, exposing its Send.
+//
+// The sweep visits the array by anti-diagonals i + j = d. Both of a cell's
+// inputs lie on diagonal d−1, so the cells of one diagonal do not depend on
+// each other, and a single column-indexed array holds the previous diagonal
+// while the current one overwrites it from its east end.
+func StartP(n, m int, origin, w float64, h Hops) []float64 {
+	buf := make([]float64, n+1+2*m)
+	s := buf[:n+1]
+	// Along a diagonal j = d − i falls as i rises. Row j's costs are copied
+	// to index m − j, so that the inner loop reads every table at ascending
+	// indices and the compiler can drop its bounds checks.
+	totalS, recvN := buf[n+1:n+1+m], buf[n+1+m:]
+	for j := 2; j <= m; j++ {
+		totalS[m-j], recvN[m-j] = h.TotalS[j], h.RecvN[j]
+	}
+
+	s[1] = origin
+	for i := 2; i <= n; i++ { // row 1 has no north neighbour
+		s[i] = (s[i-1] + w) + h.TotalE[i]
+	}
+	for d := 3; d <= n+m; d++ { // rows 2..m: cells (i, d−i)
+		lo, hi := max(1, d-m), min(n, d-2)
+		if hi == n { // no east neighbour: nothing sent east
+			j := d - n
+			north := (s[n] + w) + h.TotalS[j]
+			if n > 1 {
+				north = max(((s[n-1]+w)+h.TotalE[n])+h.RecvN[j], north)
+			}
+			s[n] = north
+		}
+		if a, b := max(lo, 2), min(hi, n-1); a <= b {
+			k, o := b-a+1, a+m-d // cell (a+x, d−a−x) reads row costs at o+x
+			cur, west := s[a:a+k], s[a-1:][:k]
+			tE, sE := h.TotalE[a:a+k], h.SendE[a:a+k]
+			tS, rN := totalS[o:o+k], recvN[o:o+k]
+			for x := len(cur) - 1; x >= 0; x-- {
+				cur[x] = max(((west[x]+w)+tE[x])+rN[x], ((cur[x]+w)+tS[x])+sE[x])
+			}
+		}
+		if lo == 1 && n > 1 { // no west neighbour: only the north message
+			s[1] = ((s[1] + w) + h.TotalS[d-1]) + h.SendE[1]
+		}
+	}
+	return s
 }
 
 // contention returns the total Table 6 interference added to the four

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -75,6 +77,26 @@ func TestValidate(t *testing.T) {
 	bad.NFull = -1
 	if bad.Validate() == nil {
 		t.Error("negative nfull accepted")
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = app
+		bad.Wg = v
+		if bad.Validate() == nil {
+			t.Errorf("Wg = %v accepted", v)
+		}
+		bad = app
+		bad.WgPre = v
+		if bad.Validate() == nil {
+			t.Errorf("WgPre = %v accepted", v)
+		}
+		if _, err := New(bad, machine.XT4()).EvaluateP(16); err == nil {
+			t.Errorf("EvaluateP with WgPre = %v returned no error", v)
+		}
+	}
+	zero := app
+	zero.Wg, zero.WgPre = 0, math.Copysign(0, -1)
+	if err := zero.Validate(); err != nil {
+		t.Errorf("zero per-cell work rejected: %v", err)
 	}
 }
 
@@ -519,3 +541,317 @@ func TestZeroCommParamsGivePureComputeModel(t *testing.T) {
 		t.Errorf("zero-comm CommPerIter = %v", rep.CommPerIter)
 	}
 }
+
+// randomModel draws a model and a decomposition: grids and processor arrays
+// of every shape including 1×m and n×1, 1–16 cores per node in any bus
+// grouping, scaled LogGP parameters (zero included), message sizes on both
+// sides of the eager threshold, zero, non-zero and −0 per-cell work, and
+// every kind of Tnonwavefront.
+func randomModel(r *rand.Rand) (*Model, grid.Decomposition) {
+	n, m := r.Intn(24)+1, r.Intn(24)+1
+	switch r.Intn(5) {
+	case 0:
+		n = 1
+	case 1:
+		m = 1
+	}
+	g := grid.NewGrid(r.Intn(200)+1, r.Intn(200)+1, r.Intn(60)+1)
+	htile := r.Intn(g.Nz) + 1
+	if r.Intn(2) == 0 {
+		htile = 1 << r.Intn(4)
+	}
+	app := testApp(g, htile)
+	app.Wg = 2 * r.Float64()
+	if r.Intn(4) == 0 {
+		app.WgPre = r.Float64()
+	}
+	if r.Intn(50) == 0 {
+		app.Wg, app.WgPre = math.Copysign(0, -1), math.Copysign(0, -1)
+	}
+	ew, ns := r.Intn(100)+1, r.Intn(100)+1
+	app.EWBytes = func(dec grid.Decomposition, h int) int { return ew * h * dec.CellsPerRankY() }
+	app.NSBytes = func(dec grid.Decomposition, h int) int { return ns * h * dec.CellsPerRankX() }
+	switch r.Intn(3) {
+	case 0:
+		app.NonWavefront = nil
+	case 1:
+		app.NonWavefront = StencilNonWavefront(r.Float64(), r.Intn(50)+1)
+	}
+	corners := make([]grid.Corner, r.Intn(8)+1)
+	for i := range corners {
+		corners[i] = grid.Corner(r.Intn(4))
+	}
+	app = app.FromCorners(corners)
+	app.Iterations = r.Intn(5) + 1
+
+	cores := 1 << r.Intn(5)
+	groups := 1 << r.Intn(bits.Len(uint(cores)))
+	mach, err := machine.XT4MultiCoreGrouped(cores, groups)
+	if err != nil {
+		panic(err)
+	}
+	if r.Intn(4) == 0 {
+		mach.Params = logp.SP2()
+	}
+	scale := func(v float64) float64 {
+		if r.Intn(10) == 0 {
+			return 0
+		}
+		return v * 3 * r.Float64()
+	}
+	p := &mach.Params
+	p.G, p.L, p.O, p.H = scale(p.G), scale(p.L), scale(p.O), scale(p.H)
+	p.Gcopy, p.Gdma, p.Ochip, p.Ocopy = scale(p.Gcopy), scale(p.Gdma), scale(p.Ochip), scale(p.Ocopy)
+	p.Ocopy = math.Min(p.Ocopy, p.Ochip)
+	return New(app, mach), grid.MustDecompose(g, n, m)
+}
+
+// reportDiff names the first field of a and b whose bits differ, or returns
+// "" when the two reports are bit-identical.
+func reportDiff(a, b Report) string {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for k := 0; k < va.NumField(); k++ {
+		fa, fb := va.Field(k), vb.Field(k)
+		same := fa.Interface() == fb.Interface()
+		if fa.Kind() == reflect.Float64 {
+			same = math.Float64bits(fa.Float()) == math.Float64bits(fb.Float())
+		}
+		if !same {
+			return fmt.Sprintf("%s: %v (%#x) vs reference %v (%#x)", va.Type().Field(k).Name,
+				fa.Interface(), fa.Interface(), fb.Interface(), fb.Interface())
+		}
+	}
+	return ""
+}
+
+func TestEvaluateBitIdenticalToReference(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for c := 0; c < 2000; c++ {
+		mo, dec := randomModel(r)
+		for o := 0; o < 8; o++ {
+			mo.Opts = Options{SyncTerms: o&1 != 0, NoContention: o&2 != 0, ForceOffNode: o&4 != 0}
+			got, err := mo.Evaluate(dec)
+			if err != nil {
+				t.Fatalf("case %d: %v", c, err)
+			}
+			if d := reportDiff(got, referenceModel(mo, dec)); d != "" {
+				t.Fatalf("case %d (%dx%d, %s, %+v): %s", c, dec.N, dec.M, mo.Machine, mo.Opts, d)
+			}
+		}
+	}
+}
+
+func TestStartPLastRow(t *testing.T) {
+	// Every entry of the returned row, not only the two fills the model
+	// reads, must equal a plain row-major evaluation of (r2a, r2b).
+	r := rand.New(rand.NewSource(5))
+	for c := 0; c < 300; c++ {
+		n, m := r.Intn(20)+1, r.Intn(20)+1
+		origin, w := r.Float64(), r.Float64()
+		h := NewHops(n, m)
+		for _, tab := range [][]float64{h.TotalE, h.SendE, h.TotalS, h.RecvN} {
+			for k := range tab {
+				tab[k] = 10 * r.Float64()
+			}
+		}
+		prev, cur := make([]float64, n+1), make([]float64, n+1)
+		for j := 1; j <= m; j++ {
+			for i := 1; i <= n; i++ {
+				if i == 1 && j == 1 {
+					cur[i] = origin
+					continue
+				}
+				west, north := math.Inf(-1), math.Inf(-1)
+				if i > 1 {
+					west = cur[i-1] + w + h.TotalE[i]
+					if j > 1 {
+						west += h.RecvN[j]
+					}
+				}
+				if j > 1 {
+					north = prev[i] + w + h.TotalS[j]
+					if i < n {
+						north += h.SendE[i]
+					}
+				}
+				cur[i] = math.Max(west, north)
+			}
+			prev, cur = cur, prev
+		}
+		got := StartP(n, m, origin, w, h)
+		for i := 1; i <= n; i++ {
+			if math.Float64bits(got[i]) != math.Float64bits(prev[i]) {
+				t.Fatalf("%dx%d: StartP(%d, m) = %v, want %v", n, m, i, got[i], prev[i])
+			}
+		}
+	}
+}
+
+func TestEvaluateAllocsIndependentOfP(t *testing.T) {
+	mo := New(testApp(grid.Cube(1000), 2), machine.XT4())
+	allocs := func(p int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := mo.EvaluateP(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(1024), allocs(131072); small != large {
+		t.Errorf("EvaluateP allocates %v times at P=1024 but %v at P=131072", small, large)
+	}
+}
+
+// referenceEvaluate is the cell-by-cell StartP loop the model used before
+// its anti-diagonal sweep, kept verbatim as the bit-exact reference for
+// evaluate.
+func referenceEvaluate(mo *Model, dec grid.Decomposition, prm logp.Params, opts Options) Report {
+	app := mo.App
+	mach := mo.Machine
+	n, m := dec.N, dec.M
+
+	w := app.Wg * dec.CellsPerTile(app.Htile)       // (r1b)
+	wpre := app.WgPre * dec.CellsPerTile(app.Htile) // (r1a)
+	sEW := app.EWBytes(dec, app.Htile)
+	sNS := app.NSBytes(dec, app.Htile)
+
+	// pathE reports whether the east-going message into column i (from
+	// i−1) is on-chip; pathS likewise for the south-going message into
+	// row j. Placement follows Table 6: each node's cores form a Cx × Cy
+	// rectangle of the logical grid.
+	onChipE := func(i int) bool {
+		if opts.ForceOffNode || mach.Cx == 1 {
+			return false
+		}
+		return (i-1)%mach.Cx != 0 // i and i−1 in the same Cx block
+	}
+	onChipS := func(j int) bool {
+		if opts.ForceOffNode || mach.Cy == 1 {
+			return false
+		}
+		return (j-1)%mach.Cy != 0
+	}
+	path := func(onChip bool) logp.Path {
+		if onChip {
+			return logp.OnChip
+		}
+		return logp.OffNode
+	}
+
+	// StartP recurrence (r2a, r2b) over the canonical sweep from (1,1).
+	// Row-major dynamic program; only the previous row is retained.
+	prev := make([]float64, n+1) // StartP(·, j−1)
+	cur := make([]float64, n+1)
+	var tDiag, tFull float64
+	for j := 1; j <= m; j++ {
+		for i := 1; i <= n; i++ {
+			if i == 1 && j == 1 {
+				cur[i] = wpre // (r2a)
+				continue
+			}
+			// First term of (r2b): the west message arrives last. The
+			// north message preceded it but is received after it (blocking
+			// receives in west-then-north order), so its Receive cost is
+			// exposed — only where a north neighbour exists.
+			west := math.Inf(-1)
+			if i > 1 {
+				t := cur[i-1] + w + prm.TotalComm(path(onChipE(i)), sEW)
+				if j > 1 {
+					t += prm.Receive(path(onChipS(j)), sNS)
+				}
+				west = t
+			}
+			// Second term of (r2b): the north message arrives last;
+			// processor (i,j−1) sent east before sending south, exposing
+			// its SendE cost — only where an east neighbour exists.
+			north := math.Inf(-1)
+			if j > 1 {
+				t := prev[i] + w + prm.TotalComm(path(onChipS(j)), sNS)
+				if i < n {
+					t += prm.Send(path(onChipE(i+1)), sEW)
+				}
+				north = t
+			}
+			cur[i] = math.Max(west, north)
+		}
+		if j == m {
+			tDiag = cur[1] // StartP(1,m), equation (r3a)
+			tFull = cur[n] // StartP(n,m), equation (r3b)
+		}
+		prev, cur = cur, prev
+	}
+	if m == 1 {
+		// Degenerate single-row array: the "diagonal corner" is the origin.
+		tDiag = wpre
+	}
+
+	if opts.SyncTerms {
+		// Handshake back-propagation terms of the previous SP/2 model
+		// (Table 4 equations s3, s4).
+		tDiag += float64(m-1) * prm.L
+		tFull += float64(m-1)*prm.L + float64(n-2)*prm.L
+	}
+
+	// Steady-state stack processing (r4): all communication off-node, plus
+	// Table 6 contention. The east-west (north-south) operations exist
+	// only when the processor array has more than one column (row); with
+	// both dimensions > 1 every processor is charged all four operations
+	// because the blocking sends and receives rate-match the pipeline
+	// (paper Section 4.2).
+	tiles := float64(dec.TilesPerStack(app.Htile))
+	perTile := w + wpre
+	if n > 1 {
+		perTile += prm.ReceiveOffNode(sEW) + prm.SendOffNode(sEW)
+	}
+	if m > 1 {
+		perTile += prm.ReceiveOffNode(sNS) + prm.SendOffNode(sNS)
+	}
+	if !opts.NoContention && n > 1 && m > 1 {
+		perTile += mo.contention(prm, mach, sEW, sNS)
+	}
+	tStack := perTile*tiles - wpre
+
+	var tNon float64
+	if app.NonWavefront != nil {
+		tNon = app.NonWavefront(Env{Machine: mach, Dec: dec, Htile: app.Htile})
+	}
+
+	perIter := float64(app.NDiag)*tDiag + float64(app.NFull)*tFull +
+		float64(app.NSweeps)*tStack + tNon // (r5)
+
+	return Report{
+		App:              app.Name,
+		Machine:          mach.Name,
+		P:                dec.P(),
+		N:                n,
+		M:                m,
+		W:                w,
+		WPre:             wpre,
+		TDiagFill:        tDiag,
+		TFullFill:        tFull,
+		TStack:           tStack,
+		TNonWavefront:    tNon,
+		TimePerIteration: perIter,
+		FillTimePerIter:  float64(app.NDiag)*tDiag + float64(app.NFull)*tFull,
+		MsgBytesEW:       sEW,
+		MsgNSz:           sNS,
+		Total:            perIter * float64(app.Iterations),
+	}
+}
+
+// referenceModel is Evaluate as it was built on referenceEvaluate: one
+// recurrence with the machine's parameters and a second one with every
+// communication cost zeroed for the compute share.
+func referenceModel(mo *Model, dec grid.Decomposition) Report {
+	full := referenceEvaluate(mo, dec, mo.Machine.Params, mo.Opts)
+	comp := referenceEvaluate(mo, dec, logp.Params{Name: "zero-comm"}, Options{NoContention: true})
+	full.ComputePerIter = comp.TimePerIteration
+	full.CommPerIter = full.TimePerIteration - comp.TimePerIteration
+	return full
+}
+
+// ReferenceModel and ReportDiff export the reference and the comparison to
+// the external test package.
+var (
+	ReferenceModel = referenceModel
+	ReportDiff     = reportDiff
+)

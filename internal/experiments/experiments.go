@@ -3,8 +3,8 @@
 // results for tests/benchmarks and a formatted Table whose rows mirror the
 // series the paper plots. The cmd/wavebench tool runs drivers by id.
 //
-// See DESIGN.md for the experiment index and EXPERIMENTS.md for
-// paper-vs-measured outcomes.
+// IDs is the experiment index (`go run ./cmd/wavebench -list` prints it),
+// and each Table's Notes record how its rows compare with the paper.
 package experiments
 
 import (

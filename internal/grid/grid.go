@@ -69,10 +69,10 @@ func MustDecompose(g Grid, n, m int) Decomposition {
 }
 
 // SquareDecomposition maps g onto the most-square n × m array with
-// n × m = p, preferring n ≥ m. It returns an error if p has no
-// factorization with aspect ratio at most 2:1 other than trivial ones and
-// p is prime and > 3 (a degenerate 1 × p pipeline is almost never what a
-// wavefront user wants; callers that do want it can use NewDecomposition).
+// n × m = p, preferring n ≥ m: m is the largest divisor of p with m² ≤ p.
+// Any p > 0 succeeds, so a prime p yields the degenerate p × 1 pipeline
+// (7 gives 7 × 1); callers that want another shape can use
+// NewDecomposition. It returns an error only for p ≤ 0.
 func SquareDecomposition(g Grid, p int) (Decomposition, error) {
 	if p <= 0 {
 		return Decomposition{}, fmt.Errorf("grid: invalid processor count %d", p)

@@ -53,6 +53,7 @@ func TestSquareDecomposition(t *testing.T) {
 	}{
 		{1, 1, 1},
 		{4, 2, 2},
+		{7, 7, 1},
 		{8, 4, 2},
 		{64, 8, 8},
 		{128, 16, 8},

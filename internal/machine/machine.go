@@ -163,7 +163,9 @@ func (m Machine) Nodes(p int) int {
 
 // ContentionFactor returns the multiplier on the per-message interference
 // term I = odma + size×Gdma applied to Send and Receive operations in model
-// equation (r4), per paper Table 6 generalised as described in DESIGN.md:
+// equation (r4), per paper Table 6. The table stops at four cores per bus;
+// beyond that the factor grows as cores/4, the rule core's contention term
+// applies:
 //
 //	1 core/bus:  0   (no sharing)
 //	2 cores/bus: 0.5 (I added to two of the four operations)
