@@ -73,26 +73,18 @@ func TestAtPriUsesCurrentTimeAsContext(t *testing.T) {
 	}
 }
 
-// TestCanonicalHeapStress drives eventHeap3 through a large interleaved
-// push/pop sequence with clustered keys and verifies pops come out in
-// exact (time, ctx, pri) order.
+// TestCanonicalHeapStress drives the queue through a large interleaved
+// push/pop sequence under the canonical order, with clustered keys that tie
+// on time, context and priority and delays that claim the FIFOs, and
+// verifies pops come out in exact (time, ctx, order) order.
 func TestCanonicalHeapStress(t *testing.T) {
-	var h eventHeap3
+	var e Engine
 	rng := uint64(1)
 	next := func(n uint64) uint64 { // xorshift, deterministic
 		rng ^= rng << 13
 		rng ^= rng >> 7
 		rng ^= rng << 17
 		return rng % n
-	}
-	var live int
-	popSorted := func(prev *heapEvent3, hasPrev *bool) {
-		ev := h.pop()
-		live--
-		if *hasPrev && ev3Less(ev, *prev) {
-			t.Fatalf("pop out of order: %+v after %+v", ev, *prev)
-		}
-		*prev, *hasPrev = ev, true
 	}
 	for round := 0; round < 4; round++ {
 		for i := 0; i < 3000; i++ {
@@ -101,30 +93,29 @@ func TestCanonicalHeapStress(t *testing.T) {
 			if ctx > tt {
 				ctx = tt
 			}
-			h.push(heapEvent3{
-				tbits: math.Float64bits(tt),
-				ctx:   math.Float64bits(ctx),
-				order: next(8)<<slotBits | uint64(i),
-			})
-			live++
+			// The clock stays at 0, so each time is its own delay class.
+			e.push(tt, true, next(8), payload{kind: 1, ctx: math.Float64bits(ctx)})
 		}
-		var prev heapEvent3
-		hasPrev := false
-		drain := live
+		var prev key
+		drain := e.Pending()
 		if round < 3 {
-			drain = live / 2 // leave half in place across rounds
+			drain /= 2 // leave half in place across rounds
 		}
 		for i := 0; i < drain; i++ {
-			popSorted(&prev, &hasPrev)
+			k := popKey(&e)
+			if i > 0 && k.less(&prev) {
+				t.Fatalf("pop out of order: %+v after %+v", k, prev)
+			}
+			prev = k
 		}
 	}
-	if h.len() != 0 {
-		t.Fatalf("%d events left after drain", h.len())
+	if e.Pending() != 0 {
+		t.Fatalf("%d events left after drain", e.Pending())
 	}
-	h.push(heapEvent3{tbits: 1, ctx: 1, order: 1})
-	h.clear()
-	if h.len() != 0 {
-		t.Fatal("clear left events behind")
+	e.AtPri(1, 1, 1, 0, 0)
+	e.Reset()
+	if e.Pending() != 0 {
+		t.Fatal("Reset left events behind")
 	}
 }
 
@@ -150,6 +141,11 @@ func TestAtPriCtxRejectsBadArguments(t *testing.T) {
 		{"ctx after t", func(e *Engine) { e.AtPriCtx(2, 3, 0, 1, 0, 0) }},
 		{"negative ctx", func(e *Engine) { e.AtPriCtx(2, -1, 0, 1, 0, 0) }},
 		{"NaN ctx", func(e *Engine) { e.AtPriCtx(2, math.NaN(), 0, 1, 0, 0) }},
+		{"NaN time", func(e *Engine) { e.AtPriCtx(math.NaN(), 0, 0, 1, 0, 0) }},
+		{"NaN time and ctx", func(e *Engine) { e.AtPriCtx(math.NaN(), math.NaN(), 0, 1, 0, 0) }},
+		{"infinite time", func(e *Engine) { e.AtPriCtx(math.Inf(1), 0, 0, 1, 0, 0) }},
+		{"infinite time and ctx", func(e *Engine) { e.AtPriCtx(math.Inf(1), math.Inf(1), 0, 1, 0, 0) }},
+		{"negative infinite time", func(e *Engine) { e.AtPriCtx(math.Inf(-1), 0, 0, 1, 0, 0) }},
 		{"reserved kind", func(e *Engine) { e.AtPriCtx(2, 0, 0, 0, 0, 0) }},
 		{"oversized pri", func(e *Engine) { e.AtPriCtx(2, 0, maxPri+1, 1, 0, 0) }},
 	}

@@ -1,14 +1,13 @@
 // Package des provides a minimal deterministic discrete-event simulation
-// engine: a virtual clock, a priority queue of timestamped events, and a
+// engine: a virtual clock, a queue of timestamped pending events, and a
 // first-come-first-served resource used to model shared hardware such as a
 // node's memory bus (paper Section 4.3).
 //
 // # Event model
 //
 // The hot path is allocation-free: events are typed value records
-// ({Time, Seq, Kind, Arg0, Arg1}, see Event) stored directly in a concrete
-// 4-ary min-heap — no closures, no container/heap interface boxing — and
-// dispatched through a single Handler installed with SetHandler. A
+// ({Time, Seq, Kind, Arg0, Arg1}, see Event) dispatched through a single
+// Handler installed with SetHandler — no closures, no interface boxing. A
 // simulation encodes each state-machine transition as a Kind and small
 // integer operands (a rank index, a pooled-object index) in the args.
 //
@@ -16,7 +15,18 @@
 // prefer func() events; both styles share one clock and one ordering.
 //
 // Events scheduled for the same virtual time fire in the order they were
-// scheduled, which makes simulations bit-for-bit reproducible.
+// scheduled, which makes simulations bit-for-bit reproducible. The
+// canonical order of AtPriCtx replaces scheduling order by a content-derived
+// one for the sharded scheduler (Group).
+//
+// # Pending-event queue
+//
+// Both orders share one queue of 16-byte (time, order) records (pending.go):
+// a cache-aligned 4-ary heap with 16 FIFOs in front of it, one per delay
+// class. Most events are scheduled a repeated delay after the current time,
+// and such a run of events is already sorted, so it bypasses the heap's
+// O(log n) sift. The queue reads an event's scheduling context from its
+// payload only when two timestamps are equal.
 package des
 
 import (
@@ -31,12 +41,9 @@ type Engine struct {
 	seq     uint64
 	ran     uint64
 	handler Handler
-	events  eventHeap
-	events3 eventHeap3 // canonically ordered events (AtPri / AtPriCtx)
-	pay     []payload  // pending-event payloads, indexed by heap order slot
-	payFree []int32
 	fns     []func() // closure registry, indexed by closure payloads' arg0
 	fnFree  []int32
+	q       queue
 }
 
 // AllocSlot pops an index off a free list (resetting that record) or
@@ -53,30 +60,52 @@ func AllocSlot[T any](items *[]T, free *[]int32, reset T) int32 {
 	return int32(len(*items) - 1)
 }
 
-// pushEvent allocates a payload slot and pushes the 16-byte heap record.
-func (e *Engine) pushEvent(t float64, k Kind, arg0, arg1 int32) {
-	slot := AllocSlot(&e.pay, &e.payFree, payload{kind: k, arg0: arg0, arg1: arg1})
+// push allocates a payload slot and queues the event's record. The high
+// part of its order word is a fresh sequence number under the sequence
+// order, or pri under the canonical order (canon).
+func (e *Engine) push(t float64, canon bool, pri uint64, p payload) {
+	q := &e.q
+	if canon != q.canon {
+		q.setOrder(canon)
+	}
+	hi := pri
+	if !canon {
+		e.seq++
+		if e.seq > maxSeq {
+			panic("des: event sequence number overflow")
+		}
+		hi = e.seq
+	}
+	slot := AllocSlot(&q.pay, &q.payFree, p)
 	if slot > slotMask {
 		panic("des: too many pending events")
 	}
-	e.seq++
-	if e.seq > maxSeq {
-		panic("des: event sequence number overflow")
-	}
 	t += 0.0 // normalise -0 so the bit-pattern ordering matches float order
-	e.events.push(heapEvent{tbits: math.Float64bits(t), order: e.seq<<slotBits | uint64(slot)})
+	q.push(rec{tbits: math.Float64bits(t), order: hi<<slotBits | uint64(slot)}, t-e.now)
+}
+
+// checkTime panics unless t is finite and not before the clock.
+func (e *Engine) checkTime(t float64) {
+	if !(t >= e.now && t <= math.MaxFloat64) {
+		panic(badTime(t, e.now))
+	}
+}
+
+func badTime(t, now float64) string {
+	if t < now {
+		return fmt.Sprintf("des: scheduling into the past (t=%v, now=%v)", t, now)
+	}
+	return fmt.Sprintf("des: non-finite event time %v", t)
 }
 
 // Reset returns the engine to its initial state — clock at zero, no
 // pending events, fresh sequence numbering — while retaining the installed
-// handler and the capacity of the event heap and payload pools. A reset
-// engine behaves bit-identically to a newly constructed one, so a long-lived
+// handler and the capacity of the queue and payload pools. A reset engine
+// behaves bit-identically to a newly constructed one, so a long-lived
 // engine can serve back-to-back simulations without reallocating.
 func (e *Engine) Reset() {
 	e.now, e.curCtx, e.seq, e.ran = 0, 0, 0, 0
-	e.events.clear()
-	e.events3.clear()
-	e.pay, e.payFree = e.pay[:0], e.payFree[:0]
+	e.q.clear()
 	for i := range e.fns {
 		e.fns[i] = nil // release closures of any abandoned pending events
 	}
@@ -90,7 +119,7 @@ func (e *Engine) Now() float64 { return e.now }
 func (e *Engine) EventsRun() uint64 { return e.ran }
 
 // Pending returns the number of scheduled events not yet executed.
-func (e *Engine) Pending() int { return e.events.len() + e.events3.len() }
+func (e *Engine) Pending() int { return e.q.len() }
 
 // SetHandler installs the dispatcher for typed events. It must be set
 // before the first typed event fires; closure events do not need it.
@@ -104,12 +133,11 @@ func (e *Engine) Schedule(delay float64, fn func()) {
 	e.At(e.now+delay, fn)
 }
 
-// At runs fn at absolute virtual time t, which must not be in the past.
+// At runs fn at absolute virtual time t, which must be finite and not in
+// the past.
 func (e *Engine) At(t float64, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("des: scheduling into the past (t=%v, now=%v)", t, e.now))
-	}
-	e.pushEvent(t, kindClosure, AllocSlot(&e.fns, &e.fnFree, fn), 0)
+	e.checkTime(t)
+	e.push(t, false, 0, payload{kind: kindClosure, arg0: AllocSlot(&e.fns, &e.fnFree, fn)})
 }
 
 // ScheduleKind schedules a typed event after the given non-negative delay.
@@ -120,17 +148,15 @@ func (e *Engine) ScheduleKind(delay float64, k Kind, arg0, arg1 int32) {
 	e.AtKind(e.now+delay, k, arg0, arg1)
 }
 
-// AtKind schedules a typed event at absolute virtual time t, which must not
-// be in the past. The kind must be non-zero (zero is reserved for closure
-// events); it is delivered to the Handler with the given args.
+// AtKind schedules a typed event at absolute virtual time t, which must be
+// finite and not in the past. The kind must be non-zero (zero is reserved
+// for closure events); it is delivered to the Handler with the given args.
 func (e *Engine) AtKind(t float64, k Kind, arg0, arg1 int32) {
-	if t < e.now {
-		panic(fmt.Sprintf("des: scheduling into the past (t=%v, now=%v)", t, e.now))
-	}
+	e.checkTime(t)
 	if k == kindClosure {
 		panic("des: kind 0 is reserved for closure events")
 	}
-	e.pushEvent(t, k, arg0, arg1)
+	e.push(t, false, 0, payload{kind: k, arg0: arg0, arg1: arg1})
 }
 
 // maxPri bounds the explicit same-time priority of AtPriCtx so
@@ -138,10 +164,11 @@ func (e *Engine) AtKind(t float64, k Kind, arg0, arg1 int32) {
 const maxPri = 1<<(64-slotBits) - 1
 
 // AtPriCtx schedules a typed event under the canonical order: events fire
-// in (time, ctx, pri) order instead of (time, sequence) order. ctx is the
-// virtual time of the scheduling context — the timestamp of the event whose
-// handler is scheduling this one — and pri is a content-derived priority of
-// at most 40 bits (maxPri) breaking the remaining ties.
+// in (time, ctx, pri) order instead of (time, sequence) order. t must be
+// finite and not in the past. ctx is the virtual time of the scheduling
+// context — the timestamp of the event whose handler is scheduling this
+// one — and pri is a content-derived priority of at most 40 bits (maxPri)
+// breaking the remaining ties.
 //
 // The canonical order exists for the conservative parallel scheduler
 // (Group). Sequence numbers are a global scheduling-order counter that a
@@ -156,9 +183,7 @@ const maxPri = 1<<(64-slotBits) - 1
 // Canonical and sequence-ordered events must not be mixed in one run: an
 // engine with pending events from both APIs panics on Step.
 func (e *Engine) AtPriCtx(t, ctx float64, pri uint64, k Kind, arg0, arg1 int32) {
-	if t < e.now {
-		panic(fmt.Sprintf("des: scheduling into the past (t=%v, now=%v)", t, e.now))
-	}
+	e.checkTime(t)
 	if ctx < 0 || ctx > t || math.IsNaN(ctx) {
 		panic(fmt.Sprintf("des: scheduling context %v outside [0, %v]", ctx, t))
 	}
@@ -168,17 +193,8 @@ func (e *Engine) AtPriCtx(t, ctx float64, pri uint64, k Kind, arg0, arg1 int32) 
 	if pri > maxPri {
 		panic(fmt.Sprintf("des: event priority %#x exceeds %d bits", pri, 64-slotBits))
 	}
-	slot := AllocSlot(&e.pay, &e.payFree, payload{kind: k, arg0: arg0, arg1: arg1})
-	if slot > slotMask {
-		panic("des: too many pending events")
-	}
-	t += 0.0   // normalise -0 so the bit-pattern ordering matches float order
-	ctx += 0.0 // likewise
-	e.events3.push(heapEvent3{
-		tbits: math.Float64bits(t),
-		ctx:   math.Float64bits(ctx),
-		order: pri<<slotBits | uint64(slot),
-	})
+	ctx += 0.0 // normalise -0 so the bit-pattern ordering matches float order
+	e.push(t, true, pri, payload{kind: k, arg0: arg0, arg1: arg1, ctx: math.Float64bits(ctx)})
 }
 
 // AtPri is AtPriCtx with the current event as the scheduling context — the
@@ -197,17 +213,19 @@ func (e *Engine) CurCtx() float64 { return e.curCtx }
 // Step executes the next event, if any, advancing the clock to its
 // timestamp. It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	if e.events3.len() > 0 {
-		return e.stepCanonical()
+	q := &e.q
+	if q.mixed {
+		panic("des: canonical (AtPriCtx) and sequence-ordered (AtKind/At) events pending in one engine")
 	}
-	if e.events.len() == 0 {
+	r, ok := q.pop()
+	if !ok {
 		return false
 	}
-	ev := e.events.pop()
-	slot := int32(ev.order & slotMask)
-	p := e.pay[slot]
-	e.payFree = append(e.payFree, slot)
-	e.now = ev.time()
+	slot := r.slot()
+	p := q.pay[slot]
+	q.payFree = append(q.payFree, slot)
+	e.now = r.time()
+	e.curCtx = math.Float64frombits(p.ctx)
 	e.ran++
 	if p.kind == kindClosure {
 		fn := e.fns[p.arg0]
@@ -219,26 +237,7 @@ func (e *Engine) Step() bool {
 	if e.handler == nil {
 		panic(fmt.Sprintf("des: typed event kind %d with no handler installed", p.kind))
 	}
-	e.handler(Event{Time: e.now, Seq: ev.order >> slotBits, Kind: p.kind, Arg0: p.arg0, Arg1: p.arg1})
-	return true
-}
-
-// stepCanonical executes the next canonically ordered event (AtPriCtx).
-func (e *Engine) stepCanonical() bool {
-	if e.events.len() > 0 {
-		panic("des: canonical (AtPriCtx) and sequence-ordered (AtKind/At) events pending in one engine")
-	}
-	ev := e.events3.pop()
-	slot := int32(ev.order & slotMask)
-	p := e.pay[slot]
-	e.payFree = append(e.payFree, slot)
-	e.now = ev.time()
-	e.curCtx = math.Float64frombits(ev.ctx)
-	e.ran++
-	if e.handler == nil {
-		panic(fmt.Sprintf("des: typed event kind %d with no handler installed", p.kind))
-	}
-	e.handler(Event{Time: e.now, Seq: ev.order >> slotBits, Kind: p.kind, Arg0: p.arg0, Arg1: p.arg1})
+	e.handler(Event{Time: e.now, Seq: r.order >> slotBits, Kind: p.kind, Arg0: p.arg0, Arg1: p.arg1})
 	return true
 }
 
@@ -249,22 +248,11 @@ func (e *Engine) Run() float64 {
 	return e.now
 }
 
-// topTime returns the earliest pending timestamp across both orderings.
-func (e *Engine) topTime() (t float64, ok bool) {
-	if e.events3.len() > 0 {
-		return e.events3.top().time(), true
-	}
-	if e.events.len() > 0 {
-		return e.events.top().time(), true
-	}
-	return 0, false
-}
-
 // RunUntil executes events with timestamps ≤ t, then advances the clock to
 // t if it has not already passed it.
 func (e *Engine) RunUntil(t float64) {
 	for {
-		next, ok := e.topTime()
+		next, ok := e.q.topTime()
 		if !ok || next > t {
 			break
 		}
@@ -282,7 +270,7 @@ func (e *Engine) RunUntil(t float64) {
 // when it injects cross-shard events at window barriers.
 func (e *Engine) RunBefore(t float64) {
 	for {
-		next, ok := e.topTime()
+		next, ok := e.q.topTime()
 		if !ok || next >= t {
 			break
 		}
@@ -293,7 +281,7 @@ func (e *Engine) RunBefore(t float64) {
 // NextEventTime returns the timestamp of the earliest pending event, or
 // ok == false when no events are pending.
 func (e *Engine) NextEventTime() (t float64, ok bool) {
-	return e.topTime()
+	return e.q.topTime()
 }
 
 // Resource models a single FCFS server (e.g. a node's shared memory bus).

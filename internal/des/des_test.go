@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -75,6 +76,42 @@ func TestAtPanicsOnPast(t *testing.T) {
 		}
 	}()
 	e.At(1, func() {})
+}
+
+func TestRejectsNonFiniteTimes(t *testing.T) {
+	cases := []struct {
+		name string
+		call func(e *Engine)
+	}{
+		{"At NaN", func(e *Engine) { e.At(math.NaN(), func() {}) }},
+		{"At +Inf", func(e *Engine) { e.At(math.Inf(1), func() {}) }},
+		{"At -Inf", func(e *Engine) { e.At(math.Inf(-1), func() {}) }},
+		{"AtKind NaN", func(e *Engine) { e.AtKind(math.NaN(), 1, 0, 0) }},
+		{"AtKind +Inf", func(e *Engine) { e.AtKind(math.Inf(1), 1, 0, 0) }},
+		{"AtKind -Inf", func(e *Engine) { e.AtKind(math.Inf(-1), 1, 0, 0) }},
+		{"Schedule +Inf", func(e *Engine) { e.Schedule(math.Inf(1), func() {}) }},
+		{"ScheduleKind +Inf", func(e *Engine) { e.ScheduleKind(math.Inf(1), 1, 0, 0) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var e Engine
+			var seen []float64
+			e.SetHandler(func(ev Event) { seen = append(seen, ev.Time) })
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s accepted", tc.name)
+					}
+				}()
+				tc.call(&e)
+			}()
+			// The rejected event must leave no trace in the queue.
+			e.AtKind(5, 1, 0, 0)
+			if end := e.Run(); end != 5 || !reflect.DeepEqual(seen, []float64{5}) {
+				t.Errorf("after rejection: Run = %v, handler saw %v; want 5, [5]", end, seen)
+			}
+		})
+	}
 }
 
 func TestRunUntil(t *testing.T) {
@@ -377,5 +414,13 @@ func TestEngineResetDropsAbandonedEvents(t *testing.T) {
 	e.Reset()
 	if e.Run() != 0 {
 		t.Error("reset engine ran abandoned events")
+	}
+	// Nor may the abandoned event's place in the queue shadow later ones.
+	var got []float64
+	e.SetHandler(func(ev Event) { got = append(got, ev.Time) })
+	e.AtKind(7, 1, 0, 0)
+	e.AtKind(9, 1, 0, 0)
+	if end := e.Run(); end != 9 || !reflect.DeepEqual(got, []float64{7, 9}) {
+		t.Errorf("after Reset: Run = %v, fired at %v; want 9, [7 9]", end, got)
 	}
 }

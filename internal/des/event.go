@@ -1,9 +1,6 @@
 package des
 
-import (
-	"math"
-	"unsafe"
-)
+import "math"
 
 // Kind identifies the dispatch target of a typed event. Kind 0 is reserved
 // for closure events scheduled through At and Schedule; packages built on
@@ -23,7 +20,8 @@ const kindClosure Kind = 0
 // Time and Seq order execution: events fire in (Time, Seq) order, Seq being
 // the global scheduling sequence number, which makes same-time events fire
 // in the order they were scheduled and simulations bit-for-bit
-// reproducible.
+// reproducible. Under the canonical order (AtPriCtx) Seq carries the
+// event's priority instead.
 //
 // Kind, Arg0 and Arg1 are opaque to the engine: the simulation built on
 // top encodes its state-machine transition in Kind and small operands
@@ -40,19 +38,20 @@ type Event struct {
 // it switches on ev.Kind. It is never called for closure events.
 type Handler func(ev Event)
 
-// The in-heap representation is a 16-byte key pair; the event's
-// {kind, arg0, arg1} payload lives in a side pool addressed by the slot
-// index packed into the low bits of the order word. Keeping the heap
-// records this small makes every sift move a single 16-byte copy and every
-// comparison two uint64 compares.
+// rec is the 16-byte queue record of a pending event, in the heap and in
+// the delay FIFOs alike; the event's {kind, arg0, arg1, ctx} payload lives
+// in a side pool addressed by the slot index packed into the low bits of
+// the order word. Keeping the records this small makes every sift move a
+// single 16-byte copy and every comparison two uint64 compares.
 //
-// tbits is math.Float64bits of the (non-negative) timestamp; for t ≥ 0 the
-// IEEE-754 bit pattern is monotone in t, so ordering by tbits as a uint64
-// equals ordering by time while avoiding float-compare NaN handling in the
-// innermost loop. order is seq<<slotBits | slot: seq is unique per event,
-// so ordering by the packed word equals ordering by seq alone, and the
-// slot rides along for free.
-type heapEvent struct {
+// tbits is math.Float64bits of the (non-negative, finite) timestamp; for
+// t ≥ 0 the IEEE-754 bit pattern is monotone in t, so ordering by tbits as
+// a uint64 equals ordering by time while avoiding float-compare NaN
+// handling in the innermost loop. order is hi<<slotBits | slot, where hi is
+// the sequence number (sequence order) or the caller's priority (canonical
+// order). Records with equal tbits are ordered by the payload's scheduling
+// context first — always 0 in sequence order — and then by the order word.
+type rec struct {
 	tbits uint64
 	order uint64
 }
@@ -65,237 +64,15 @@ const (
 	maxSeq = 1<<(64-slotBits) - 1
 )
 
-func (ev heapEvent) time() float64 { return math.Float64frombits(ev.tbits) }
+func (r rec) time() float64 { return math.Float64frombits(r.tbits) }
 
-// payload is the per-pending-event typed record in the engine's side pool.
+func (r rec) slot() int32 { return int32(r.order & slotMask) }
+
+// payload is the per-pending-event record in the queue's side pool. ctx is
+// the bit pattern of the scheduling context's virtual time under the
+// canonical order and 0 under the sequence order.
 type payload struct {
 	kind       Kind
 	arg0, arg1 int32
+	ctx        uint64
 }
-
-// eventHeap is a 4-ary min-heap of heapEvent values ordered by
-// (tbits, order). Compared with container/heap it avoids the interface
-// boxing of every push/pop and, being 4-ary, halves the tree depth so
-// sift-down touches fewer cache lines per operation. Sifting moves a hole
-// rather than swapping, one record copy per level instead of three.
-//
-// The logical element k lives at buf[base+k], with base chosen at
-// allocation time so that every sibling group {4k+1 … 4k+4} starts on a
-// 64-byte boundary: a sift-down then reads exactly one cache line per
-// level instead of straddling two.
-type eventHeap struct {
-	buf  []heapEvent
-	base int // 0..3 padding slots before the root
-	n    int // logical size
-}
-
-// alignBase returns the root offset that puts sibling groups on cache-line
-// boundaries: (addr + 16·(base+1)) ≡ 0 (mod 64) makes logical index 1 — and
-// hence every group start 4k+1 — line-aligned.
-func alignBase(buf []heapEvent) int {
-	addr := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
-	for b := 0; b < 4; b++ {
-		if (addr+16*uintptr(b+1))%64 == 0 {
-			return b
-		}
-	}
-	return 0 // unreachable: addr is 16-byte aligned
-}
-
-func (h *eventHeap) len() int { return h.n }
-
-// clear empties the heap, keeping the backing array and its alignment.
-func (h *eventHeap) clear() { h.n = 0 }
-
-// grow reallocates with doubled capacity and a fresh alignment base.
-func (h *eventHeap) grow() {
-	capNew := 2 * (len(h.buf) + 4)
-	buf := make([]heapEvent, capNew)
-	base := alignBase(buf)
-	copy(buf[base:], h.buf[h.base:h.base+h.n])
-	h.buf = buf
-	h.base = base
-}
-
-// push inserts ev, restoring the heap property by sifting a hole up.
-func (h *eventHeap) push(ev heapEvent) {
-	if h.base+h.n == len(h.buf) {
-		h.grow()
-	}
-	s := h.buf[h.base:]
-	i := h.n
-	h.n++
-	for i > 0 {
-		p := (i - 1) / 4
-		if !(ev.tbits < s[p].tbits || (ev.tbits == s[p].tbits && ev.order < s[p].order)) {
-			break
-		}
-		s[i] = s[p]
-		i = p
-	}
-	s[i] = ev
-}
-
-// pop removes and returns the minimum event. It must not be called on an
-// empty heap.
-func (h *eventHeap) pop() heapEvent {
-	s := h.buf[h.base:]
-	n := h.n - 1
-	h.n = n
-	min := s[0]
-	last := s[n]
-	if n == 0 {
-		return min
-	}
-	i := 0
-	for {
-		c := 4*i + 1
-		if c+3 < n {
-			// Full sibling group: branch-free tree minimum. The compares
-			// on near-random keys mispredict badly as branches; SETcc and
-			// mask merges keep the pipeline full.
-			g := s[c : c+4 : c+4]
-			ta, oa, ia := minPair(g[0].tbits, g[0].order, c, g[1].tbits, g[1].order, c+1)
-			tb, ob, ib := minPair(g[2].tbits, g[2].order, c+2, g[3].tbits, g[3].order, c+3)
-			bt, bo, best := minPair(ta, oa, ia, tb, ob, ib)
-			if !(bt < last.tbits || (bt == last.tbits && bo < last.order)) {
-				break
-			}
-			s[i] = s[best]
-			i = best
-			continue
-		}
-		if c >= n {
-			break
-		}
-		// Trailing partial group.
-		best := c
-		bt, bo := s[c].tbits, s[c].order
-		for j := c + 1; j < n; j++ {
-			if s[j].tbits < bt || (s[j].tbits == bt && s[j].order < bo) {
-				best, bt, bo = j, s[j].tbits, s[j].order
-			}
-		}
-		if !(bt < last.tbits || (bt == last.tbits && bo < last.order)) {
-			break
-		}
-		s[i] = s[best]
-		i = best
-	}
-	s[i] = last
-	return min
-}
-
-// minPair returns the smaller of two (tbits, order, index) keys without
-// branches: the comparison builds an all-ones/all-zero mask via SETcc and
-// the result is merged with XOR-AND.
-func minPair(t0, o0 uint64, i0 int, t1, o1 uint64, i1 int) (uint64, uint64, int) {
-	var lt, eq, lo uint64
-	if t1 < t0 {
-		lt = 1
-	}
-	if t1 == t0 {
-		eq = 1
-	}
-	if o1 < o0 {
-		lo = 1
-	}
-	m := -(lt | (eq & lo)) // all ones iff (t1,o1) < (t0,o0)
-	return t0 ^ ((t0 ^ t1) & m), o0 ^ ((o0 ^ o1) & m), i0 ^ ((i0 ^ i1) & int(m))
-}
-
-// top returns the minimum event without removing it.
-func (h *eventHeap) top() heapEvent { return h.buf[h.base] }
-
-// heapEvent3 is the in-heap record of a canonically ordered event
-// (Engine.AtPriCtx): a 24-byte key triple ordered lexicographically by
-// (tbits, ctx, order). tbits and order are as in heapEvent, except that the
-// high bits of order hold the caller's content-derived priority instead of
-// a sequence number. ctx is the bit pattern of the scheduling context's
-// virtual time — the timestamp of the event whose handler scheduled this
-// one. Sequence numbers refine context-time order (an engine executes
-// events in time order, so a scheduling call from an earlier context always
-// draws the smaller sequence number); making the context time an explicit
-// key therefore never changes a serial run's order, but unlike a sequence
-// number it is a value a barrier coordinator can carry across shards.
-type heapEvent3 struct {
-	tbits uint64
-	ctx   uint64
-	order uint64
-}
-
-func (ev heapEvent3) time() float64 { return math.Float64frombits(ev.tbits) }
-
-func ev3Less(a, b heapEvent3) bool {
-	if a.tbits != b.tbits {
-		return a.tbits < b.tbits
-	}
-	if a.ctx != b.ctx {
-		return a.ctx < b.ctx
-	}
-	return a.order < b.order
-}
-
-// eventHeap3 is a plain 4-ary min-heap of heapEvent3 records. It serves the
-// canonical-order mode only — parallel shard engines, whose per-event cost
-// is dominated by cross-shard bookkeeping — so it skips the cache-line
-// alignment and branch-free sift tuning of eventHeap.
-type eventHeap3 struct {
-	buf []heapEvent3
-}
-
-func (h *eventHeap3) len() int { return len(h.buf) }
-
-func (h *eventHeap3) clear() { h.buf = h.buf[:0] }
-
-func (h *eventHeap3) push(ev heapEvent3) {
-	h.buf = append(h.buf, ev)
-	i := len(h.buf) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !ev3Less(ev, h.buf[p]) {
-			break
-		}
-		h.buf[i] = h.buf[p]
-		i = p
-	}
-	h.buf[i] = ev
-}
-
-func (h *eventHeap3) pop() heapEvent3 {
-	s := h.buf
-	n := len(s) - 1
-	min := s[0]
-	last := s[n]
-	h.buf = s[:n]
-	if n == 0 {
-		return min
-	}
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		best := c
-		hi := c + 4
-		if hi > n {
-			hi = n
-		}
-		for j := c + 1; j < hi; j++ {
-			if ev3Less(s[j], s[best]) {
-				best = j
-			}
-		}
-		if !ev3Less(s[best], last) {
-			break
-		}
-		s[i] = s[best]
-		i = best
-	}
-	s[i] = last
-	return min
-}
-
-// top returns the minimum event without removing it.
-func (h *eventHeap3) top() heapEvent3 { return h.buf[0] }

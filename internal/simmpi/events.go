@@ -70,8 +70,9 @@ const (
 // and its barrier-injected cross-shard events (which would otherwise pick
 // up arbitrary sequence numbers) fire same-time events in exactly the same
 // order for every shard count. Ranks are truncated to 18 bits: beyond 256K
-// ranks same-time events of distinct rank pairs could tie, which weakens
-// the cross-shard bit-identity guarantee but never the run's determinism.
+// ranks same-time events of distinct rank pairs could tie, so
+// NewWithOptions and ResetWithOptions reject sharded runs of more than
+// maxShardedRanks ranks.
 func evPri(kind des.Kind, owner, peer int32) uint64 {
 	const rankPriMask = 1<<18 - 1
 	return uint64(kind)<<36 |

@@ -43,11 +43,25 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// apply installs the validated options on the Sim.
-func (s *Sim) apply(o Options) error {
+// maxShardedRanks is the largest rank count a sharded run accepts. The
+// canonical same-time event order (evPri) keeps 18 bits of each rank, so
+// above it two distinct rank pairs could tie and results could differ
+// between shard counts.
+const maxShardedRanks = 1 << 18
+
+// validateFor is Validate plus the checks that need the topology.
+func (o Options) validateFor(topo *simnet.Topology) error {
 	if err := o.Validate(); err != nil {
 		return err
 	}
+	if n := topo.Ranks(); o.Shards > 1 && n > maxShardedRanks {
+		return fmt.Errorf("simmpi: %d ranks exceed the %d-rank limit of a sharded run, whose same-time event order keeps 18 bits per rank; use Shards ≤ 1", n, maxShardedRanks)
+	}
+	return nil
+}
+
+// apply installs validated options on the Sim.
+func (s *Sim) apply(o Options) {
 	s.tracer = o.Tracer
 	s.obs = o.Obs
 	k := o.Shards
@@ -55,17 +69,17 @@ func (s *Sim) apply(o Options) error {
 		k = 1
 	}
 	s.nshards = k
-	return nil
 }
 
 // NewWithOptions creates a simulation over the given topology with the
 // options applied atomically; invalid combinations are rejected here
 // rather than at Run. Programs are assigned with SetProgram.
 func NewWithOptions(topo *simnet.Topology, o Options) (*Sim, error) {
-	s := New(topo)
-	if err := s.apply(o); err != nil {
+	if err := o.validateFor(topo); err != nil {
 		return nil, err
 	}
+	s := New(topo)
+	s.apply(o)
 	return s, nil
 }
 
@@ -76,9 +90,10 @@ func NewWithOptions(topo *simnet.Topology, o Options) (*Sim, error) {
 // shard count), the Sim's configuration afterwards is exactly o: what you
 // pass is what runs.
 func (s *Sim) ResetWithOptions(topo *simnet.Topology, o Options) error {
-	if err := o.Validate(); err != nil {
+	if err := o.validateFor(topo); err != nil {
 		return err
 	}
 	s.Reset(topo)
-	return s.apply(o)
+	s.apply(o)
+	return nil
 }

@@ -50,6 +50,38 @@ func TestOptionsRejectTracerWithShards(t *testing.T) {
 	}
 }
 
+// TestOptionsRejectShardsAboveRankLimit pins the explicit rank limit of a
+// sharded run: evPri keeps 18 bits per rank, so construction and Reset
+// refuse more than 2^18 ranks at Shards > 1 instead of silently weakening
+// shard-count invariance.
+func TestOptionsRejectShardsAboveRankLimit(t *testing.T) {
+	at, over := optTopo(maxShardedRanks), optTopo(maxShardedRanks+1)
+	if _, err := NewWithOptions(over, Options{Shards: 2}); err == nil || !strings.Contains(err.Error(), "262144-rank limit") {
+		t.Fatalf("NewWithOptions(%d ranks, 2 shards) = %v, want the rank limit", over.Ranks(), err)
+	}
+	sim := New(optTopo(4))
+	if err := sim.ResetWithOptions(over, Options{Shards: 2}); err == nil {
+		t.Fatalf("ResetWithOptions accepted %d ranks at 2 shards", over.Ranks())
+	}
+	if len(sim.ranks) != 4 {
+		t.Fatalf("a rejected ResetWithOptions rebound the Sim to %d ranks", len(sim.ranks))
+	}
+	// The limit binds only sharded runs, and it is inclusive.
+	for _, ok := range []struct {
+		topo *simnet.Topology
+		o    Options
+	}{
+		{at, Options{Shards: 2}},
+		{at, Options{Shards: 8}},
+		{over, Options{}},
+		{over, Options{Shards: 1}},
+	} {
+		if err := ok.o.validateFor(ok.topo); err != nil {
+			t.Errorf("%d ranks, %d shards: %v", ok.topo.Ranks(), ok.o.Shards, err)
+		}
+	}
+}
+
 // TestOptionsMatchSetters pins the wrapper equivalence: a Sim configured
 // through Options carries exactly the state the deprecated setter trio
 // would have installed, and ResetWithOptions replaces the whole set.

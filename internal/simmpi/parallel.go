@@ -46,8 +46,9 @@ package simmpi
 // on tie-heavy workloads.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/logp"
@@ -257,9 +258,6 @@ func (s *Sim) runParallel(k int) (Result, error) {
 		sh.xpart = p.rankShard
 		sh.xlinks = xlinks
 	}
-	for i := range s.ranks {
-		s.shards[p.rankShard[i]].running++
-	}
 	// The init loop visits ranks in rank order, like the serial path: each
 	// shard's t=0 event sequence is the rank-order subsequence the serial
 	// engine would have produced.
@@ -366,17 +364,37 @@ func (sh *shard) emitCTS(t float64, mi int32) {
 
 // --- barrier coordination (single-threaded, between windows) ---
 
-func recLess(a, b *crossRec) bool {
-	if a.t != b.t {
-		return a.t < b.t
+// recCmp orders boundary records by (t, rank, shard, idx). (shard, idx)
+// is unique per record, so the merged order does not depend on the sort.
+func recCmp(a, b crossRec) int {
+	if c := cmp.Compare(a.t, b.t); c != 0 {
+		return c
 	}
-	if a.rank != b.rank {
-		return a.rank < b.rank
+	if c := cmp.Compare(a.rank, b.rank); c != 0 {
+		return c
 	}
-	if a.shard != b.shard {
-		return a.shard < b.shard
+	if c := cmp.Compare(a.shard, b.shard); c != 0 {
+		return c
 	}
-	return a.idx < b.idx
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// linkCmp orders deferred link reservations by the canonical order of
+// their injection events, (t, ctx, pri), then by the unique (shard, idx).
+func linkCmp(a, b linkOp) int {
+	if c := cmp.Compare(a.t, b.t); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.ctx, b.ctx); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.pri, b.pri); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.shard, b.shard); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
 }
 
 // barrier drains every shard's boundary buffers and applies them in the
@@ -403,30 +421,15 @@ func (s *Sim) barrier(p *parRun) {
 		}
 		sh.emit = 0
 	}
-	sort.Slice(p.msgs, func(i, j int) bool { return recLess(&p.msgs[i], &p.msgs[j]) })
+	slices.SortFunc(p.msgs, recCmp)
 	for i := range p.msgs {
 		s.applyMsg(p, &p.msgs[i])
 	}
-	sort.Slice(p.links, func(i, j int) bool {
-		a, b := &p.links[i], &p.links[j]
-		if a.t != b.t {
-			return a.t < b.t
-		}
-		if a.ctx != b.ctx {
-			return a.ctx < b.ctx
-		}
-		if a.pri != b.pri {
-			return a.pri < b.pri
-		}
-		if a.shard != b.shard {
-			return a.shard < b.shard
-		}
-		return a.idx < b.idx
-	})
+	slices.SortFunc(p.links, linkCmp)
 	for i := range p.links {
 		s.applyLink(p, &p.links[i])
 	}
-	sort.Slice(p.others, func(i, j int) bool { return recLess(&p.others[i], &p.others[j]) })
+	slices.SortFunc(p.others, recCmp)
 	for i := range p.others {
 		s.applyRec(p, &p.others[i])
 	}

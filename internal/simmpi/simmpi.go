@@ -277,10 +277,9 @@ type shard struct {
 	reqs     []recvReq
 	reqFree  []int32
 
-	running int
-	sends   uint64
-	recvs   uint64
-	bytes   uint64
+	sends uint64
+	recvs uint64
+	bytes uint64
 
 	// Parallel-run boundary buffers (parallel.go): cross-shard message
 	// records, deferred link reservations and closed-form all-reduce
@@ -344,7 +343,7 @@ func (sh *shard) clear() {
 	sh.channels = sh.channels[:0]
 	sh.msgs, sh.msgFree = sh.msgs[:0], sh.msgFree[:0]
 	sh.reqs, sh.reqFree = sh.reqs[:0], sh.reqFree[:0]
-	sh.running, sh.sends, sh.recvs, sh.bytes = 0, 0, 0, 0
+	sh.sends, sh.recvs, sh.bytes = 0, 0, 0
 	sh.obsMsgs = sh.obsMsgs[:0]
 	sh.xrecs = sh.xrecs[:0]
 	sh.linkOps = sh.linkOps[:0]
@@ -429,7 +428,6 @@ func (s *Sim) Run() (Result, error) {
 	}
 	sh := s.shards[0]
 	sh.bind()
-	sh.running = len(s.ranks)
 	for i := range s.ranks {
 		sh.advance(&s.ranks[i])
 	}
@@ -456,13 +454,11 @@ func (s *Sim) assemble(end float64) (Result, error) {
 		RankFinish:  make([]float64, len(s.ranks)),
 		ComputeTime: make([]float64, len(s.ranks)),
 	}
-	stuck := 0
 	for _, sh := range s.shards {
 		res.Sends += sh.sends
 		res.Recvs += sh.recvs
 		res.BytesSent += sh.bytes
 		res.Events += sh.eng.EventsRun()
-		stuck += sh.running
 	}
 	res.BusRequests, res.BusQueued, res.BusBusy, res.BusWait = s.topo.BusStats()
 	res.LinkRequests, res.LinkQueued, res.LinkBusy, res.LinkWait = s.topo.LinkStats()
@@ -491,7 +487,6 @@ func (s *Sim) assemble(end float64) (Result, error) {
 		res.RankFinish[r.id] = r.t
 		res.ComputeTime[r.id] = r.compute
 	}
-	_ = stuck
 	if len(blocked) > 0 {
 		sort.Ints(blocked)
 		if len(blocked) > 8 {
@@ -578,7 +573,6 @@ func (sh *shard) advance(r *rankState) {
 
 func (sh *shard) finish(r *rankState) {
 	r.done = true
-	sh.running--
 }
 
 // resumeAt unblocks r at virtual time t ≥ now.
