@@ -219,7 +219,10 @@ func BenchmarkCampaignExample(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := campaign.Engine{}
+	eng, err := campaign.NewEngine(campaign.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Execute(runs); err != nil {
@@ -237,7 +240,10 @@ func BenchmarkCampaignSerialReuse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := campaign.Engine{Workers: 1}
+	eng, err := campaign.NewEngine(campaign.Config{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Execute(runs); err != nil {

@@ -87,7 +87,10 @@ func campaignRate(repeats int) (runs, workers int, seconds float64) {
 		panic(err)
 	}
 	workers = runtime.GOMAXPROCS(0)
-	eng := campaign.Engine{Workers: workers}
+	eng, err := campaign.NewEngine(campaign.Config{Workers: workers})
+	if err != nil {
+		panic(err)
+	}
 	if _, err := eng.Execute(expanded); err != nil { // warm-up
 		panic(err)
 	}

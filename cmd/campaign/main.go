@@ -44,6 +44,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"time"
 
@@ -257,7 +258,13 @@ func parseRange(s string) (part, parts int, err error) {
 	if s == "" {
 		return 0, 0, nil
 	}
-	if _, err := fmt.Sscanf(s, "%d/%d", &part, &parts); err != nil {
+	i, n, ok := strings.Cut(s, "/")
+	if ok {
+		if part, err = strconv.Atoi(i); err == nil {
+			parts, err = strconv.Atoi(n)
+		}
+	}
+	if !ok || err != nil {
 		return 0, 0, fmt.Errorf("campaign: -range wants I/N (e.g. 0/4), got %q", s)
 	}
 	if parts < 1 || part < 0 || part >= parts {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/grid"
+	"repro/internal/obs"
 	"repro/internal/simmpi"
 	"repro/internal/simnet"
 	"repro/internal/trace"
@@ -88,8 +89,8 @@ func main() {
 	check(err)
 	topo, err := simnet.NewMachineTopology(mach, dec)
 	check(err)
-	rec := trace.NewRecorder()
-	sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Tracer: rec})
+	rec := &obs.Recorder{Spans: true}
+	sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Obs: rec})
 	check(err)
 	for r, prog := range sched.Programs() {
 		sim.SetProgram(r, prog)
@@ -100,7 +101,8 @@ func main() {
 	fmt.Printf("\n# simulation at P=%d (%d iteration(s))\n", p, *iters)
 	fmt.Printf("simulated: %.3f ms   model: %.3f ms   error: %+.2f%%\n",
 		res.Time/1e3, rep.Total/1e3, (rep.Total-res.Time)/res.Time*100)
-	profiles := rec.Profile(dec.P())
+	spans := rec.SpanList()
+	profiles := trace.Profile(spans, dec.P())
 	sum := trace.Summarize(profiles)
 	fmt.Printf("mean comm share: %.1f%% (model predicts %.1f%%); busiest rank %d; most comm-bound rank %d\n",
 		sum.MeanCommShare*100, rep.CommPerIter/rep.TimePerIteration*100,
@@ -111,7 +113,7 @@ func main() {
 	}
 	if *gantt {
 		fmt.Println()
-		rec.Gantt(os.Stdout, dec.P(), 100)
+		trace.Gantt(os.Stdout, spans, dec.P(), 100)
 	}
 }
 

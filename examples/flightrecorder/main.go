@@ -34,9 +34,9 @@ func main() {
 
 	// The recorder's feature flags choose what is collected; all of them
 	// off (the default) collects nothing, and a nil recorder costs the
-	// simulation nothing at all. Unlike a span Tracer, an obs.Recorder does
-	// not force the simulation serial — a sharded run records the same
-	// bytes, so Shards and Obs compose freely in one Options value.
+	// simulation nothing at all. An obs.Recorder does not force the
+	// simulation serial — a sharded run records the same bytes, so Shards
+	// and Obs compose freely in one Options value.
 	rec := &obs.Recorder{Spans: true, Messages: true, Links: true, Windows: true, Hist: true}
 	sim, err := simmpi.NewWithOptions(tp, simmpi.Options{
 		Shards: 4, // conservative-parallel, bit-identical to serial

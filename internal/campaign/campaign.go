@@ -2,7 +2,7 @@
 // specification of a cartesian sweep — applications × machines × rank
 // counts × LogGP parameter overrides — expands it into a deterministic run
 // list, and executes the runs concurrently on a worker pool in which each
-// worker owns one reusable simulator (simmpi.Sim.Reset), so the
+// worker owns one reusable simulator (simmpi.Sim.ResetWithOptions), so the
 // allocation-free core is amortised across thousands of runs.
 //
 // This is the paper's plug-and-play workflow at fleet scale: instead of one
@@ -42,7 +42,7 @@ type Spec struct {
 	// Iterations is the wavefront iteration count of every run (default 1).
 	Iterations int `json:"iterations,omitempty"`
 	// Shards is the conservative-parallel shard count each simulator uses
-	// (simmpi.Sim.SetShards). Results are bit-identical for every sharded
+	// (simmpi.Options.Shards). Results are bit-identical for every sharded
 	// count (k ≥ 2), making this a pure throughput knob for huge-rank
 	// campaigns; 0 or 1 keeps the serial engine, whose legacy same-time
 	// tie order can differ microscopically in bus-contention statistics
@@ -516,6 +516,12 @@ func ParseFilter(expr string) (Filter, error) {
 			return f, fmt.Errorf("campaign: filter clause %q is not key=value", clause)
 		}
 		vals := strings.Split(val, "|")
+		for _, v := range vals {
+			// An empty alternative would match every run.
+			if strings.TrimSpace(v) == "" {
+				return f, fmt.Errorf("campaign: filter clause %q has an empty alternative", clause)
+			}
+		}
 		switch strings.ToLower(strings.TrimSpace(key)) {
 		case "app":
 			f.Apps = append(f.Apps, vals...)

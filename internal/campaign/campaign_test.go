@@ -9,6 +9,16 @@ import (
 	"repro/internal/logp"
 )
 
+// newEngine builds an engine from cfg, failing the test on a config error.
+func newEngine(t testing.TB, cfg Config) *Engine {
+	t.Helper()
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 // specJSON is a small, fully explicit spec exercising every dimension.
 const specJSON = `{
   "name": "unit",
@@ -189,7 +199,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	encode := func(workers int) []byte {
-		res, err := Engine{Workers: workers}.Execute(runs)
+		res, err := newEngine(t, Config{Workers: workers}).Execute(runs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +240,7 @@ func TestDeterministicAcrossShardCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Engine{Workers: 2, Shards: engineShards}.Execute(runs)
+		res, err := newEngine(t, Config{Workers: 2, Shards: engineShards}).Execute(runs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +274,7 @@ func TestSummarize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Engine{Workers: 4}.ExecuteSpec(s)
+	res, err := newEngine(t, Config{Workers: 4}).ExecuteSpec(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,6 +342,12 @@ func TestFilter(t *testing.T) {
 	if _, err := ParseFilter("p=two"); err == nil {
 		t.Error("non-numeric rank filter accepted")
 	}
+	for _, expr := range []string{"app=LU|", "app=|LU", "machine=a||b", "app=LU| ,p=4", "p=4|", "grid=a| |b"} {
+		_, err := ParseFilter(expr)
+		if err == nil || !strings.Contains(err.Error(), "empty alternative") {
+			t.Errorf("ParseFilter(%q) = %v, want an empty-alternative error", expr, err)
+		}
+	}
 }
 
 func TestBuiltins(t *testing.T) {
@@ -385,7 +401,7 @@ func TestHtileSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Engine{Workers: 2}.ExecuteSpec(s)
+	res, err := newEngine(t, Config{Workers: 2}).ExecuteSpec(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +433,7 @@ func TestConvergenceSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Engine{Workers: 2}.ExecuteSpec(s)
+	res, err := newEngine(t, Config{Workers: 2}).ExecuteSpec(s)
 	if err != nil {
 		t.Fatal(err)
 	}

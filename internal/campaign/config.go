@@ -22,9 +22,8 @@ const SchemaVersion = 1
 // shard override, histograms, flight recorder, progress hook) with the
 // serving-layer features (result cache, run-range partitioning,
 // checkpointing, output path), so the CLI and the campaignd server are
-// thin frontends over one validated struct. Build one with NewConfig and
-// functional options, or as a literal, then hand it to NewEngine — the
-// single place configurations are validated.
+// thin frontends over one validated struct. Build one as a literal and hand
+// it to NewEngine — the single place configurations are validated.
 type Config struct {
 	// Version is the config schema version; 0 means SchemaVersion.
 	Version int
@@ -77,79 +76,6 @@ type Config struct {
 	// is created before any run executes, so an unwritable path fails
 	// fast. On a run failure the completed prefix is still written.
 	Output string
-}
-
-// Option mutates a Config under construction; see NewConfig.
-type Option func(*Config) error
-
-// WithWorkers sets the worker-pool size (non-positive means GOMAXPROCS).
-func WithWorkers(n int) Option {
-	return func(c *Config) error { c.Workers = n; return nil }
-}
-
-// WithShards sets the per-run simulator shard override.
-func WithShards(k int) Option {
-	return func(c *Config) error { c.Shards = k; return nil }
-}
-
-// WithHist enables per-run duration histograms.
-func WithHist(on bool) Option {
-	return func(c *Config) error { c.Hist = on; return nil }
-}
-
-// WithObs flight-records the run whose expansion Index is obsRun.
-func WithObs(rec *obs.Recorder, obsRun int) Option {
-	return func(c *Config) error { c.Obs = rec; c.ObsRun = obsRun; return nil }
-}
-
-// WithProgress installs the progress hook.
-func WithProgress(fn func(done, total int)) Option {
-	return func(c *Config) error { c.Progress = fn; return nil }
-}
-
-// WithOnResult installs the per-result hook.
-func WithOnResult(fn func(RunResult)) Option {
-	return func(c *Config) error { c.OnResult = fn; return nil }
-}
-
-// WithFilter restricts ExecuteSpec with a CLI-syntax filter expression.
-func WithFilter(expr string) Option {
-	return func(c *Config) error { c.Filter = expr; return nil }
-}
-
-// WithRange makes ExecuteSpec execute slice part of parts (0 ≤ part <
-// parts) of the filtered run list.
-func WithRange(part, parts int) Option {
-	return func(c *Config) error { c.RangePart = part; c.RangeParts = parts; return nil }
-}
-
-// WithStore memoizes results in the given content-addressed store.
-func WithStore(s ResultStore) Option {
-	return func(c *Config) error { c.Store = s; return nil }
-}
-
-// WithCheckpointDir enables checkpoint/resume in the given directory.
-func WithCheckpointDir(dir string) Option {
-	return func(c *Config) error { c.CheckpointDir = dir; return nil }
-}
-
-// WithOutput sets the JSONL output path ExecuteSpec writes.
-func WithOutput(path string) Option {
-	return func(c *Config) error { c.Output = path; return nil }
-}
-
-// NewConfig builds a validated Config from functional options.
-func NewConfig(opts ...Option) (Config, error) {
-	cfg := Config{Version: SchemaVersion}
-	for _, opt := range opts {
-		if err := opt(&cfg); err != nil {
-			return Config{}, err
-		}
-	}
-	if err := cfg.Validate(); err != nil {
-		return Config{}, err
-	}
-	return cfg, nil
 }
 
 // Validate checks the config's invariants: a known version, a parseable
@@ -205,17 +131,14 @@ type ExecStats struct {
 	CheckpointHits int `json:"checkpoint_hits"`
 }
 
-// execCounters is the engine's shared mutable stats box. Engine methods
-// use value receivers, so the counters live behind a pointer.
+// execCounters is the engine's mutable stats box, shared by concurrent
+// Execute calls.
 type execCounters struct {
 	mu sync.Mutex
 	s  ExecStats
 }
 
 func (c *execCounters) add(delta ExecStats) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	c.s.Runs += delta.Runs
 	c.s.Simulated += delta.Simulated
@@ -225,9 +148,6 @@ func (c *execCounters) add(delta ExecStats) {
 }
 
 func (c *execCounters) snapshot() ExecStats {
-	if c == nil {
-		return ExecStats{Schema: SchemaVersion}
-	}
 	c.mu.Lock()
 	s := c.s
 	c.mu.Unlock()
@@ -242,18 +162,5 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Version == 0 {
-		cfg.Version = SchemaVersion
-	}
-	return &Engine{
-		Workers:  cfg.Workers,
-		Shards:   cfg.Shards,
-		Progress: cfg.Progress,
-		Hist:     cfg.Hist,
-		Obs:      cfg.Obs,
-		ObsRun:   cfg.ObsRun,
-
-		cfg:   &cfg,
-		stats: &execCounters{},
-	}, nil
+	return &Engine{cfg: cfg}, nil
 }

@@ -131,63 +131,14 @@ func summarizeHist(h *obs.Hist) HistSummary {
 }
 
 // Engine executes campaign runs on a pool of workers, each owning one
-// reusable simulator.
-//
-// Construct with NewEngine(Config) to get the full serving surface —
-// result cache, checkpoint/resume, range partitioning, filters, output
-// writing and Stats(). The zero-value literal form (Engine{Workers: 8})
-// remains valid for plain in-memory execution; its exported fields mirror
-// the corresponding Config knobs.
+// reusable simulator, under the Config it was built with by NewEngine.
 type Engine struct {
-	// Workers is the pool size; non-positive means GOMAXPROCS.
-	Workers int
-	// Shards, if positive, overrides the spec's simulator shard count for
-	// every run. Every sharded count (≥ 2) yields bit-identical results —
-	// the override only trades worker-level for shard-level parallelism.
-	Shards int
-	// Progress, if non-nil, is called after each run completes with the
-	// completed and total counts. Calls are serialised.
-	Progress func(done, total int)
-	// Hist collects per-run duration histograms into RunResult.Hists.
-	// Each run gets its own recorder, so output stays byte-identical for
-	// any worker count.
-	Hist bool
-	// Obs, if non-nil, is attached as the flight recorder of the single
-	// run whose Index equals ObsRun — deterministic regardless of which
-	// worker executes that run. Configure the recorder's feature flags
-	// before Execute; read its streams after.
-	Obs    *obs.Recorder
-	ObsRun int
-
-	// cfg carries the serving-layer configuration when the engine was
-	// built by NewEngine; nil for literal-constructed engines.
-	cfg *Config
-	// stats is the shared counter box (methods use value receivers).
-	stats *execCounters
-}
-
-// config resolves the effective configuration: the validated Config for
-// NewEngine-built engines, or a Config mirroring the legacy exported
-// fields otherwise.
-func (e Engine) config() Config {
-	if e.cfg != nil {
-		return *e.cfg
-	}
-	return Config{
-		Version:  SchemaVersion,
-		Workers:  e.Workers,
-		Shards:   e.Shards,
-		Progress: e.Progress,
-		Hist:     e.Hist,
-		Obs:      e.Obs,
-		ObsRun:   e.ObsRun,
-	}
+	cfg   Config
+	stats execCounters
 }
 
 // Stats reports what the engine did across its Execute/ExecuteSpec calls.
-// Only engines built by NewEngine accumulate stats; literal-constructed
-// engines report zeros.
-func (e Engine) Stats() ExecStats { return e.stats.snapshot() }
+func (e *Engine) Stats() ExecStats { return e.stats.snapshot() }
 
 // workers resolves the effective pool size for n runs.
 func (c Config) workers(n int) int {
@@ -214,15 +165,15 @@ func (c Config) workers(n int) int {
 // position i; use ExecuteSpec for range-partitioned campaigns, which
 // offsets positions so every range of one campaign shares a coherent
 // position space.
-func (e Engine) Execute(runs []Run) ([]RunResult, error) {
+func (e *Engine) Execute(runs []Run) ([]RunResult, error) {
 	return e.executeAt(runs, 0)
 }
 
 // executeAt is Execute with an explicit global position offset: runs[i]
 // has position pos0+i in the campaign's output, the space checkpoint
 // records are keyed by.
-func (e Engine) executeAt(runs []Run, pos0 int) ([]RunResult, error) {
-	cfg := e.config()
+func (e *Engine) executeAt(runs []Run, pos0 int) ([]RunResult, error) {
+	cfg := e.cfg
 	results := make([]RunResult, len(runs))
 	if len(runs) == 0 {
 		return results, nil
@@ -371,11 +322,8 @@ func (e Engine) executeAt(runs []Run, pos0 int) ([]RunResult, error) {
 // The returned results cover only this process's range. An expansion left
 // empty by the filter is an error — a silently empty campaign is always a
 // typo in the filter or the spec.
-func (e Engine) ExecuteSpec(s Spec) ([]RunResult, error) {
-	cfg := e.config()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func (e *Engine) ExecuteSpec(s Spec) ([]RunResult, error) {
+	cfg := e.cfg
 	runs, err := s.Expand()
 	if err != nil {
 		return nil, err

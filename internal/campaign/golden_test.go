@@ -28,7 +28,7 @@ func TestExampleGoldenJSONL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Engine{Workers: 4}.ExecuteSpec(Example())
+	res, err := newEngine(t, Config{Workers: 4}).ExecuteSpec(Example())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestTopologiesDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	encode := func(workers int) []byte {
-		res, err := Engine{Workers: workers}.Execute(runs)
+		res, err := newEngine(t, Config{Workers: workers}).Execute(runs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestCollectivesDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	encode := func(workers int) []byte {
-		res, err := Engine{Workers: workers}.Execute(runs)
+		res, err := newEngine(t, Config{Workers: workers}).Execute(runs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestNoCollectiveRowsUnchanged(t *testing.T) {
 		}
 	}
 	encode := func(s Spec) []byte {
-		res, err := Engine{Workers: 1}.ExecuteSpec(s)
+		res, err := newEngine(t, Config{Workers: 1}).ExecuteSpec(s)
 		if err != nil {
 			t.Fatal(err)
 		}

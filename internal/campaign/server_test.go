@@ -101,7 +101,7 @@ func TestServerServesCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng := Engine{Workers: 4}
+	eng := newEngine(t, Config{Workers: 4})
 	direct, err := eng.ExecuteSpec(spec)
 	if err != nil {
 		t.Fatal(err)

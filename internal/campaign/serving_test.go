@@ -407,11 +407,8 @@ func TestExecuteSpecErrorPaths(t *testing.T) {
 		if _, err := NewEngine(Config{Filter: "no-equals-sign"}); err == nil {
 			t.Error("NewEngine accepted an unparseable filter")
 		}
-		// Filters can also arrive via the legacy literal path + ExecuteSpec:
-		// validation re-runs there.
-		eng := Engine{cfg: &Config{Filter: "bogus-key=x"}}
-		if _, err := eng.ExecuteSpec(spec); err == nil {
-			t.Error("ExecuteSpec accepted an unknown filter key")
+		if _, err := NewEngine(Config{Filter: "bogus-key=x"}); err == nil {
+			t.Error("NewEngine accepted an unknown filter key")
 		}
 	})
 
@@ -443,7 +440,7 @@ func TestExecuteSpecErrorPaths(t *testing.T) {
 
 // TestSchemaVersionInRows: every JSONL row leads with schema_version 1.
 func TestSchemaVersionInRows(t *testing.T) {
-	eng := Engine{Workers: 4}
+	eng := newEngine(t, Config{Workers: 4})
 	res, err := eng.ExecuteSpec(Example())
 	if err != nil {
 		t.Fatal(err)

@@ -79,7 +79,7 @@ func TestWorkloadDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	encode := func(workers int) []byte {
-		res, err := Engine{Workers: workers}.Execute(runs)
+		res, err := newEngine(t, Config{Workers: workers}).Execute(runs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestWorkloadDeterministicAcrossShards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Engine{Workers: 2}.Execute(runs)
+		res, err := newEngine(t, Config{Workers: 2}).Execute(runs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestUniformWorkloadMatchesNone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Engine{Workers: 1}.ExecuteSpec(s)
+	res, err := newEngine(t, Config{Workers: 1}).ExecuteSpec(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,7 +146,6 @@ func TestAtPriCtxRejectsBadArguments(t *testing.T) {
 		{"infinite time", func(e *Engine) { e.AtPriCtx(math.Inf(1), 0, 0, 1, 0, 0) }},
 		{"infinite time and ctx", func(e *Engine) { e.AtPriCtx(math.Inf(1), math.Inf(1), 0, 1, 0, 0) }},
 		{"negative infinite time", func(e *Engine) { e.AtPriCtx(math.Inf(-1), 0, 0, 1, 0, 0) }},
-		{"reserved kind", func(e *Engine) { e.AtPriCtx(2, 0, 0, 0, 0, 0) }},
 		{"oversized pri", func(e *Engine) { e.AtPriCtx(2, 0, maxPri+1, 1, 0, 0) }},
 	}
 	for _, tc := range cases {

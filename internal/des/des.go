@@ -11,9 +11,6 @@
 // simulation encodes each state-machine transition as a Kind and small
 // integer operands (a rank index, a pooled-object index) in the args.
 //
-// A thin closure-compatible wrapper (Schedule, At) remains for callers that
-// prefer func() events; both styles share one clock and one ordering.
-//
 // Events scheduled for the same virtual time fire in the order they were
 // scheduled, which makes simulations bit-for-bit reproducible. The
 // canonical order of AtPriCtx replaces scheduling order by a content-derived
@@ -41,8 +38,6 @@ type Engine struct {
 	seq     uint64
 	ran     uint64
 	handler Handler
-	fns     []func() // closure registry, indexed by closure payloads' arg0
-	fnFree  []int32
 	q       queue
 }
 
@@ -106,10 +101,6 @@ func badTime(t, now float64) string {
 func (e *Engine) Reset() {
 	e.now, e.curCtx, e.seq, e.ran = 0, 0, 0, 0
 	e.q.clear()
-	for i := range e.fns {
-		e.fns[i] = nil // release closures of any abandoned pending events
-	}
-	e.fns, e.fnFree = e.fns[:0], e.fnFree[:0]
 }
 
 // Now returns the current virtual time in microseconds.
@@ -121,41 +112,15 @@ func (e *Engine) EventsRun() uint64 { return e.ran }
 // Pending returns the number of scheduled events not yet executed.
 func (e *Engine) Pending() int { return e.q.len() }
 
-// SetHandler installs the dispatcher for typed events. It must be set
-// before the first typed event fires; closure events do not need it.
+// SetHandler installs the event dispatcher. It must be set before the
+// first event fires.
 func (e *Engine) SetHandler(h Handler) { e.handler = h }
 
-// Schedule runs fn after the given non-negative delay of virtual time.
-func (e *Engine) Schedule(delay float64, fn func()) {
-	if delay < 0 || math.IsNaN(delay) {
-		panic(fmt.Sprintf("des: invalid delay %v", delay))
-	}
-	e.At(e.now+delay, fn)
-}
-
-// At runs fn at absolute virtual time t, which must be finite and not in
-// the past.
-func (e *Engine) At(t float64, fn func()) {
-	e.checkTime(t)
-	e.push(t, false, 0, payload{kind: kindClosure, arg0: AllocSlot(&e.fns, &e.fnFree, fn)})
-}
-
-// ScheduleKind schedules a typed event after the given non-negative delay.
-func (e *Engine) ScheduleKind(delay float64, k Kind, arg0, arg1 int32) {
-	if delay < 0 || math.IsNaN(delay) {
-		panic(fmt.Sprintf("des: invalid delay %v", delay))
-	}
-	e.AtKind(e.now+delay, k, arg0, arg1)
-}
-
-// AtKind schedules a typed event at absolute virtual time t, which must be
-// finite and not in the past. The kind must be non-zero (zero is reserved
-// for closure events); it is delivered to the Handler with the given args.
+// AtKind schedules an event at absolute virtual time t, which must be
+// finite and not in the past. It is delivered to the Handler with the
+// given kind and args.
 func (e *Engine) AtKind(t float64, k Kind, arg0, arg1 int32) {
 	e.checkTime(t)
-	if k == kindClosure {
-		panic("des: kind 0 is reserved for closure events")
-	}
 	e.push(t, false, 0, payload{kind: k, arg0: arg0, arg1: arg1})
 }
 
@@ -187,9 +152,6 @@ func (e *Engine) AtPriCtx(t, ctx float64, pri uint64, k Kind, arg0, arg1 int32) 
 	if ctx < 0 || ctx > t || math.IsNaN(ctx) {
 		panic(fmt.Sprintf("des: scheduling context %v outside [0, %v]", ctx, t))
 	}
-	if k == kindClosure {
-		panic("des: kind 0 is reserved for closure events")
-	}
 	if pri > maxPri {
 		panic(fmt.Sprintf("des: event priority %#x exceeds %d bits", pri, 64-slotBits))
 	}
@@ -215,7 +177,7 @@ func (e *Engine) CurCtx() float64 { return e.curCtx }
 func (e *Engine) Step() bool {
 	q := &e.q
 	if q.mixed {
-		panic("des: canonical (AtPriCtx) and sequence-ordered (AtKind/At) events pending in one engine")
+		panic("des: canonical (AtPriCtx) and sequence-ordered (AtKind) events pending in one engine")
 	}
 	r, ok := q.pop()
 	if !ok {
@@ -227,15 +189,8 @@ func (e *Engine) Step() bool {
 	e.now = r.time()
 	e.curCtx = math.Float64frombits(p.ctx)
 	e.ran++
-	if p.kind == kindClosure {
-		fn := e.fns[p.arg0]
-		e.fns[p.arg0] = nil
-		e.fnFree = append(e.fnFree, p.arg0)
-		fn()
-		return true
-	}
 	if e.handler == nil {
-		panic(fmt.Sprintf("des: typed event kind %d with no handler installed", p.kind))
+		panic(fmt.Sprintf("des: event kind %d with no handler installed", p.kind))
 	}
 	e.handler(Event{Time: e.now, Seq: r.order >> slotBits, Kind: p.kind, Arg0: p.arg0, Arg1: p.arg1})
 	return true

@@ -9,12 +9,36 @@ import (
 	"testing/quick"
 )
 
+// funcs runs test closures as events: each closure is appended to fns and
+// scheduled as a kind-0 event whose Arg0 indexes it.
+type funcs struct {
+	e   *Engine
+	fns []func()
+}
+
+// newFuncs installs the closure dispatcher as e's handler.
+func newFuncs(e *Engine) *funcs {
+	f := &funcs{e: e}
+	e.SetHandler(func(ev Event) { f.fns[ev.Arg0]() })
+	return f
+}
+
+// at runs fn at absolute virtual time t.
+func (f *funcs) at(t float64, fn func()) {
+	f.fns = append(f.fns, fn)
+	f.e.AtKind(t, 0, int32(len(f.fns)-1), 0)
+}
+
+// after runs fn the given delay after the current virtual time.
+func (f *funcs) after(delay float64, fn func()) { f.at(f.e.Now()+delay, fn) }
+
 func TestEventsRunInTimeOrder(t *testing.T) {
 	var e Engine
+	f := newFuncs(&e)
 	var order []float64
 	for _, d := range []float64{5, 1, 3, 2, 4} {
 		d := d
-		e.Schedule(d, func() { order = append(order, d) })
+		f.after(d, func() { order = append(order, d) })
 	}
 	end := e.Run()
 	if end != 5 {
@@ -30,10 +54,11 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 
 func TestSameTimeEventsFIFO(t *testing.T) {
 	var e Engine
+	f := newFuncs(&e)
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(1.0, func() { order = append(order, i) })
+		f.at(1.0, func() { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -45,10 +70,11 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 
 func TestNestedScheduling(t *testing.T) {
 	var e Engine
+	f := newFuncs(&e)
 	var hits []float64
-	e.Schedule(1, func() {
+	f.after(1, func() {
 		hits = append(hits, e.Now())
-		e.Schedule(2, func() { hits = append(hits, e.Now()) })
+		f.after(2, func() { hits = append(hits, e.Now()) })
 	})
 	e.Run()
 	if len(hits) != 2 || hits[0] != 1 || hits[1] != 3 {
@@ -56,41 +82,14 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestSchedulePanicsOnNegativeDelay(t *testing.T) {
-	var e Engine
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	e.Schedule(-1, func() {})
-}
-
-func TestAtPanicsOnPast(t *testing.T) {
-	var e Engine
-	e.Schedule(5, func() {})
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	e.At(1, func() {})
-}
-
 func TestRejectsNonFiniteTimes(t *testing.T) {
 	cases := []struct {
 		name string
 		call func(e *Engine)
 	}{
-		{"At NaN", func(e *Engine) { e.At(math.NaN(), func() {}) }},
-		{"At +Inf", func(e *Engine) { e.At(math.Inf(1), func() {}) }},
-		{"At -Inf", func(e *Engine) { e.At(math.Inf(-1), func() {}) }},
 		{"AtKind NaN", func(e *Engine) { e.AtKind(math.NaN(), 1, 0, 0) }},
 		{"AtKind +Inf", func(e *Engine) { e.AtKind(math.Inf(1), 1, 0, 0) }},
 		{"AtKind -Inf", func(e *Engine) { e.AtKind(math.Inf(-1), 1, 0, 0) }},
-		{"Schedule +Inf", func(e *Engine) { e.Schedule(math.Inf(1), func() {}) }},
-		{"ScheduleKind +Inf", func(e *Engine) { e.ScheduleKind(math.Inf(1), 1, 0, 0) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,9 +115,10 @@ func TestRejectsNonFiniteTimes(t *testing.T) {
 
 func TestRunUntil(t *testing.T) {
 	var e Engine
+	f := newFuncs(&e)
 	fired := 0
-	e.Schedule(1, func() { fired++ })
-	e.Schedule(10, func() { fired++ })
+	f.after(1, func() { fired++ })
+	f.after(10, func() { fired++ })
 	e.RunUntil(5)
 	if fired != 1 {
 		t.Errorf("fired = %d, want 1", fired)
@@ -218,6 +218,7 @@ func TestResourceConservationProperty(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() []float64 {
 		var e Engine
+		f := newFuncs(&e)
 		var log []float64
 		rng := rand.New(rand.NewSource(7))
 		var rec func(depth int)
@@ -225,11 +226,11 @@ func TestDeterminism(t *testing.T) {
 			log = append(log, e.Now())
 			if depth < 3 {
 				for i := 0; i < 2; i++ {
-					e.Schedule(rng.Float64(), func() { rec(depth + 1) })
+					f.after(rng.Float64(), func() { rec(depth + 1) })
 				}
 			}
 		}
-		e.Schedule(0, func() { rec(0) })
+		f.after(0, func() { rec(0) })
 		e.Run()
 		return log
 	}
@@ -257,26 +258,11 @@ func TestTypedEventsDispatch(t *testing.T) {
 		got = append(got, fired{ev.Kind, ev.Arg0, ev.Arg1, e.Now()})
 	})
 	e.AtKind(2, 7, 10, 20)
-	e.ScheduleKind(1, 3, -1, 0)
+	e.AtKind(1, 3, -1, 0)
 	e.Run()
 	want := []fired{{3, -1, 0, 1}, {7, 10, 20, 2}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("dispatch = %v, want %v", got, want)
-	}
-}
-
-func TestTypedAndClosureEventsShareOrdering(t *testing.T) {
-	var e Engine
-	var order []string
-	e.SetHandler(func(ev Event) { order = append(order, "typed") })
-	// Same timestamp: scheduling order must decide, regardless of style.
-	e.At(1, func() { order = append(order, "closure") })
-	e.AtKind(1, 1, 0, 0)
-	e.At(1, func() { order = append(order, "closure") })
-	e.Run()
-	want := []string{"closure", "typed", "closure"}
-	if !reflect.DeepEqual(order, want) {
-		t.Errorf("order = %v, want %v", order, want)
 	}
 }
 
@@ -286,7 +272,7 @@ func TestTypedEventSeqMonotonic(t *testing.T) {
 	e.SetHandler(func(ev Event) {
 		seqs = append(seqs, ev.Seq)
 		if len(seqs) < 5 {
-			e.ScheduleKind(1, 1, 0, 0)
+			e.AtKind(e.Now()+1, 1, 0, 0)
 		}
 	})
 	e.AtKind(0, 1, 0, 0)
@@ -296,16 +282,6 @@ func TestTypedEventSeqMonotonic(t *testing.T) {
 			t.Fatalf("seq not monotonic: %v", seqs)
 		}
 	}
-}
-
-func TestAtKindPanicsOnReservedKind(t *testing.T) {
-	var e Engine
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for kind 0")
-		}
-	}()
-	e.AtKind(1, 0, 0, 0)
 }
 
 func TestAtKindPanicsOnPast(t *testing.T) {
@@ -348,12 +324,12 @@ func TestHeapStressOrdering(t *testing.T) {
 		// Keep the heap churning with bursts of future events.
 		if e.EventsRun() < 5000 {
 			for i := 0; i < rng.Intn(4); i++ {
-				e.ScheduleKind(rng.Float64()*3, 1, 0, 0)
+				e.AtKind(e.Now()+rng.Float64()*3, 1, 0, 0)
 			}
 		}
 	})
 	for i := 0; i < 100; i++ {
-		e.ScheduleKind(rng.Float64(), 1, 0, 0)
+		e.AtKind(rng.Float64(), 1, 0, 0)
 	}
 	e.Run()
 	if violations != 0 {
@@ -386,7 +362,7 @@ func TestEngineReset(t *testing.T) {
 	e.SetHandler(func(ev Event) { order = append(order, ev.Arg0) })
 	e.AtKind(2, 1, 0, 0)
 	e.AtKind(1, 1, 1, 0)
-	e.Schedule(3, func() { order = append(order, 99) })
+	e.AtKind(3, 1, 99, 0)
 	e.Run()
 
 	e.Reset()
@@ -398,7 +374,7 @@ func TestEngineReset(t *testing.T) {
 	order = nil
 	e.AtKind(2, 1, 0, 0)
 	e.AtKind(1, 1, 1, 0)
-	e.Schedule(3, func() { order = append(order, 99) })
+	e.AtKind(3, 1, 99, 0)
 	end := e.Run()
 	if end != 3 || len(order) != 3 || order[0] != 1 || order[1] != 0 || order[2] != 99 {
 		t.Errorf("replay after reset: end=%v order=%v", end, order)
@@ -409,8 +385,8 @@ func TestEngineResetDropsAbandonedEvents(t *testing.T) {
 	var e Engine
 	e.SetHandler(func(Event) {})
 	e.AtKind(1, 1, 0, 0)
-	e.At(5, func() { t.Error("abandoned closure fired") })
-	e.RunUntil(2) // leaves the closure pending
+	e.AtKind(5, 1, 0, 0)
+	e.RunUntil(2) // leaves the event at 5 pending
 	e.Reset()
 	if e.Run() != 0 {
 		t.Error("reset engine ran abandoned events")

@@ -2,16 +2,10 @@ package des
 
 import "math"
 
-// Kind identifies the dispatch target of a typed event. Kind 0 is reserved
-// for closure events scheduled through At and Schedule; packages built on
-// the engine define their own kinds starting at 1 and receive them through
-// the Handler installed with SetHandler.
+// Kind identifies the dispatch target of an event. Packages built on the
+// engine define their own kinds and receive them through the Handler
+// installed with SetHandler.
 type Kind uint16
-
-// kindClosure marks events scheduled via the closure-compatible API; their
-// Arg0 indexes the engine's closure registry and the Handler is not
-// consulted.
-const kindClosure Kind = 0
 
 // Event is a typed event record as delivered to a Handler. Scheduling one
 // performs no heap allocation (beyond amortised growth of the engine's
@@ -34,8 +28,8 @@ type Event struct {
 	Arg1 int32
 }
 
-// Handler dispatches typed events. Exactly one handler serves an engine;
-// it switches on ev.Kind. It is never called for closure events.
+// Handler dispatches events. Exactly one handler serves an engine; it
+// switches on ev.Kind.
 type Handler func(ev Event)
 
 // rec is the 16-byte queue record of a pending event, in the heap and in

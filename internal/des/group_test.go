@@ -9,10 +9,11 @@ import (
 
 func TestRunBeforeStopsStrictlyBeforeBound(t *testing.T) {
 	var e Engine
+	f := newFuncs(&e)
 	var hits []float64
 	for _, d := range []float64{1, 2, 3, 4} {
 		d := d
-		e.Schedule(d, func() { hits = append(hits, d) })
+		f.after(d, func() { hits = append(hits, d) })
 	}
 	e.RunBefore(3)
 	if !reflect.DeepEqual(hits, []float64{1, 2}) {
@@ -23,7 +24,7 @@ func TestRunBeforeStopsStrictlyBeforeBound(t *testing.T) {
 	}
 	// An event delivered late for a time inside the already-swept window
 	// must still be schedulable: RunBefore left the clock at 2.
-	e.Schedule(0.5, func() { hits = append(hits, 2.5) })
+	f.after(0.5, func() { hits = append(hits, 2.5) })
 	e.RunBefore(3)
 	if !reflect.DeepEqual(hits, []float64{1, 2, 2.5}) {
 		t.Fatalf("late event not executed: %v", hits)
@@ -35,8 +36,9 @@ func TestNextEventTime(t *testing.T) {
 	if _, ok := e.NextEventTime(); ok {
 		t.Fatal("empty engine reports a pending event")
 	}
-	e.Schedule(7, func() {})
-	e.Schedule(3, func() {})
+	e.SetHandler(func(Event) {})
+	e.AtKind(7, 1, 0, 0)
+	e.AtKind(3, 1, 0, 0)
 	if tm, ok := e.NextEventTime(); !ok || tm != 3 {
 		t.Fatalf("NextEventTime = %v, %v; want 3, true", tm, ok)
 	}
@@ -57,9 +59,10 @@ func TestGroupWindowIsolation(t *testing.T) {
 		engines[i] = &Engine{}
 		i := i
 		eng := engines[i]
+		f := newFuncs(eng)
 		var schedule func(d float64)
 		schedule = func(d float64) {
-			eng.Schedule(d, func() {
+			f.after(d, func() {
 				executed[i] = append(executed[i], eng.Now())
 				if eng.Now() < 10 {
 					schedule(1) // chain: events at 1, 2, ..., 10
@@ -86,15 +89,16 @@ func TestGroupWindowIsolation(t *testing.T) {
 // into any shard and the run continues until quiescence.
 func TestGroupBarrierDelivery(t *testing.T) {
 	engines := []*Engine{{}, {}}
+	f0, f1 := newFuncs(engines[0]), newFuncs(engines[1])
 	var got []float64
-	engines[0].Schedule(1, func() {})
+	f0.at(1, func() {})
 	rounds := 0
 	g := NewGroup(engines, 1)
 	g.Run(func() {
 		if rounds < 3 {
 			// Cross-shard delivery: schedule into shard 1 from the barrier.
 			tm := float64(10 + rounds)
-			engines[1].At(tm, func() { got = append(got, tm) })
+			f1.at(tm, func() { got = append(got, tm) })
 		}
 		rounds++
 	})
@@ -106,8 +110,9 @@ func TestGroupBarrierDelivery(t *testing.T) {
 // TestGroupStallAccounting: a shard with no events in a window is a stall.
 func TestGroupStallAccounting(t *testing.T) {
 	engines := []*Engine{{}, {}}
-	engines[0].Schedule(1, func() {})
-	engines[0].Schedule(2, func() {})
+	engines[0].SetHandler(func(Event) {})
+	engines[0].AtKind(1, 1, 0, 0)
+	engines[0].AtKind(2, 1, 0, 0)
 	// Shard 1 is empty throughout: every window stalls it.
 	g := NewGroup(engines, 0.5)
 	g.Run(func() {})
@@ -119,14 +124,15 @@ func TestGroupStallAccounting(t *testing.T) {
 // TestGroupSingleShard: the K=1 path still drains barrier deliveries.
 func TestGroupSingleShard(t *testing.T) {
 	engines := []*Engine{{}}
+	f := newFuncs(engines[0])
 	var n atomic.Int64
-	engines[0].Schedule(1, func() { n.Add(1) })
+	f.at(1, func() { n.Add(1) })
 	injected := false
 	g := NewGroup(engines, 2)
 	g.Run(func() {
 		if !injected {
 			injected = true
-			engines[0].At(5, func() { n.Add(1) })
+			f.at(5, func() { n.Add(1) })
 		}
 	})
 	if n.Load() != 2 {
@@ -167,8 +173,10 @@ func TestGroupMatchesSerialExecution(t *testing.T) {
 	run := func(k int) []hit {
 		var trace []hit
 		engines := make([]*Engine, k)
+		fs := make([]*funcs, k)
 		for i := range engines {
 			engines[i] = &Engine{}
+			fs[i] = newFuncs(engines[i])
 		}
 		// Same event set regardless of k: event j belongs to logical shard
 		// j%shards, hosted on engine (j%shards)%k.
@@ -176,8 +184,7 @@ func TestGroupMatchesSerialExecution(t *testing.T) {
 		for j := 0; j < 200; j++ {
 			sh := j % shards
 			tm := rng.Float64() * 50
-			eng := engines[sh%k]
-			eng.At(tm, func() { trace = append(trace, hit{sh, tm}) })
+			fs[sh%k].at(tm, func() { trace = append(trace, hit{sh, tm}) })
 		}
 		if k == 1 {
 			engines[0].Run()
@@ -187,16 +194,17 @@ func TestGroupMatchesSerialExecution(t *testing.T) {
 		// engine appends to its own slice, merged at barriers in shard order.
 		per := make([][]hit, k)
 		engines2 := make([]*Engine, k)
+		fs2 := make([]*funcs, k)
 		for i := range engines2 {
 			engines2[i] = &Engine{}
+			fs2[i] = newFuncs(engines2[i])
 		}
 		rng = rand.New(rand.NewSource(42))
 		for j := 0; j < 200; j++ {
 			sh := j % shards
 			tm := rng.Float64() * 50
 			i := sh % k
-			eng := engines2[i]
-			eng.At(tm, func() { per[i] = append(per[i], hit{sh, tm}) })
+			fs2[i].at(tm, func() { per[i] = append(per[i], hit{sh, tm}) })
 		}
 		g := NewGroup(engines2, 0.1+rng.Float64())
 		g.Run(func() {})

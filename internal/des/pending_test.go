@@ -143,7 +143,7 @@ func TestConstantDelayBypassesHeap(t *testing.T) {
 	fired := 0
 	e.SetHandler(func(ev Event) {
 		if fired++; fired < 20000 {
-			e.ScheduleKind(o, 1, 0, 0)
+			e.AtKind(e.Now()+o, 1, 0, 0)
 		}
 	})
 	for i := 0; i < pending; i++ {

@@ -7,23 +7,23 @@ import (
 
 // The shard scheduler leans on bounded runs (RunBefore/RunUntil) with the
 // engine reused across simulations. This pins the contract that a Reset
-// after a *bounded* run — i.e. with events still pending, closures still
-// registered and payload slots still occupied — yields an engine whose next
-// run is bit-identical to a fresh engine's.
+// after a *bounded* run — i.e. with events still pending and payload slots
+// still occupied — yields an engine whose next run is bit-identical to a
+// fresh engine's.
 
-// traceRun schedules a fixed workload (typed + closure events, same-time
-// ties, nested scheduling) and runs it to completion, returning the
-// execution trace and final state.
+// traceRun schedules a fixed workload (several kinds, same-time ties,
+// nested scheduling) and runs it to completion, returning the execution
+// trace and final state.
 func traceRun(e *Engine, trace *[]Event) (end float64, ran uint64) {
 	e.SetHandler(func(ev Event) {
 		*trace = append(*trace, ev)
 		if ev.Kind == 2 && ev.Arg0 < 3 {
-			e.ScheduleKind(0.5, 2, ev.Arg0+1, ev.Arg1)
+			e.AtKind(e.Now()+0.5, 2, ev.Arg0+1, ev.Arg1)
 		}
 	})
 	e.AtKind(1, 2, 0, 7)
 	e.AtKind(1, 3, 0, 0) // same-time tie: must fire after the kind-2 event
-	e.At(2, func() { *trace = append(*trace, Event{Time: e.Now(), Kind: 99}) })
+	e.AtKind(2, 99, 0, 0)
 	e.AtKind(4, 4, 5, 5)
 	return e.Run(), e.EventsRun()
 }
@@ -35,12 +35,12 @@ func TestResetAfterBoundedRunUntilIsBitIdentical(t *testing.T) {
 	wantEnd, wantRan := traceRun(&fresh, &want)
 
 	// Second engine: run a *different* workload partway with RunUntil,
-	// leaving pending typed events, pending closures and a mid-run clock.
+	// leaving pending events and a mid-run clock.
 	var e Engine
 	e.SetHandler(func(Event) {})
 	e.AtKind(1, 2, 0, 0)
 	e.AtKind(5, 2, 1, 1) // never reached before the bound
-	e.At(6, func() {})   // abandoned closure: Reset must release it
+	e.AtKind(6, 4, 2, 2) // abandoned too
 	e.RunUntil(3)
 	if e.Now() != 3 || e.Pending() != 2 {
 		t.Fatalf("bounded run state: now=%v pending=%d, want 3, 2", e.Now(), e.Pending())

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/simmpi"
 	"repro/internal/simnet"
 	"repro/internal/stats"
@@ -121,8 +122,8 @@ func TestTraceCommShareTracksModelBreakdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-	rec := trace.NewRecorder()
-	sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Tracer: rec})
+	rec := &obs.Recorder{Spans: true}
+	sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Obs: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestTraceCommShareTracksModelBreakdown(t *testing.T) {
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	sum := trace.Summarize(rec.Profile(dec.P()))
+	sum := trace.Summarize(trace.Profile(rec.SpanList(), dec.P()))
 	modelShare := rep.CommPerIter / rep.TimePerIteration
 	// The traced mean comm share includes pipeline-fill waiting unevenly
 	// across ranks; require agreement within a factor of 2.5 and the same

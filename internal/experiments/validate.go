@@ -157,7 +157,11 @@ func ValidateData(cfg ValidationConfig) ([]ValidationPoint, error) {
 			"experiments: machine %q uses a non-standard %dx%d core rectangle (campaign specs derive %dx%d from %d cores); use CompareOne directly",
 			cfg.Machine.Name, cfg.Machine.Cx, cfg.Machine.Cy, cx, cy, cfg.Machine.CoresPerNode)
 	}
-	results, err := campaign.Engine{}.ExecuteSpec(ValidationSpec(cfg))
+	eng, err := campaign.NewEngine(campaign.Config{})
+	if err != nil {
+		return nil, err
+	}
+	results, err := eng.ExecuteSpec(ValidationSpec(cfg))
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,12 @@
 // Package obs is the simulator's flight recorder: a unified, deterministic
 // observability layer for the discrete-event MPI stack. A Recorder attached
-// to a simulation (simmpi.Sim.SetObs) collects four event streams —
+// to a simulation (simmpi.Options.Obs) collects four event streams —
 // per-rank activity spans, message lifetimes, interconnect link
 // reservations and lookahead-window statistics — plus log-bucketed duration
 // histograms (hist.go), and renders them as a Chrome trace-event timeline
 // for ui.perfetto.dev (timeline.go) or a sampled CSV time series
-// (sampler.go).
+// (sampler.go). internal/trace turns the spans into per-rank activity
+// breakdowns and a text Gantt chart.
 //
 // Two properties shape the design:
 //
@@ -14,9 +15,9 @@
 //     work and no allocations; cmd/benchgate gates the hook overhead via
 //     events_per_sec_obs_disabled.
 //
-//   - Enabled is deterministic. Unlike simmpi.Tracer, a Recorder does not
-//     force serial execution: sharded runs append spans to per-rank buffers
-//     (each rank is owned by exactly one shard), accumulate histograms in
+//   - Enabled is deterministic. A Recorder does not force serial
+//     execution: sharded runs append spans to per-rank buffers (each rank
+//     is owned by exactly one shard), accumulate histograms in
 //     per-shard scratch merged additively at the end, and record link and
 //     window events only from single-threaded code (the barrier
 //     coordinator). Exports sort every stream by content, and histograms

@@ -12,7 +12,7 @@ package simmpi
 //     at exactly the virtual time its closure predecessor did and events are
 //     scheduled in the same relative order, so serial results are
 //     bit-identical to the closure implementation (see golden_test.go).
-//   - Canonical (any run requested with SetShards(k > 1), including its
+//   - Canonical (any run requested with Options.Shards > 1, including its
 //     single-shard serial core): same-time events fire in content order
 //     (evPri below). Scheduling order is a global property a sharded run
 //     cannot reproduce — a barrier-injected cross-shard event has no way to
@@ -35,11 +35,11 @@ import (
 	"repro/internal/obs"
 )
 
-// Event kinds. Kind 0 is reserved by the des engine for closure events.
+// Event kinds.
 const (
 	// evResume unblocks rank Arg0, whose local clock was set when the
 	// event was scheduled, and advances its program.
-	evResume des.Kind = iota + 1
+	evResume des.Kind = iota
 	// evComm starts rank Arg0's pending communication op at its local time.
 	evComm
 	// evDeliver marks message Arg0's data available at the receiver at the

@@ -7,38 +7,35 @@ import (
 	"repro/internal/simnet"
 )
 
-// Options bundles every per-run configuration knob of a Sim — the span
-// tracer, the flight recorder and the conservative-parallel shard count —
-// so a simulation is configured in one place, at construction or Reset,
-// instead of through a sequence of setters whose invalid combinations
-// could only surface at Run time.
+// Options bundles every per-run configuration knob of a Sim — the flight
+// recorder and the conservative-parallel shard count — so a simulation is
+// configured in one place, at construction or reset, and an invalid value
+// fails there instead of at Run.
 //
 // The zero Options is the default serial, un-instrumented simulation.
 type Options struct {
-	// Tracer receives per-rank activity spans (internal/trace). A traced
-	// simulation executes serially: span callbacks are not synchronised
-	// across shard goroutines, so Tracer and Shards > 1 conflict.
-	Tracer Tracer
-	// Obs attaches a flight recorder (internal/obs). Unlike Tracer, a
-	// recorder is shard-safe: sharded runs record per-rank spans from the
-	// owning shards and merge histogram scratch single-threaded, so the
-	// recording is deterministic for every shard count.
+	// Obs attaches a flight recorder (internal/obs). The recorder is
+	// shard-safe: sharded runs record per-rank spans from the owning
+	// shards and merge histogram scratch single-threaded, so the recording
+	// is deterministic for every shard count. Set its feature flags before
+	// Run.
 	Obs *obs.Recorder
 	// Shards requests conservative parallel execution over that many
-	// shards; 0 or 1 is the serial engine. Every sharded count (≥ 2)
-	// yields bit-identical results (see parallel.go).
+	// shards; 0 or 1 is the serial engine. The effective count, reported
+	// by ParallelStats, is capped by the node count and falls back to 1
+	// when the topology offers no lookahead or the rank placement cannot
+	// complete all-reduces safely inside a window. A run requested with
+	// Shards > 1 uses the canonical same-time event order even then, so
+	// every sharded count (≥ 2) yields bit-identical results (see
+	// parallel.go).
 	Shards int
 }
 
-// Validate rejects option combinations that cannot execute as requested.
-// It is the single checkpoint the construction and Reset paths share, so
-// a conflict fails loudly up front instead of degrading silently at Run.
+// Validate rejects option values that cannot execute as requested. It is
+// the single checkpoint the construction and reset paths share.
 func (o Options) Validate() error {
 	if o.Shards < 0 {
 		return fmt.Errorf("simmpi: negative shard count %d", o.Shards)
-	}
-	if o.Tracer != nil && o.Shards > 1 {
-		return fmt.Errorf("simmpi: a span tracer forces serial execution — drop the tracer or use Shards ≤ 1 (use a shard-safe obs.Recorder for parallel runs)")
 	}
 	return nil
 }
@@ -62,7 +59,6 @@ func (o Options) validateFor(topo *simnet.Topology) error {
 
 // apply installs validated options on the Sim.
 func (s *Sim) apply(o Options) {
-	s.tracer = o.Tracer
 	s.obs = o.Obs
 	k := o.Shards
 	if k < 1 {
@@ -72,8 +68,8 @@ func (s *Sim) apply(o Options) {
 }
 
 // NewWithOptions creates a simulation over the given topology with the
-// options applied atomically; invalid combinations are rejected here
-// rather than at Run. Programs are assigned with SetProgram.
+// options applied atomically; invalid values are rejected here rather
+// than at Run. Programs are assigned with SetProgram.
 func NewWithOptions(topo *simnet.Topology, o Options) (*Sim, error) {
 	if err := o.validateFor(topo); err != nil {
 		return nil, err
@@ -83,17 +79,43 @@ func NewWithOptions(topo *simnet.Topology, o Options) (*Sim, error) {
 	return s, nil
 }
 
-// ResetWithOptions rebinds the Sim to a (possibly different) topology for
-// another run — retaining every internal pool exactly like Reset — and
-// applies the full option set in the same step. Unlike the legacy
-// setter-based flow (Reset clears the tracer and recorder but keeps the
-// shard count), the Sim's configuration afterwards is exactly o: what you
-// pass is what runs.
+// ResetWithOptions prepares the Sim for another run over a (possibly
+// different) topology with the option set o, retaining the capacity of
+// every internal pool — the event heap, the message and receive-request
+// free lists, the channel rings, the per-rank tables and every shard built
+// for earlier parallel runs — so that back-to-back simulations of similar
+// size perform near-zero heap allocations after the first. All programs
+// are cleared, and the Sim's configuration afterwards is exactly o: a
+// reset Sim behaves bit-identically to NewWithOptions(topo, o). The
+// topology must itself be fresh or reset (its buses start a new virtual
+// time axis). An invalid o leaves the Sim unchanged.
 func (s *Sim) ResetWithOptions(topo *simnet.Topology, o Options) error {
 	if err := o.validateFor(topo); err != nil {
 		return err
 	}
-	s.Reset(topo)
 	s.apply(o)
+	s.topo = topo
+	n := topo.Ranks()
+	if n <= cap(s.ranks) {
+		s.ranks = s.ranks[:n]
+	} else {
+		old := s.ranks
+		s.ranks = make([]rankState, n)
+		copy(s.ranks, old) // carry over the allocated out tables
+	}
+	for i := range s.ranks {
+		out := s.ranks[i].out
+		in := s.ranks[i].in
+		coll := s.ranks[i].coll
+		s.ranks[i] = rankState{id: int32(i), out: out[:0], in: in[:0], coll: coll[:0]}
+	}
+	// Truncating (not clearing) keeps backing arrays; chanIndex re-claims
+	// channel slots ring buffers included, and AllocSlot repopulates the
+	// pools in the same order a fresh Sim would.
+	s.arGens = s.arGens[:0]
+	for _, sh := range s.shards {
+		sh.clear()
+		sh.bind()
+	}
 	return nil
 }

@@ -9,38 +9,28 @@ import (
 	"repro/internal/simnet"
 )
 
-type nopTracer struct{}
-
-func (nopTracer) Span(rank int, op OpKind, peer, bytes int, start, end float64) {}
-
 func optTopo(ranks int) *simnet.Topology {
 	m := machine.XT4()
 	return simnet.NewTopology(m.Params, ranks, simnet.LinearPlacement(m))
 }
 
-// TestOptionsRejectTracerWithShards is the consolidation contract: the
-// invalid tracer+shards combination fails at configuration time, at both
-// construction and Reset, instead of silently degrading at Run.
-func TestOptionsRejectTracerWithShards(t *testing.T) {
-	bad := Options{Tracer: nopTracer{}, Shards: 4}
-	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "serial") {
-		t.Fatalf("Validate() = %v, want tracer/shards conflict", err)
+// TestOptionsRejectNegativeShards: a negative shard count fails at
+// configuration time, at both construction and reset.
+func TestOptionsRejectNegativeShards(t *testing.T) {
+	bad := Options{Shards: -1}
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "negative shard count") {
+		t.Fatalf("Validate() = %v, want the negative shard count", err)
 	}
 	if _, err := NewWithOptions(optTopo(4), bad); err == nil {
-		t.Error("NewWithOptions accepted a tracer with 4 shards")
+		t.Error("NewWithOptions accepted -1 shards")
 	}
 	sim := New(optTopo(4))
 	if err := sim.ResetWithOptions(optTopo(4), bad); err == nil {
-		t.Error("ResetWithOptions accepted a tracer with 4 shards")
+		t.Error("ResetWithOptions accepted -1 shards")
 	}
-	if err := (Options{Shards: -1}).Validate(); err == nil {
-		t.Error("negative shard count accepted")
-	}
-	// Each half of the conflict is fine on its own, as is a shard-safe
-	// recorder next to shards.
 	for _, ok := range []Options{
-		{Tracer: nopTracer{}},
-		{Tracer: nopTracer{}, Shards: 1},
+		{},
+		{Shards: 1},
 		{Shards: 8},
 		{Obs: &obs.Recorder{Hist: true}, Shards: 8},
 	} {
@@ -82,30 +72,22 @@ func TestOptionsRejectShardsAboveRankLimit(t *testing.T) {
 	}
 }
 
-// TestOptionsMatchSetters pins the wrapper equivalence: a Sim configured
-// through Options carries exactly the state the deprecated setter trio
-// would have installed, and ResetWithOptions replaces the whole set.
-func TestOptionsMatchSetters(t *testing.T) {
+// TestResetWithOptionsReplacesOptions: the Sim carries exactly the options
+// it was given, and ResetWithOptions replaces the whole set.
+func TestResetWithOptionsReplacesOptions(t *testing.T) {
 	rec := &obs.Recorder{Hist: true}
 	sim, err := NewWithOptions(optTopo(4), Options{Obs: rec, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := New(optTopo(4))
-	old.SetObs(rec)
-	old.SetShards(4)
-	if sim.obs != old.obs || sim.nshards != old.nshards || sim.Shards() != 4 {
-		t.Errorf("options state (obs=%p shards=%d) != setter state (obs=%p shards=%d)",
-			sim.obs, sim.nshards, old.obs, old.nshards)
+	if sim.obs != rec || sim.nshards != 4 {
+		t.Errorf("NewWithOptions: obs=%p shards=%d, want %p and 4", sim.obs, sim.nshards, rec)
 	}
-	// ResetWithOptions applies the full set: the zero Options returns the
-	// Sim to a serial, un-instrumented run (legacy Reset would have kept
-	// the shard count).
+	// The zero Options returns the Sim to a serial, un-instrumented run.
 	if err := sim.ResetWithOptions(optTopo(4), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if sim.obs != nil || sim.tracer != nil || sim.Shards() != 1 {
-		t.Errorf("after ResetWithOptions(zero): obs=%p tracer=%v shards=%d, want clean serial",
-			sim.obs, sim.tracer, sim.Shards())
+	if sim.obs != nil || sim.nshards != 1 {
+		t.Errorf("after ResetWithOptions(zero): obs=%p shards=%d, want clean serial", sim.obs, sim.nshards)
 	}
 }

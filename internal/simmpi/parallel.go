@@ -2,14 +2,15 @@ package simmpi
 
 // Conservative parallel execution (classic CMB-style windowing, des.Group).
 //
-// SetShards(K) partitions the ranks into K shards along node boundaries, so
-// every shared bus — and all on-chip traffic — stays inside one shard. Each
-// shard owns a full event engine plus the message pools and channel tables
-// of its ranks, and advances concurrently inside the global lookahead
-// window [T, T+L): every cross-node event chain in the LogGP protocol
-// carries at least one +L wire-latency term (simnet.Topology.Lookahead),
-// and queueing only adds delay, so nothing a shard executes inside a window
-// can affect another shard before the window ends.
+// Options{Shards: K} partitions the ranks into K shards along node
+// boundaries, so every shared bus — and all on-chip traffic — stays inside
+// one shard. Each shard owns a full event engine plus the message pools and
+// channel tables of its ranks, and advances concurrently inside the global
+// lookahead window [T, T+L): every cross-node event chain in the LogGP
+// protocol carries at least one +L wire-latency term
+// (simnet.Topology.Lookahead), and queueing only adds delay, so nothing a
+// shard executes inside a window can affect another shard before the
+// window ends.
 //
 // Cross-shard interactions never touch the peer shard directly. They are
 // recorded in per-shard boundary buffers and applied by the barrier
@@ -122,35 +123,6 @@ type parRun struct {
 	stalls  uint64
 }
 
-// SetShards requests conservative parallel execution over k shards.
-// k ≤ 1 (the default) runs serially. The effective shard count is capped by
-// the node count — shards are node-aligned so shared buses never straddle a
-// boundary — and the run silently falls back to serial when the topology
-// offers no lookahead (L == 0), when a tracer is installed, or when the
-// rank placement cannot guarantee window-safe all-reduce completions (see
-// allReduceWindowSafe). Runs requested with k > 1 use the canonical
-// same-time event order (events.go) even when they fall back to one shard,
-// so results are bit-identical for every requested count k > 1.
-// The setting survives Reset.
-//
-// Deprecated: pass Options{Shards: k} to NewWithOptions or
-// ResetWithOptions instead, which rejects the tracer+shards conflict at
-// configuration time rather than degrading silently at Run.
-func (s *Sim) SetShards(k int) {
-	if k < 1 {
-		k = 1
-	}
-	s.nshards = k
-}
-
-// Shards returns the requested shard count (not the effective one).
-func (s *Sim) Shards() int {
-	if s.nshards < 1 {
-		return 1
-	}
-	return s.nshards
-}
-
 // ParallelStats reports the effective shard count of the last Run and the
 // window/stall counters of its barrier scheduler; shards == 1 with zero
 // counters for a serial run.
@@ -164,7 +136,7 @@ func (s *Sim) ParallelStats() (shards int, windows, stalls uint64) {
 // effectiveShards resolves the shard count a Run will actually use.
 func (s *Sim) effectiveShards() int {
 	k := s.nshards
-	if k <= 1 || s.tracer != nil || len(s.ranks) < 2 {
+	if k <= 1 || len(s.ranks) < 2 {
 		return 1
 	}
 	if s.topo.Lookahead() <= 0 {

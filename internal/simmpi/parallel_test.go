@@ -49,8 +49,10 @@ func runBench(t *testing.T, bm apps.Benchmark, g grid.Grid, n, m int, mach machi
 	if err := tp.AttachInterconnect(spec); err != nil {
 		t.Fatal(err)
 	}
-	sim := simmpi.New(tp)
-	sim.SetShards(shards)
+	sim, err := simmpi.NewWithOptions(tp, simmpi.Options{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for r, p := range sched.Programs() {
 		sim.SetProgram(r, p)
 	}
@@ -141,8 +143,10 @@ func runRendezvous(t *testing.T, shards int) (simmpi.Result, int) {
 		t.Fatal(err)
 	}
 	tp := simnet.NewTopology(mach.Params, n, simnet.LinearPlacement(mach))
-	sim := simmpi.New(tp)
-	sim.SetShards(shards)
+	sim, err := simmpi.NewWithOptions(tp, simmpi.Options{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rendezvousPrograms(sim, n)
 	res, err := sim.Run()
 	if err != nil {
@@ -180,8 +184,10 @@ func TestParallelDeadlockReported(t *testing.T) {
 			t.Fatal(err)
 		}
 		tp := simnet.NewTopology(mach.Params, 8, simnet.LinearPlacement(mach))
-		sim := simmpi.New(tp)
-		sim.SetShards(shards)
+		sim, err := simmpi.NewWithOptions(tp, simmpi.Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
 		// Rank 7 waits for a message rank 0 never sends; cross-shard at k=2.
 		sim.SetProgram(7, simmpi.Ops(simmpi.Recv(0)))
 		sim.SetProgram(0, simmpi.Ops(simmpi.Send(1, 64)))
@@ -201,9 +207,8 @@ func TestParallelDeadlockReported(t *testing.T) {
 	}
 }
 
-// TestParallelResetReuse: a sharded Sim reused through Reset (the campaign
-// engine's pattern) stays bit-identical to fresh serial runs, and the
-// shard-count knob survives the reset.
+// TestParallelResetReuse: a sharded Sim reused through ResetWithOptions
+// (the campaign engine's pattern) stays bit-identical to fresh serial runs.
 func TestParallelResetReuse(t *testing.T) {
 	g := grid.Cube(32)
 	base, _ := runBench(t, apps.Sweep3D(g, 2), g, 8, 8, machine.XT4(), topo.Spec{}, 1)
@@ -213,11 +218,16 @@ func TestParallelResetReuse(t *testing.T) {
 	mk := func() *simnet.Topology {
 		return simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
 	}
-	sim := simmpi.New(mk())
-	sim.SetShards(4)
+	opt := simmpi.Options{Shards: 4}
+	sim, err := simmpi.NewWithOptions(mk(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for run := 0; run < 3; run++ {
 		if run > 0 {
-			sim.Reset(mk())
+			if err := sim.ResetWithOptions(mk(), opt); err != nil {
+				t.Fatal(err)
+			}
 		}
 		sched, err := apps.Sweep3D(g, 2).Schedule(dec, 1)
 		if err != nil {
@@ -231,46 +241,8 @@ func TestParallelResetReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		if k, _, _ := sim.ParallelStats(); k != 4 {
-			t.Fatalf("run %d: shard knob lost across Reset: ran with %d shards", run, k)
+			t.Fatalf("run %d: ran with %d shards, want 4", run, k)
 		}
 		sameFull(t, "reuse", base, res)
 	}
-}
-
-// TestTracerForcesSerial: span tracing is not synchronised across shards,
-// so a traced run must fall back to serial execution (and still trace).
-func TestTracerForcesSerial(t *testing.T) {
-	const n = 8
-	mach, err := machine.XT4MultiCore(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp := simnet.NewTopology(mach.Params, n, simnet.LinearPlacement(mach))
-	sim := simmpi.New(tp)
-	sim.SetShards(2)
-	spans := 0
-	sim.SetTracer(countTracer{&spans})
-	for r := 0; r < n; r++ {
-		right, left := (r+1)%n, (r+n-1)%n
-		if r%2 == 0 {
-			sim.SetProgram(r, simmpi.Ops(simmpi.Send(right, 64), simmpi.Recv(left)))
-		} else {
-			sim.SetProgram(r, simmpi.Ops(simmpi.Recv(left), simmpi.Send(right, 64)))
-		}
-	}
-	if _, err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if k, _, _ := sim.ParallelStats(); k != 1 {
-		t.Fatalf("traced run used %d shards", k)
-	}
-	if spans == 0 {
-		t.Fatal("tracer saw no spans")
-	}
-}
-
-type countTracer struct{ n *int }
-
-func (c countTracer) Span(rank int, op simmpi.OpKind, peer, bytes int, start, end float64) {
-	*c.n++
 }

@@ -95,7 +95,7 @@ func (sh *shard) chanIndexIn(src, dst int32) int32 {
 }
 
 // claimChannel returns a fresh channel slot, re-claiming one left behind by
-// Sim.Reset (keeping its ring buffers) when possible.
+// Sim.ResetWithOptions (keeping its ring buffers) when possible.
 func (sh *shard) claimChannel() int32 {
 	ci := int32(len(sh.channels))
 	if int(ci) < cap(sh.channels) {

@@ -1,6 +1,6 @@
 package simmpi_test
 
-// Tests of the Sim.Reset reuse API: a reset simulator must behave
+// Tests of the Sim.ResetWithOptions reuse API: a reset simulator must behave
 // bit-identically to a freshly constructed one (the campaign engine depends
 // on this for worker-count-independent results), and back-to-back runs of
 // the same configuration must be near-allocation-free so sweeps amortise
@@ -41,7 +41,7 @@ func freshRun(t *testing.T, bm apps.Benchmark, p int) simmpi.Result {
 	return res
 }
 
-// resetRun simulates bm at p ranks on sim after a Reset.
+// resetRun simulates bm at p ranks on sim after a reset.
 func resetRun(t *testing.T, sim *simmpi.Sim, bm apps.Benchmark, p int) simmpi.Result {
 	t.Helper()
 	dec, err := grid.SquareDecomposition(bm.App.Grid, p)
@@ -54,7 +54,9 @@ func resetRun(t *testing.T, sim *simmpi.Sim, bm apps.Benchmark, p int) simmpi.Re
 	}
 	mach := machine.XT4()
 	topo := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-	sim.Reset(topo)
+	if err := sim.ResetWithOptions(topo, simmpi.Options{}); err != nil {
+		t.Fatal(err)
+	}
 	for r, pr := range sched.Programs() {
 		sim.SetProgram(r, pr)
 	}
@@ -136,7 +138,9 @@ func collectiveRun(t *testing.T, sim *simmpi.Sim, ranks int) simmpi.Result {
 	if sim == nil {
 		sim = simmpi.New(topo)
 	} else {
-		sim.Reset(topo)
+		if err := sim.ResetWithOptions(topo, simmpi.Options{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for r, p := range collectiveProgs(ranks) {
 		sim.SetProgram(r, p)
@@ -167,7 +171,7 @@ func TestResetCollectiveBitIdentical(t *testing.T) {
 
 // TestResetCollectiveAllocsNearZero extends the reuse contract to
 // collectives: once a Sim has expanded a collective program, re-running it
-// after Reset must stay within the same ≤8 allocs budget as point-to-point
+// after a reset must stay within the same ≤8 allocs budget as point-to-point
 // traffic — the expansion buffers, pools and rings must all be reused.
 func TestResetCollectiveAllocsNearZero(t *testing.T) {
 	const ranks = 16
@@ -177,7 +181,9 @@ func TestResetCollectiveAllocsNearZero(t *testing.T) {
 	sim := simmpi.New(topo)
 	run := func() {
 		topo.Reset()
-		sim.Reset(topo)
+		if err := sim.ResetWithOptions(topo, simmpi.Options{}); err != nil {
+			t.Fatal(err)
+		}
 		for r, p := range progs {
 			p.Rewind()
 			sim.SetProgram(r, p)
@@ -195,7 +201,7 @@ func TestResetCollectiveAllocsNearZero(t *testing.T) {
 }
 
 // TestResetAllocsNearZero is the reuse contract: once a Sim has run a
-// configuration, re-running it after Reset must allocate near zero — a
+// configuration, re-running it after a reset must allocate near zero — a
 // couple of Result slices, nothing proportional to events or messages.
 func TestResetAllocsNearZero(t *testing.T) {
 	const ranks = 16
@@ -225,7 +231,9 @@ func TestResetAllocsNearZero(t *testing.T) {
 	var events uint64
 	run := func() {
 		topo.Reset()
-		sim.Reset(topo)
+		if err := sim.ResetWithOptions(topo, simmpi.Options{}); err != nil {
+			t.Fatal(err)
+		}
 		for r, p := range progs {
 			p.Rewind()
 			sim.SetProgram(r, p)

@@ -25,10 +25,10 @@
 // # Parallel execution
 //
 // All of that state lives in per-shard structs (type shard): a serial run
-// is exactly one shard executing its engine to completion, and SetShards
-// partitions the ranks — node-aligned, so buses stay shard-local — across
-// K shards advanced concurrently inside conservative lookahead windows
-// (des.Group, parallel.go). Cross-shard messages become boundary records
+// is exactly one shard executing its engine to completion, and
+// Options.Shards partitions the ranks — node-aligned, so buses stay
+// shard-local — across K shards advanced concurrently inside conservative
+// lookahead windows (des.Group, parallel.go). Cross-shard messages become boundary records
 // merged deterministically at window barriers, so the parallel result is
 // bit-identical to the serial one for any shard count.
 //
@@ -115,7 +115,7 @@ func (p *SliceProgram) Next() (Op, bool) {
 }
 
 // Rewind returns the program to its first operation so it can be replayed
-// by a reused simulator (see Sim.Reset).
+// by a reused simulator (see Sim.ResetWithOptions).
 func (p *SliceProgram) Rewind() { p.pos = 0 }
 
 // FuncProgram adapts a generator function to the Program interface.
@@ -147,7 +147,7 @@ type Result struct {
 	LinkRequests, LinkQueued uint64
 	LinkBusy, LinkWait       float64
 	// Hists carries the run's duration histograms when a flight recorder
-	// with Hist enabled was attached (Sim.SetObs); nil otherwise. The
+	// with Hist enabled was attached (Options.Obs); nil otherwise. The
 	// pointer aliases the recorder's accumulator, which keeps accumulating
 	// if the recorder is reused without a Reset.
 	Hists *obs.SimHists
@@ -164,30 +164,18 @@ func (r Result) MaxComputeTime() float64 {
 	return m
 }
 
-// Tracer receives the per-rank activity spans of a simulation: each
-// communication operation's blocking interval and each compute interval.
-// Spans are reported in completion order per rank. Implementations must
-// not call back into the Sim.
-type Tracer interface {
-	// Span reports that rank spent [start, end] in the given operation.
-	// For sends and receives, peer and bytes describe the message; for
-	// compute and all-reduce spans peer is -1.
-	Span(rank int, op OpKind, peer, bytes int, start, end float64)
-}
-
 // Sim is a configured simulation instance. A Sim may be run once; call
-// Reset to rebind it to a (possibly different) topology and run it again
-// reusing the event heap, message pools and channel tables of the previous
-// run.
+// ResetWithOptions to rebind it to a (possibly different) topology and run
+// it again reusing the event heap, message pools and channel tables of the
+// previous run.
 type Sim struct {
 	topo   *simnet.Topology
 	ranks  []rankState
-	tracer Tracer
 	obs    *obs.Recorder
 	arGens []arGen
 
 	// shards hold all hot-path state (engines, pools, channel tables,
-	// counters). A serial run is shards[0] executing alone; SetShards
+	// counters). A serial run is shards[0] executing alone; a sharded run
 	// grows the slice and partitions the ranks (parallel.go). Shards are
 	// pointers so the engine handlers installed at construction stay valid
 	// as the slice grows.
@@ -212,7 +200,7 @@ type rankState struct {
 	// Collective sub-schedule in progress: the point-to-point constituent
 	// ops of an expanded collective (collops.go) and the next one to run.
 	// The buffer is pooled — expansion reuses it across collectives and
-	// across Reset, so steady-state collective execution is allocation-free.
+	// across resets, so steady-state collective execution is allocation-free.
 	coll   []Op
 	collIx int32
 
@@ -239,12 +227,11 @@ type shard struct {
 	id  int32
 	eng des.Engine
 
-	topo   *simnet.Topology
-	par    logp.Params // snapshot of topo.Params (frozen per Topology contract); hot handlers avoid re-copying the struct
-	tracer Tracer
-	ranks  []rankState // shared header of Sim.ranks; shards touch only their own partition
+	topo  *simnet.Topology
+	par   logp.Params // snapshot of topo.Params (frozen per Topology contract); hot handlers avoid re-copying the struct
+	ranks []rankState // shared header of Sim.ranks; shards touch only their own partition
 
-	// Flight-recorder snapshot (Sim.SetObs): the recorder plus cached
+	// Flight-recorder snapshot (Options.Obs): the recorder plus cached
 	// feature booleans so hot-path guards are single loads, and the shard's
 	// private histogram scratch and message log — merged into the recorder
 	// single-threaded at assemble, so sharded recording needs no locks.
@@ -264,7 +251,7 @@ type shard struct {
 
 	// canon selects the content-derived canonical same-time event order
 	// (events.go evPri) instead of the legacy scheduling-order tiebreak.
-	// Set for any run requested with SetShards(k > 1) — including ones
+	// Set for any run requested with Options.Shards > 1 — including ones
 	// that fall back to a single shard — never for a default serial run,
 	// whose event order stays bit-identical to the original closure
 	// implementation (golden_test.go).
@@ -314,14 +301,13 @@ func (s *Sim) newShard(i int32) *shard {
 }
 
 // bind refreshes a shard's per-run snapshot fields (topology, parameters,
-// rank table header, tracer). Called at construction and on every Reset —
+// rank table header, recorder). Called at construction and on every reset —
 // Sim.ranks may have been reallocated for a larger rank count.
 func (sh *shard) bind() {
 	s := sh.sim
 	sh.topo = s.topo
 	sh.par = s.topo.Params
 	sh.ranks = s.ranks
-	sh.tracer = s.tracer
 	sh.obs = s.obs
 	sh.obsSpans = s.obs != nil && s.obs.Spans
 	sh.obsMsg = s.obs != nil && s.obs.Messages
@@ -337,7 +323,7 @@ func (sh *shard) bind() {
 }
 
 // clear returns a shard's pools and counters to the pristine state while
-// keeping every backing array (see Sim.Reset).
+// keeping every backing array (see Sim.ResetWithOptions).
 func (sh *shard) clear() {
 	sh.eng.Reset()
 	sh.channels = sh.channels[:0]
@@ -351,67 +337,8 @@ func (sh *shard) clear() {
 	sh.emit = 0
 }
 
-// Reset prepares the Sim for another run over the given topology,
-// retaining the capacity of every internal pool — the event heap, the
-// message and receive-request free lists, the channel rings and the
-// per-rank tables — so that back-to-back simulations of similar size
-// perform near-zero heap allocations after the first. All programs, the
-// tracer and the flight recorder are cleared; a reset Sim behaves bit-identically to a freshly
-// constructed one. The topology must itself be fresh or Reset (its buses
-// start a new virtual time axis). The shard-count knob (SetShards)
-// survives the reset, as does the capacity of every shard built for
-// earlier parallel runs.
-func (s *Sim) Reset(topo *simnet.Topology) {
-	s.topo = topo
-	n := topo.Ranks()
-	if n <= cap(s.ranks) {
-		s.ranks = s.ranks[:n]
-	} else {
-		old := s.ranks
-		s.ranks = make([]rankState, n)
-		copy(s.ranks, old) // carry over the allocated out tables
-	}
-	for i := range s.ranks {
-		out := s.ranks[i].out
-		in := s.ranks[i].in
-		coll := s.ranks[i].coll
-		s.ranks[i] = rankState{id: int32(i), out: out[:0], in: in[:0], coll: coll[:0]}
-	}
-	// Truncating (not clearing) keeps backing arrays; chanIndex re-claims
-	// channel slots ring buffers included, and AllocSlot repopulates the
-	// pools in the same order a fresh Sim would.
-	s.arGens = s.arGens[:0]
-	s.tracer = nil
-	s.obs = nil
-	for _, sh := range s.shards {
-		sh.clear()
-		sh.bind()
-	}
-}
-
 // SetProgram assigns rank r's program.
 func (s *Sim) SetProgram(r int, p Program) { s.ranks[r].prog = p }
-
-// SetTracer installs a span tracer; pass nil to disable. A Sim with a
-// tracer always executes serially: span callbacks are not synchronised
-// across shard goroutines.
-//
-// Deprecated: pass Options{Tracer: t} to NewWithOptions or
-// ResetWithOptions instead, which rejects the tracer+shards conflict at
-// configuration time rather than degrading silently at Run.
-func (s *Sim) SetTracer(t Tracer) { s.tracer = t }
-
-// SetObs attaches a flight recorder (internal/obs); pass nil to disable.
-// Unlike SetTracer, an attached recorder does not force serial execution:
-// sharded runs record per-rank spans from the owning shards, accumulate
-// histograms in per-shard scratch merged at the end, and record link and
-// window events only from single-threaded barrier code, so the recording
-// is deterministic for every shard count. Set the recorder's feature flags
-// before Run; Reset detaches it.
-//
-// Deprecated: pass Options{Obs: r} to NewWithOptions or ResetWithOptions
-// instead.
-func (s *Sim) SetObs(r *obs.Recorder) { s.obs = r }
 
 // Run executes the simulation to completion. It returns an error if any
 // rank blocks forever (deadlock) — e.g. a receive with no matching send.
@@ -503,13 +430,6 @@ func (s *Sim) assemble(end float64) (Result, error) {
 func (sh *shard) advance(r *rankState) {
 	if r.inComm {
 		r.inComm = false
-		if sh.tracer != nil {
-			peer := int(r.curOp.Peer)
-			if r.curOp.Kind == OpAllReduce {
-				peer = -1
-			}
-			sh.tracer.Span(int(r.id), r.curOp.Kind, peer, int(r.curOp.Bytes), r.opStart, r.t)
-		}
 		if sh.obsSpans {
 			peer := r.curOp.Peer
 			if r.curOp.Kind == OpAllReduce {
@@ -549,9 +469,6 @@ func (sh *shard) advance(r *rankState) {
 		}
 		switch op.Kind {
 		case OpCompute:
-			if sh.tracer != nil && op.Dur > 0 {
-				sh.tracer.Span(int(r.id), OpCompute, -1, 0, r.t, r.t+op.Dur)
-			}
 			if sh.obsSpans && op.Dur > 0 {
 				sh.obs.RankSpan(r.id, uint8(OpCompute), -1, 0, r.t, r.t+op.Dur)
 			}

@@ -99,7 +99,7 @@ func TestInterconnectChangesMultiNodeTiming(t *testing.T) {
 }
 
 // TestResetClearsInterconnect: a reused topology+sim pair reproduces the
-// first run bit-for-bit after Reset, link statistics included.
+// first run bit-for-bit after a reset, link statistics included.
 func TestResetClearsInterconnect(t *testing.T) {
 	g := grid.Cube(24)
 	mach := machine.XT4()
@@ -125,7 +125,9 @@ func TestResetClearsInterconnect(t *testing.T) {
 	sim := simmpi.New(tp)
 	first := run(sim)
 	tp.Reset()
-	sim.Reset(tp)
+	if err := sim.ResetWithOptions(tp, simmpi.Options{}); err != nil {
+		t.Fatal(err)
+	}
 	second := run(sim)
 	sameResult(t, "reset", first, second)
 	if first.LinkWait != second.LinkWait || first.LinkRequests != second.LinkRequests {

@@ -12,21 +12,23 @@ package trace
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/grid"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/simmpi"
 	"repro/internal/simnet"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// runLUTraced runs one LU iteration on a 16³ grid over 4×4 ranks with a
-// recorder attached.
-func runLUTraced(t *testing.T) (*Recorder, int) {
+// runLUTraced runs one LU iteration on a 16³ grid over 4×4 ranks at the
+// given shard count with a span recorder attached.
+func runLUTraced(t *testing.T, shards int) ([]obs.Span, int) {
 	t.Helper()
 	g := grid.Cube(16)
 	bm := apps.LU(g)
@@ -37,8 +39,8 @@ func runLUTraced(t *testing.T) (*Recorder, int) {
 		t.Fatal(err)
 	}
 	topo := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-	rec := NewRecorder()
-	sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Tracer: rec})
+	rec := &obs.Recorder{Spans: true}
+	sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Obs: rec, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,28 +50,37 @@ func runLUTraced(t *testing.T) (*Recorder, int) {
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return rec, dec.P()
+	if k, _, _ := sim.ParallelStats(); k != shards {
+		t.Fatalf("requested %d shards, ran with %d", shards, k)
+	}
+	return rec.SpanList(), dec.P()
 }
 
+// TestBreakdownGolden renders the serial run and every sharded one against
+// the same golden file: profiles of sharded runs are byte-identical.
 func TestBreakdownGolden(t *testing.T) {
 	const path = "testdata/lu_breakdown_golden.txt"
-	rec, ranks := runLUTraced(t)
-	var buf bytes.Buffer
-	rec.Gantt(&buf, ranks, 72)
-	buf.WriteByte('\n')
-	WriteBreakdown(&buf, rec.Profile(ranks), 3)
-	got := buf.Bytes()
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to record)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("rendered output drifted from golden; run with -update and explain the drift\ngot:\n%s\nwant:\n%s", got, want)
+	for _, shards := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			spans, ranks := runLUTraced(t, shards)
+			var buf bytes.Buffer
+			Gantt(&buf, spans, ranks, 72)
+			buf.WriteByte('\n')
+			WriteBreakdown(&buf, Profile(spans, ranks), 3)
+			got := buf.Bytes()
+			if *update && shards == 1 {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run with -update to record)", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("rendered output drifted from golden; run with -update and explain the drift\ngot:\n%s\nwant:\n%s", got, want)
+			}
+		})
 	}
 }

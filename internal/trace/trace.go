@@ -1,12 +1,13 @@
-// Package trace records per-rank activity spans from the discrete-event
-// simulator and turns them into the bottleneck analyses of paper Section
+// Package trace turns the per-rank activity spans of a flight recording
+// (obs.Recorder.SpanList) into the bottleneck analyses of paper Section
 // 5.4: computation/communication/idle breakdowns per rank, aggregate
 // pipeline statistics, identification of the critical (busiest and most
 // comm-bound) ranks, and a plain-text Gantt rendering for inspection.
 //
 // The model predicts these breakdowns (Figure 11); the trace measures them
 // from the simulated execution, so model abstraction error is visible at
-// per-rank granularity.
+// per-rank granularity. The recorder collects spans on serial and sharded
+// runs alike.
 package trace
 
 import (
@@ -15,39 +16,8 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/simmpi"
+	"repro/internal/obs"
 )
-
-// Span is one recorded activity interval of a rank.
-type Span struct {
-	Rank       int
-	Op         simmpi.OpKind
-	Peer       int // -1 for compute and all-reduce
-	Bytes      int
-	Start, End float64
-}
-
-// Duration returns the span length in µs.
-func (s Span) Duration() float64 { return s.End - s.Start }
-
-// Recorder implements simmpi.Tracer by accumulating spans.
-type Recorder struct {
-	spans []Span
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
-
-// Span implements simmpi.Tracer.
-func (r *Recorder) Span(rank int, op simmpi.OpKind, peer, bytes int, start, end float64) {
-	r.spans = append(r.spans, Span{Rank: rank, Op: op, Peer: peer, Bytes: bytes, Start: start, End: end})
-}
-
-// Spans returns all recorded spans in recording order.
-func (r *Recorder) Spans() []Span { return r.spans }
-
-// Len returns the number of recorded spans.
-func (r *Recorder) Len() int { return len(r.spans) }
 
 // RankProfile is the activity breakdown of one rank over a run.
 type RankProfile struct {
@@ -75,26 +45,26 @@ func (p RankProfile) CommShare() float64 {
 	return p.Comm() / p.Finish
 }
 
-// Profile aggregates a recording into per-rank profiles, indexed by rank.
-func (r *Recorder) Profile(ranks int) []RankProfile {
+// Profile aggregates spans into per-rank profiles, indexed by rank.
+func Profile(spans []obs.Span, ranks int) []RankProfile {
 	out := make([]RankProfile, ranks)
 	for i := range out {
 		out[i].Rank = i
 	}
-	for _, s := range r.spans {
-		if s.Rank < 0 || s.Rank >= ranks {
+	for _, s := range spans {
+		if s.Rank < 0 || int(s.Rank) >= ranks {
 			continue
 		}
 		p := &out[s.Rank]
-		d := s.Duration()
-		switch s.Op {
-		case simmpi.OpCompute:
+		d := s.End - s.Start
+		switch s.Kind {
+		case obs.SpanCompute:
 			p.Compute += d
-		case simmpi.OpSend:
+		case obs.SpanSend:
 			p.Send += d
-		case simmpi.OpRecv:
+		case obs.SpanRecv:
 			p.Recv += d
-		case simmpi.OpAllReduce:
+		case obs.SpanAllReduce:
 			p.Coll += d
 		}
 		if s.End > p.Finish {
@@ -160,12 +130,12 @@ func TopCommBound(profiles []RankProfile, k int) []RankProfile {
 // Gantt renders a plain-text activity chart: one row per rank, buckets
 // labelled by the dominant activity in that time slice (c = compute,
 // s = send, r = recv, a = all-reduce, · = idle/none).
-func (r *Recorder) Gantt(w io.Writer, ranks, width int) {
+func Gantt(w io.Writer, spans []obs.Span, ranks, width int) {
 	if width <= 0 {
 		width = 80
 	}
 	var end float64
-	for _, s := range r.spans {
+	for _, s := range spans {
 		if s.End > end {
 			end = s.End
 		}
@@ -175,11 +145,12 @@ func (r *Recorder) Gantt(w io.Writer, ranks, width int) {
 		return
 	}
 	bucket := end / float64(width)
-	// For each rank and bucket, pick the op covering the most time.
-	type cell [4]float64 // compute, send, recv, coll
+	// For each rank and bucket, pick the op covering the most time. A cell
+	// is indexed by span kind: compute, send, recv, all-reduce.
+	type cell [4]float64
 	cells := make([]cell, ranks*width)
-	for _, s := range r.spans {
-		if s.Rank < 0 || s.Rank >= ranks {
+	for _, s := range spans {
+		if s.Rank < 0 || int(s.Rank) >= ranks || s.Kind > obs.SpanAllReduce {
 			continue
 		}
 		b0 := int(s.Start / bucket)
@@ -194,10 +165,7 @@ func (r *Recorder) Gantt(w io.Writer, ranks, width int) {
 			if overlap <= 0 {
 				continue
 			}
-			idx := opIndex(s.Op)
-			if idx >= 0 {
-				cells[s.Rank*width+b][idx] += overlap
-			}
+			cells[int(s.Rank)*width+b][s.Kind] += overlap
 		}
 	}
 	glyphs := [4]byte{'c', 's', 'r', 'a'}
@@ -222,20 +190,6 @@ func (r *Recorder) Gantt(w io.Writer, ranks, width int) {
 		fmt.Fprintln(w, sb.String())
 	}
 	fmt.Fprintf(w, "      0%*s%.1fµs\n", width-6, "", end)
-}
-
-func opIndex(op simmpi.OpKind) int {
-	switch op {
-	case simmpi.OpCompute:
-		return 0
-	case simmpi.OpSend:
-		return 1
-	case simmpi.OpRecv:
-		return 2
-	case simmpi.OpAllReduce:
-		return 3
-	}
-	return -1
 }
 
 func minF(a, b float64) float64 {

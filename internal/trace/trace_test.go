@@ -9,30 +9,35 @@ import (
 	"repro/internal/apps"
 	"repro/internal/grid"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/simmpi"
 	"repro/internal/simnet"
 )
 
+// TestRecorderCollectsSpans profiles spans collected by a flight recorder.
 func TestRecorderCollectsSpans(t *testing.T) {
-	r := NewRecorder()
-	r.Span(0, simmpi.OpCompute, -1, 0, 0, 5)
-	r.Span(0, simmpi.OpSend, 1, 128, 5, 9)
-	r.Span(1, simmpi.OpRecv, 0, 128, 0, 9)
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d", r.Len())
+	var r obs.Recorder
+	r.PrepareRanks(3)
+	r.RankSpan(0, obs.SpanCompute, -1, 0, 0, 5)
+	r.RankSpan(1, obs.SpanRecv, 0, 128, 0, 9)
+	r.RankSpan(0, obs.SpanSend, 1, 128, 5, 9)
+	r.RankSpan(1, obs.SpanAllReduce, -1, 0, 9, 10)
+	r.RankSpan(2, obs.SpanCompute, -1, 0, 0, 1) // beyond the profiled ranks
+	ps := Profile(r.SpanList(), 2)
+	if len(ps) != 2 {
+		t.Fatalf("len = %d", len(ps))
 	}
-	if r.Spans()[1].Duration() != 4 {
-		t.Errorf("duration = %v", r.Spans()[1].Duration())
-	}
-	ps := r.Profile(2)
 	if ps[0].Compute != 5 || ps[0].Send != 4 || ps[0].Finish != 9 {
 		t.Errorf("profile[0] = %+v", ps[0])
 	}
-	if ps[1].Recv != 9 || ps[1].Comm() != 9 {
+	if ps[1].Recv != 9 || ps[1].Coll != 1 || ps[1].Comm() != 10 || ps[1].Finish != 10 {
 		t.Errorf("profile[1] = %+v", ps[1])
 	}
 	if share := ps[1].CommShare(); share != 1 {
 		t.Errorf("comm share = %v", share)
+	}
+	if (RankProfile{}).CommShare() != 0 {
+		t.Error("empty profile has a comm share")
 	}
 }
 
@@ -61,8 +66,8 @@ func TestSummaryAndTopCommBound(t *testing.T) {
 	}
 }
 
-// runTraced runs a small Sweep3D iteration with a recorder attached.
-func runTraced(t *testing.T) (*Recorder, simmpi.Result, int) {
+// runTraced runs a small Sweep3D iteration with a span recorder attached.
+func runTraced(t *testing.T) ([]obs.Span, simmpi.Result, int) {
 	t.Helper()
 	g := grid.Cube(16)
 	bm := apps.Sweep3D(g, 2)
@@ -73,8 +78,8 @@ func runTraced(t *testing.T) (*Recorder, simmpi.Result, int) {
 		t.Fatal(err)
 	}
 	topo := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-	rec := NewRecorder()
-	sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Tracer: rec})
+	rec := &obs.Recorder{Spans: true}
+	sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Obs: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +90,12 @@ func runTraced(t *testing.T) (*Recorder, simmpi.Result, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rec, res, dec.P()
+	return rec.SpanList(), res, dec.P()
 }
 
 func TestTracedSimulationConsistency(t *testing.T) {
-	rec, res, ranks := runTraced(t)
-	ps := rec.Profile(ranks)
+	spans, res, ranks := runTraced(t)
+	ps := Profile(spans, ranks)
 	for r := 0; r < ranks; r++ {
 		// Traced compute equals the simulator's own accounting.
 		if math.Abs(ps[r].Compute-res.ComputeTime[r]) > 1e-9 {
@@ -117,9 +122,9 @@ func TestTracedSimulationConsistency(t *testing.T) {
 }
 
 func TestSpansNonOverlappingPerRank(t *testing.T) {
-	rec, _, ranks := runTraced(t)
+	spans, _, ranks := runTraced(t)
 	last := make([]float64, ranks)
-	for _, s := range rec.Spans() {
+	for _, s := range spans {
 		if s.Start < last[s.Rank]-1e-9 {
 			t.Fatalf("rank %d: span starts at %v before previous end %v", s.Rank, s.Start, last[s.Rank])
 		}
@@ -131,9 +136,9 @@ func TestSpansNonOverlappingPerRank(t *testing.T) {
 }
 
 func TestGanttRendering(t *testing.T) {
-	rec, _, ranks := runTraced(t)
+	spans, _, ranks := runTraced(t)
 	var buf bytes.Buffer
-	rec.Gantt(&buf, ranks, 60)
+	Gantt(&buf, spans, ranks, 60)
 	out := buf.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != ranks+1 {
@@ -142,9 +147,9 @@ func TestGanttRendering(t *testing.T) {
 	if !strings.ContainsAny(out, "csra") {
 		t.Error("gantt contains no activity glyphs")
 	}
-	// Empty recorder renders a placeholder.
+	// No spans render a placeholder.
 	var empty bytes.Buffer
-	NewRecorder().Gantt(&empty, 2, 10)
+	Gantt(&empty, nil, 2, 10)
 	if !strings.Contains(empty.String(), "no spans") {
 		t.Errorf("empty gantt = %q", empty.String())
 	}
