@@ -10,21 +10,52 @@ package des
 //
 // Cross-shard effects are not applied by the shards themselves. Each shard
 // records them during the window (in simulation-owned buffers) and the
-// barrier callback — which runs single-threaded between windows, with every
-// shard goroutine parked — merges and applies them in a deterministic
-// order. Determinism therefore does not depend on goroutine scheduling:
-// shard-local event order is the engine's (time, seq) order, and boundary
-// effects are ordered by the barrier's merge, making the whole parallel
-// run bit-identical for any shard count (including 1).
+// barrier callback — which runs single-threaded between windows, while no
+// shard executes — merges and applies them in a deterministic order.
+// Determinism therefore does not depend on goroutine scheduling or on how
+// shards are spread over goroutines: each shard fires its events in its
+// engine's own order (the canonical (time, ctx, pri) order for sharded
+// simulations), and boundary effects are ordered by the barrier's merge.
 //
-// The Group owns only the windowing machinery: worker goroutines, the
-// window barrier, and progress/stall statistics. What a "boundary effect"
-// is — messages, resource reservations, collective completions — belongs to
-// the simulation built on top (internal/simmpi).
+// The Group owns only the windowing machinery: the participants that run
+// the shards, the window hand-off, and progress/stall statistics. What a
+// "boundary effect" is — messages, resource reservations, collective
+// completions — belongs to the simulation built on top (internal/simmpi).
+//
+// Participants. Run spreads the K shards over n = min(K, GOMAXPROCS)
+// participants: the goroutine that called Run (the coordinator) plus n−1
+// helper goroutines, each owning a fixed contiguous range of shards for the
+// whole run. The coordinator runs the barrier and then its own range inside
+// each window; with n = 1 it runs every shard itself and starts no
+// goroutine. Windows are short — 4,096-rank LU on a torus opens 17,215
+// windows of about 300 events each — so a hand-off must cost much less
+// than waking a parked goroutine: the waiting side polls an atomic counter
+// and parks on a channel only when the other side is far slower than a
+// typical window or barrier (spinPolls).
 
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"runtime/debug"
+	"sync"
+	"sync/atomic"
+)
+
+// A waiting participant polls its hand-off counter up to spinPolls times,
+// calling runtime.Gosched once every yieldEvery polls, then parks on a
+// channel. Gosched puts the goroutine on the global run queue, so when both
+// participants yield at once each can resume on the other's processor and
+// run its shards out of a cold cache. On 2-shard LU-4K (2-vCPU Xeon VM,
+// 17,215 windows), a Gosched after every poll moved the coordinator to
+// another CPU in 1,400–1,700 windows per run, and runs took 1.32–1.48 s.
+// A Gosched every 64 polls moved it in about 40 windows; with one every
+// 16, 64 or 256 polls runs took 1.02–1.30 s, in no consistent order.
+// spinPolls polls took 0.9–3.2 ms there, against a mean barrier of about
+// 15 µs, so a participant parks only when the other side stalls.
+const (
+	spinPolls  = 1 << 18
+	yieldEvery = 64
 )
 
 // Group runs a set of shard engines through lookahead windows.
@@ -34,7 +65,8 @@ type Group struct {
 
 	// Per-window scratch, reused across windows.
 	windowEnd float64
-	ran       []uint64 // per-shard EventsRun at window start, for stall stats
+	quit      atomic.Bool // set before helpers are released: they exit
+	ran       []uint64    // per-shard EventsRun at window start, for stall stats
 
 	windows uint64 // windows executed
 	stalls  uint64 // (shard, window) pairs where the shard ran no events
@@ -45,8 +77,8 @@ type Group struct {
 // WindowObserver receives one observation per (shard, window) pair after
 // the window closes: the window's number (starting at 1) and bounds, the
 // events the shard executed inside it, and the shard's event-heap depth at
-// the closing barrier. The Group invokes it single-threaded, with every
-// shard goroutine parked, so implementations need no synchronisation.
+// the closing barrier. The Group invokes it single-threaded, while no shard
+// executes, so implementations need no synchronisation.
 type WindowObserver func(window uint64, shard int, start, end float64, events uint64, pending int)
 
 // NewGroup prepares a windowed run over the given shard engines. The
@@ -83,57 +115,48 @@ func (g *Group) Stalls() uint64 { return g.stalls }
 func (g *Group) SetObserver(fn WindowObserver) { g.obs = fn }
 
 // Run drives the shards to quiescence. Each iteration first invokes the
-// barrier callback — single-threaded, with all shard goroutines parked —
-// which applies buffered cross-shard effects by scheduling events into any
-// of the group's engines. It then opens the next window at the earliest
-// pending event across all shards and lets every shard execute its events
-// with timestamps inside [T, T+lookahead) concurrently. The run ends when
-// the barrier schedules nothing and no engine has pending events.
+// barrier callback — single-threaded, while no shard executes — which
+// applies buffered cross-shard effects by scheduling events into any of the
+// group's engines. It then opens the next window at the earliest pending
+// event across all shards and lets every shard execute its events with
+// timestamps inside [T, T+lookahead), the shards of different participants
+// concurrently. The run ends when the barrier schedules nothing and no
+// engine has pending events.
 //
 // The callback must not touch shard state outside a barrier, and shards
 // must not touch each other's state inside a window; the Group supplies
-// the happens-before edges (worker channel synchronisation) that make the
+// the happens-before edges (atomic hand-off counters) that make the
 // alternation race-free.
+//
+// A panic in a shard reaches the goroutine that called Run. A shard the
+// coordinator runs panics there directly; a helper recovers the panic,
+// and Run re-raises it as an error naming the shard and carrying the
+// helper's stack. Either way every helper has exited when the panic leaves
+// Run, as on a normal return.
 func (g *Group) Run(barrier func()) {
-	if len(g.engines) == 1 {
-		// One shard cannot interact across a boundary mid-window, but the
-		// barrier must still drain buffered effects (e.g. link-routed
-		// deliveries) between windows, so the loop structure is identical.
-		for {
-			barrier()
-			next, ok := g.engines[0].NextEventTime()
-			if !ok {
-				return
-			}
-			g.windows++
-			before := g.engines[0].EventsRun()
-			g.engines[0].RunBefore(next + g.lookahead)
-			if g.obs != nil {
-				g.obs(g.windows, 0, next, next+g.lookahead,
-					g.engines[0].EventsRun()-before, g.engines[0].Pending())
-			}
-		}
-	}
-
-	// Persistent workers: one goroutine per shard, window bounds broadcast
-	// through per-worker channels. The channel round-trip is the only
-	// synchronisation; ~1µs per window, amortised over the window's events.
-	start := make([]chan float64, len(g.engines))
-	done := make(chan struct{}, len(g.engines))
-	for i := range g.engines {
-		start[i] = make(chan float64, 1)
-		go func(eng *Engine, start <-chan float64) {
-			for end := range start {
-				eng.RunBefore(end)
-				done <- struct{}{}
-			}
-		}(g.engines[i], start[i])
+	n := min(len(g.engines), runtime.GOMAXPROCS(0))
+	g.quit.Store(false)
+	var w uint64 // windows opened by this Run: the hand-off sequence
+	helpers := make([]helper, n-1)
+	var exited sync.WaitGroup
+	for j := range helpers {
+		h := &helpers[j]
+		h.lo, h.hi = (j+1)*len(g.engines)/n, (j+2)*len(g.engines)/n
+		h.window.wake = make(chan struct{}, 1)
+		h.done.wake = make(chan struct{}, 1)
+		exited.Add(1)
+		go h.run(g, &exited)
 	}
 	defer func() {
-		for i := range start {
-			close(start[i])
+		// Release every helper, also when a panic is leaving Run. A panic
+		// inside a window can leave helpers running it, so quit is atomic.
+		g.quit.Store(true)
+		for j := range helpers {
+			helpers[j].window.set(w + 1)
 		}
+		exited.Wait()
 	}()
+	own := g.engines[:len(g.engines)/n]
 
 	for {
 		barrier()
@@ -149,12 +172,22 @@ func (g *Group) Run(barrier func()) {
 		}
 		g.windowEnd = earliest + g.lookahead
 		g.windows++
+		w++
 		for i, eng := range g.engines {
 			g.ran[i] = eng.EventsRun()
-			start[i] <- g.windowEnd
 		}
-		for range g.engines {
-			<-done
+		for j := range helpers {
+			helpers[j].window.set(w)
+		}
+		for _, eng := range own {
+			eng.RunBefore(g.windowEnd)
+		}
+		for j := range helpers {
+			h := &helpers[j]
+			h.done.await(w)
+			if h.fault != nil {
+				panic(h.fault)
+			}
 		}
 		for i, eng := range g.engines {
 			ran := eng.EventsRun() - g.ran[i]
@@ -166,4 +199,100 @@ func (g *Group) Run(barrier func()) {
 			}
 		}
 	}
+}
+
+// helper is one helper goroutine's share of a run: its shard range and the
+// two hand-off counters, window (advanced by the coordinator when it opens
+// a window) and done (advanced by the helper when it has run the window).
+type helper struct {
+	lo, hi int
+	window handoff
+	done   handoff
+	fault  *shardPanic // set before done is advanced to the faulting window
+}
+
+// run executes the helper's shards in every window until Run releases it.
+func (h *helper) run(g *Group, exited *sync.WaitGroup) {
+	defer exited.Done()
+	var w uint64
+	cur := h.lo
+	defer func() {
+		if v := recover(); v != nil {
+			h.fault = &shardPanic{shard: cur, value: v, stack: debug.Stack()}
+			h.done.set(w)
+		}
+	}()
+	for w = 1; ; w++ {
+		h.window.await(w)
+		if g.quit.Load() {
+			return
+		}
+		for cur = h.lo; cur < h.hi; cur++ {
+			g.engines[cur].RunBefore(g.windowEnd)
+		}
+		h.done.set(w)
+	}
+}
+
+// handoff is a counter one side advances and the other waits on. The
+// waiting side polls, then parks: it raises parked, re-checks the counter
+// and blocks on wake. The advancing side publishes the counter before it
+// looks at parked, so either the waiter's re-check sees the new value or
+// the advancing side sees parked and sends the wake-up; none is lost. A
+// wake-up is not proof of progress, though: a set delayed between its two
+// steps can find parked raised by a later await, so the waiter checks the
+// counter again after every wake-up.
+type handoff struct {
+	n      atomic.Uint64
+	parked atomic.Bool
+	wake   chan struct{}
+}
+
+// set publishes v and wakes the waiter if it has parked.
+func (h *handoff) set(v uint64) {
+	h.n.Store(v)
+	if h.parked.Load() && h.parked.CompareAndSwap(true, false) {
+		h.wake <- struct{}{}
+	}
+}
+
+// await returns once the counter has reached v.
+func (h *handoff) await(v uint64) {
+	for i := 1; i <= spinPolls; i++ {
+		if h.n.Load() >= v {
+			return
+		}
+		if i%yieldEvery == 0 {
+			runtime.Gosched()
+		}
+	}
+	for {
+		h.parked.Store(true)
+		if h.n.Load() >= v {
+			if !h.parked.CompareAndSwap(true, false) {
+				<-h.wake // set saw parked first: take its wake-up
+			}
+			return
+		}
+		<-h.wake
+	}
+}
+
+// shardPanic is the value Run panics with when a shard panicked on a
+// helper goroutine: the shard's index, the original panic value, and the
+// helper's stack at the panic.
+type shardPanic struct {
+	shard int
+	value any
+	stack []byte
+}
+
+func (p *shardPanic) Error() string {
+	return fmt.Sprintf("des: shard %d panicked: %v\n\n%s", p.shard, p.value, p.stack)
+}
+
+// Unwrap returns the original panic value if it is an error.
+func (p *shardPanic) Unwrap() error {
+	err, _ := p.value.(error)
+	return err
 }

@@ -39,7 +39,7 @@ package simmpi
 // has no way to recover the sequence number the serial engine would have
 // interleaved it with. Content order needs no such counter, so the result
 // is bit-identical for every shard count k ≥ 2 (the property tests pin
-// 2, 4 and 8 against each other and against the serial run). A default
+// 2, 3, 4 and 8 against each other and against the serial run). A default
 // serial run keeps the legacy scheduling-order ties and stays bit-identical
 // to the seed implementation (golden_test.go); the two orders coincide
 // whenever same-time events touch disjoint state — every configuration in
@@ -117,7 +117,7 @@ type parRun struct {
 	// Barrier scratch, reused across windows.
 	msgs   []crossRec
 	others []crossRec
-	links  []linkOp
+	next   []int // per-shard merge position in replayLinks
 
 	windows uint64
 	stalls  uint64
@@ -192,22 +192,35 @@ func (s *Sim) allReduceWindowSafe() bool {
 	return true
 }
 
-// partition assigns every rank to a shard: node ids are striped round-robin
-// (node mod k), so each shard owns whole nodes and every bus group stays
-// shard-local. Striping, not contiguous blocks: wavefront codes concentrate
-// activity in a moving band of consecutive ranks, and with L-sized windows a
-// contiguous partition leaves most shards idle in most windows while the
-// band crawls through one block. Interleaving spreads any contiguous active
-// band across all k shards. Results do not depend on the partition — the
-// canonical event order and the barrier merge order are partition-
-// independent — so this is purely a load-balance choice.
+// blocksPerShard is how many contiguous node blocks partition deals to
+// each shard. In three sets of three 2-shard runs of 4,096-rank LU (torus)
+// and Sweep3D on a 2-vCPU Xeon VM, the set medians with 4 blocks were
+// 1.04–1.19 s (LU) and 0.64–0.74 s (Sweep3D); 2 and 8 blocks were as fast
+// within the noise, 1 block (1.12–1.40 s, 0.69–0.79 s) and 16 blocks
+// (1.18–1.27 s, 0.78–0.83 s) slower, and nodes striped round-robin slowest
+// (1.40–1.83 s, 1.04–1.19 s).
+const blocksPerShard = 4
+
+// partition assigns every rank to a shard: the node-id range is cut into
+// k·blocksPerShard contiguous blocks (fewer when there are fewer nodes, so
+// every block and every shard keeps at least one node) and block b goes to
+// shard b mod k. Shards own whole nodes, so every bus group stays
+// shard-local. Blocks, not striping: striping puts neighbouring nodes on
+// different shards, which sends about half of all wavefront messages
+// through the barrier; a few blocks per shard still spread the wavefront's
+// moving band of consecutive ranks over every shard. Results do not depend
+// on the partition — the canonical event order and the barrier merge order
+// are partition-independent — so this is purely a performance choice.
 func (s *Sim) partition(p *parRun, k int) {
 	if cap(p.rankShard) < len(s.ranks) {
 		p.rankShard = make([]int32, len(s.ranks))
 	}
 	p.rankShard = p.rankShard[:len(s.ranks)]
+	nodes := s.nodeCount()
+	blocks := min(k*blocksPerShard, nodes)
 	for r := range s.ranks {
-		p.rankShard[r] = int32(s.topo.NodeOf(r) % k)
+		b := s.topo.NodeOf(r) * blocks / nodes
+		p.rankShard[r] = int32(b % k)
 	}
 }
 
@@ -375,7 +388,7 @@ func linkCmp(a, b linkOp) int {
 // remaining scheduled events, then all-reduce completions — matching the
 // serial engine's scheduling order for each record class.
 func (s *Sim) barrier(p *parRun) {
-	p.msgs, p.others, p.links = p.msgs[:0], p.others[:0], p.links[:0]
+	p.msgs, p.others = p.msgs[:0], p.others[:0]
 	anyAR := false
 	for _, sh := range s.shards[:p.k] {
 		for i := range sh.xrecs {
@@ -386,8 +399,6 @@ func (s *Sim) barrier(p *parRun) {
 			}
 		}
 		sh.xrecs = sh.xrecs[:0]
-		p.links = append(p.links, sh.linkOps...)
-		sh.linkOps = sh.linkOps[:0]
 		if len(sh.arEnter) > 0 {
 			anyAR = true
 		}
@@ -397,16 +408,50 @@ func (s *Sim) barrier(p *parRun) {
 	for i := range p.msgs {
 		s.applyMsg(p, &p.msgs[i])
 	}
-	slices.SortFunc(p.links, linkCmp)
-	for i := range p.links {
-		s.applyLink(p, &p.links[i])
-	}
+	s.replayLinks(p)
 	slices.SortFunc(p.others, recCmp)
 	for i := range p.others {
 		s.applyRec(p, &p.others[i])
 	}
 	if anyAR {
 		s.applyAllReduce(p)
+	}
+}
+
+// replayLinks applies every shard's deferred link reservations in linkCmp
+// order and empties the buffers. A shard emits its link ops as its
+// injection events fire, in (t, ctx, pri) order, so each shard's buffer is
+// normally already sorted and a k-way merge replaces a sort of the whole
+// set. The one exception needs zero send overheads: an injection scheduled
+// with no delay by an event that fired after a same-time injection can
+// carry a lower priority than it. Such a buffer is sorted first, so the
+// replay order is linkCmp order in every case.
+func (s *Sim) replayLinks(p *parRun) {
+	shards := s.shards[:p.k]
+	next := p.next[:0]
+	for _, sh := range shards {
+		if !slices.IsSortedFunc(sh.linkOps, linkCmp) {
+			slices.SortFunc(sh.linkOps, linkCmp)
+		}
+		next = append(next, 0)
+	}
+	p.next = next
+	for {
+		best := -1
+		for i, sh := range shards {
+			if next[i] < len(sh.linkOps) &&
+				(best < 0 || linkCmp(sh.linkOps[next[i]], shards[best].linkOps[next[best]]) < 0) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		s.applyLink(p, &shards[best].linkOps[next[best]])
+		next[best]++
+	}
+	for _, sh := range shards {
+		sh.linkOps = sh.linkOps[:0]
 	}
 }
 

@@ -5,12 +5,16 @@ package simmpi_test
 // same per-rank finish times, same traffic and contention statistics. The
 // property is exercised over the paper benchmarks (eager + on-chip paths,
 // all-reduce convergence), a rendezvous-heavy synthetic exchange, and a
-// torus interconnect (deferred link replay), plus deadlock reporting and
-// Reset-reuse of a sharded simulator.
+// torus interconnect (deferred link replay), plus deadlock reporting,
+// Reset-reuse of a sharded simulator, its ParallelStats, and panics raised
+// inside a shard.
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/grid"
@@ -20,7 +24,7 @@ import (
 	"repro/internal/topo"
 )
 
-var shardCounts = []int{1, 2, 4, 8}
+var shardCounts = []int{1, 2, 3, 4, 8}
 
 func sameFull(t *testing.T, name string, a, b simmpi.Result) {
 	t.Helper()
@@ -244,5 +248,128 @@ func TestParallelResetReuse(t *testing.T) {
 			t.Fatalf("run %d: ran with %d shards, want 4", run, k)
 		}
 		sameFull(t, "reuse", base, res)
+	}
+}
+
+// ringSim builds an 8-rank eager ring, two ranks per node, with the given
+// options.
+func ringSim(t *testing.T, sim *simmpi.Sim, mach machine.Machine, opt simmpi.Options) *simmpi.Sim {
+	t.Helper()
+	const n = 8
+	tp := simnet.NewTopology(mach.Params, n, simnet.LinearPlacement(mach))
+	var err error
+	if sim == nil {
+		sim, err = simmpi.NewWithOptions(tp, opt)
+	} else {
+		err = sim.ResetWithOptions(tp, opt)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < n; r++ {
+		sim.SetProgram(r, simmpi.Ops(simmpi.Send((r+1)%n, 64), simmpi.Recv((r+n-1)%n)))
+	}
+	if _, err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return sim
+}
+
+// TestParallelStatsResetEveryRun: a serial Run on a Sim that last ran
+// sharded reports a serial run, whether it asked for no shards or asked
+// for shards and fell back to serial (a single node).
+func TestParallelStatsResetEveryRun(t *testing.T) {
+	oneNode, err := machine.XT4MultiCore(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		mach machine.Machine
+		opt  simmpi.Options
+	}{
+		{"serial", machine.XT4(), simmpi.Options{}},
+		{"fallback", oneNode, simmpi.Options{Shards: 2}},
+	} {
+		sim := ringSim(t, nil, machine.XT4(), simmpi.Options{Shards: 2})
+		if k, windows, _ := sim.ParallelStats(); k != 2 || windows == 0 {
+			t.Fatalf("%s: sharded ring reported (%d shards, %d windows)", tc.name, k, windows)
+		}
+		ringSim(t, sim, tc.mach, tc.opt)
+		if k, windows, stalls := sim.ParallelStats(); k != 1 || windows != 0 || stalls != 0 {
+			t.Errorf("%s: serial rerun reported (%d, %d, %d), want (1, 0, 0)", tc.name, k, windows, stalls)
+		}
+	}
+}
+
+// TestParallelZeroOverheadLinkReplay: with zero send overheads an
+// injection can fire after a same-time injection of higher priority in its
+// shard: rank 0's eager send to rank 8 follows its zero-cost on-chip DMA,
+// after rank 4's injection to rank 8 has fired. Both contend for the links
+// into rank 8's node, so the deferred link replay must apply them in one
+// order for every shard count, whether or not ranks 0 and 4 share a shard.
+func TestParallelZeroOverheadLinkReplay(t *testing.T) {
+	mach := machine.XT4()
+	mach.Params.O, mach.Params.Ochip, mach.Params.Ocopy = 0, 0, 0
+	run := func(shards int) simmpi.Result {
+		tp := simnet.NewTopology(mach.Params, 16, simnet.LinearPlacement(mach))
+		if err := tp.AttachInterconnect(topo.Spec{Kind: topo.Torus2D}); err != nil {
+			t.Fatal(err)
+		}
+		sim, err := simmpi.NewWithOptions(tp, simmpi.Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.SetProgram(0, simmpi.Ops(simmpi.Send(1, 5000), simmpi.Send(8, 64)))
+		sim.SetProgram(1, simmpi.Ops(simmpi.Recv(0)))
+		sim.SetProgram(4, simmpi.Ops(simmpi.Send(8, 1000)))
+		sim.SetProgram(8, simmpi.Ops(simmpi.Recv(0), simmpi.Recv(4)))
+		res, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k, _, _ := sim.ParallelStats(); k != shards {
+			t.Fatalf("requested %d shards, ran with %d", shards, k)
+		}
+		return res
+	}
+	base := run(2)
+	if base.LinkQueued == 0 {
+		t.Fatal("no link reservation queued; the replay order is not exercised")
+	}
+	for _, k := range []int{3, 4, 8} {
+		sameFull(t, fmt.Sprintf("zero overhead, %d shards", k), base, run(k))
+	}
+}
+
+// TestParallelShardPanicReachesCaller: a handler panic inside a shard that
+// a helper goroutine runs (an invalid peer on shard 1) reaches the caller
+// of Run, names the shard, and leaves no goroutine behind.
+func TestParallelShardPanicReachesCaller(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	before := runtime.NumGoroutine()
+	mach := machine.XT4()
+	tp := simnet.NewTopology(mach.Params, 8, simnet.LinearPlacement(mach))
+	sim, err := simmpi.NewWithOptions(tp, simmpi.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ranks 2–3 share node 1, which the 2-shard layout deals to shard 1.
+	sim.SetProgram(3, simmpi.Ops(simmpi.Compute(1), simmpi.Send(99, 64)))
+	v := func() (v any) {
+		defer func() { v = recover() }()
+		_, _ = sim.Run()
+		return nil
+	}()
+	msg := fmt.Sprint(v)
+	if !strings.Contains(msg, "shard 1 panicked") || !strings.Contains(msg, "invalid peer 99") {
+		t.Fatalf("recovered %q, want shard 1's invalid-peer panic", msg)
+	}
+	// A helper that has signalled its exit may still be unwinding.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), before)
+		}
 	}
 }

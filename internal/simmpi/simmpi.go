@@ -350,6 +350,9 @@ func (s *Sim) Run() (Result, error) {
 			defer s.topo.SetLinkTracer(nil)
 		}
 	}
+	if s.prun != nil {
+		s.prun.k = 1 // ParallelStats of a serial run, until runParallel sets k
+	}
 	if k := s.effectiveShards(); k > 1 {
 		return s.runParallel(k)
 	}
