@@ -227,7 +227,7 @@ func main() {
 			hi := results[len(results)-1].Index + 1
 			pathFn = func(p string) string { return obs.RangePath(p, lo, hi) }
 		}
-		if err := obsFlags.WriteArtifacts(rec, obs.TimelineOptions{}, pathFn); err != nil {
+		if err := obsFlags.WriteArtifacts(rec, pathFn); err != nil {
 			fail(err)
 		}
 	}

@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/apps"
@@ -23,42 +24,50 @@ import (
 )
 
 func main() {
-	app := flag.String("app", "sweep3d", "benchmark: lu, sweep3d, chimaera")
-	cube := flag.Int("cube", 64, "problem size (cube edge, cells)")
-	p := flag.Int("p", 64, "total processor (core) count")
-	htile := flag.Int("htile", 2, "tile height")
-	iters := flag.Int("iters", 2, "iterations to simulate")
-	cores := flag.Int("cores", 2, "cores per node")
-	wlJSON := flag.String("workload", "", `per-tile workload spec as inline JSON, e.g. '{"dist":"lognormal","sigma":0.4,"seed":7}' (see internal/workload)`)
-	recordTrace := flag.String("record-trace", "", "record the run's op trace to this JSONL file (replay with cmd/replay)")
-	shards := cliflags.RegisterShards(flag.CommandLine, 1)
-	obsFlags := cliflags.RegisterObs(flag.CommandLine)
-	pf := prof.Register(flag.CommandLine)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "sweepsim:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, out io.Writer) (err error) {
+	fs := flag.NewFlagSet("sweepsim", flag.ContinueOnError)
+	app := fs.String("app", "sweep3d", "benchmark: lu, sweep3d, chimaera")
+	cube := fs.Int("cube", 64, "problem size (cube edge, cells)")
+	p := fs.Int("p", 64, "total processor (core) count")
+	htile := fs.Int("htile", 0, "tile height (0: the preset's own — LU 1, Sweep3D 2, Chimaera 1)")
+	iters := fs.Int("iters", 2, "iterations to simulate")
+	cores := fs.Int("cores", 2, "cores per node")
+	wlJSON := fs.String("workload", "", `per-tile workload spec as inline JSON, e.g. '{"dist":"lognormal","sigma":0.4,"seed":7}' (see internal/workload)`)
+	recordTrace := fs.String("record-trace", "", "record the run's op trace to this JSONL file (replay with cmd/replay)")
+	shards := cliflags.RegisterShards(fs, 1)
+	obsFlags := cliflags.RegisterObs(fs)
+	pf := prof.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	stopProf, err := pf.Start()
-	check(err)
-	defer func() { check(stopProf()) }()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProf(); err == nil {
+			err = perr
+		}
+	}()
 
 	g := grid.Cube(*cube)
-	var bm apps.Benchmark
-	switch *app {
-	case "lu":
-		bm = apps.LU(g)
-	case "sweep3d":
-		bm = apps.Sweep3D(g, *htile)
-	case "chimaera":
-		bm = apps.Chimaera(g, *htile)
-	default:
-		fmt.Fprintf(os.Stderr, "sweepsim: unknown app %q\n", *app)
-		os.Exit(2)
+	bm, err := apps.Preset(*app, g, *htile)
+	if err != nil {
+		return err
 	}
 	bm = bm.WithIterations(*iters)
 
 	var wl workload.Spec
 	if *wlJSON != "" {
 		if err := config.DecodeStrict([]byte(*wlJSON), &wl); err != nil {
-			check(fmt.Errorf("-workload: %w", err))
+			return fmt.Errorf("-workload: %w", err)
 		}
 		bm = bm.WithWorkload(wl)
 	}
@@ -67,17 +76,27 @@ func main() {
 	// header describes exactly the hardware this run simulated.
 	mspec := config.MachineSpec{Preset: "xt4", CoresPerNode: *cores}
 	mach, err := mspec.Machine()
-	check(err)
+	if err != nil {
+		return err
+	}
 	dec, err := grid.SquareDecomposition(g, *p)
-	check(err)
+	if err != nil {
+		return err
+	}
 
 	rep, err := core.New(bm.App, mach).Evaluate(dec)
-	check(err)
+	if err != nil {
+		return err
+	}
 
 	sched, err := bm.Schedule(dec, *iters)
-	check(err)
+	if err != nil {
+		return err
+	}
 	topo, err := simnet.NewMachineTopology(mach, dec)
-	check(err)
+	if err != nil {
+		return err
+	}
 	rec := obsFlags.Recorder()
 	if obsFlags.Hist {
 		if rec == nil {
@@ -92,25 +111,29 @@ func main() {
 		rec.Ops = true
 	}
 	sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Shards: *shards, Obs: rec})
-	check(err)
+	if err != nil {
+		return err
+	}
 	for r, prog := range sched.Programs() {
 		sim.SetProgram(r, prog)
 	}
 	res, err := sim.Run()
-	check(err)
+	if err != nil {
+		return err
+	}
 
-	fmt.Printf("app=%s grid=%v P=%d (%dx%d) cores/node=%d Htile=%d iterations=%d\n",
+	fmt.Fprintf(out, "app=%s grid=%v P=%d (%dx%d) cores/node=%d Htile=%d iterations=%d\n",
 		bm.App.Name, g, dec.P(), dec.N, dec.M, mach.CoresPerNode, bm.App.Htile, *iters)
-	fmt.Printf("simulated:   %12.1f µs  (%.4f s)\n", res.Time, res.Time/1e6)
-	fmt.Printf("model:       %12.1f µs  (%.4f s)\n", rep.Total, rep.Total/1e6)
-	fmt.Printf("error:       %+11.2f%%\n", (rep.Total-res.Time)/res.Time*100)
-	fmt.Printf("breakdown:   fill=%.1fµs stack=%.1fµs non-wavefront=%.1fµs per iteration\n",
+	fmt.Fprintf(out, "simulated:   %12.1f µs  (%.4f s)\n", res.Time, res.Time/1e6)
+	fmt.Fprintf(out, "model:       %12.1f µs  (%.4f s)\n", rep.Total, rep.Total/1e6)
+	fmt.Fprintf(out, "error:       %+11.2f%%\n", (rep.Total-res.Time)/res.Time*100)
+	fmt.Fprintf(out, "breakdown:   fill=%.1fµs stack=%.1fµs non-wavefront=%.1fµs per iteration\n",
 		rep.FillTimePerIter, float64(bm.App.NSweeps)*rep.TStack, rep.TNonWavefront)
-	fmt.Printf("model comm:  %.1f%% of iteration\n", rep.CommPerIter/rep.TimePerIteration*100)
-	fmt.Printf("simulator:   %d events, %d messages, %d bus waits (%.1fµs total wait)\n",
+	fmt.Fprintf(out, "model comm:  %.1f%% of iteration\n", rep.CommPerIter/rep.TimePerIteration*100)
+	fmt.Fprintf(out, "simulator:   %d events, %d messages, %d bus waits (%.1fµs total wait)\n",
 		res.Events, res.Sends, res.BusQueued, res.BusWait)
 	if k, windows, stalls := sim.ParallelStats(); k > 1 {
-		fmt.Printf("parallel:    %d shards, %d lookahead windows, %d barrier stalls\n",
+		fmt.Fprintf(out, "parallel:    %d shards, %d lookahead windows, %d barrier stalls\n",
 			k, windows, stalls)
 	}
 	if *recordTrace != "" {
@@ -122,28 +145,27 @@ func main() {
 			DecN:     dec.N,
 			DecM:     dec.M,
 		}.WithResult(res)
-		check(obs.EnsureParent(*recordTrace))
-		tf, err := os.Create(*recordTrace)
-		check(err)
-		check(replay.Write(tf, hdr, rec))
-		check(tf.Close())
-		fmt.Printf("trace:       %s (replay with `replay -in %s`)\n", *recordTrace, *recordTrace)
+		if err := cliflags.WriteArtifact(*recordTrace, func(f *os.File) error {
+			return replay.Write(f, hdr, rec)
+		}); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "trace:       %s (replay with `replay -in %s`)\n", *recordTrace, *recordTrace)
 	}
 	if obsFlags.Hist && res.Hists != nil {
-		fmt.Println("histograms (µs):")
-		res.Hists.Write(os.Stdout)
+		fmt.Fprintln(out, "histograms (µs):")
+		res.Hists.Write(out)
 	}
-	topt := obs.TimelineOptions{}
-	if ic := topo.Interconnect(); ic != nil {
-		topt.LinkName = ic.LinkName
+	if err := obsFlags.WriteArtifacts(rec, nil); err != nil {
+		return err
 	}
-	check(obsFlags.WriteArtifacts(rec, topt, nil))
 	if obsFlags.ChromeTrace != "" {
-		fmt.Printf("trace:       %s (open in https://ui.perfetto.dev)\n", obsFlags.ChromeTrace)
+		fmt.Fprintf(out, "trace:       %s (open in https://ui.perfetto.dev)\n", obsFlags.ChromeTrace)
 	}
 	if obsFlags.SampleEvery > 0 {
-		fmt.Printf("samples:     %s (every %gµs)\n", obsFlags.SampleOut, obsFlags.SampleEvery)
+		fmt.Fprintf(out, "samples:     %s (every %gµs)\n", obsFlags.SampleOut, obsFlags.SampleEvery)
 	}
+	return nil
 }
 
 func workloadLabel(bm apps.Benchmark) string {
@@ -151,11 +173,4 @@ func workloadLabel(bm apps.Benchmark) string {
 		return ""
 	}
 	return bm.Workload.String()
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweepsim:", err)
-		os.Exit(1)
-	}
 }

@@ -55,10 +55,9 @@ func main() {
 	//    Load the file in https://ui.perfetto.dev (or chrome://tracing);
 	//    clicking a send span shows its peer and byte count, a link span
 	//    its queueing delay, a shard window its event count and heap depth.
-	ic := tp.Interconnect()
 	f, err := os.Create("flight_trace.json")
 	check(err)
-	check(obs.WriteTimeline(f, rec, obs.TimelineOptions{LinkName: ic.LinkName}))
+	check(obs.WriteTimeline(f, rec))
 	check(f.Close())
 	fmt.Println("wrote flight_trace.json — open in https://ui.perfetto.dev")
 

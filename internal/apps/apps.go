@@ -187,7 +187,7 @@ func Custom(name string, g grid.Grid, wg, wgPre float64, htile int,
 // Preset resolves a named paper benchmark ("lu", "sweep3d" or "chimaera",
 // case-insensitive) on the given grid. A non-positive htile selects the
 // benchmark's default tile height (LU 1, Sweep3D 2, Chimaera 1) — the one
-// policy shared by every preset-taking surface (campaign specs, topoplan).
+// policy shared by every preset-taking surface (campaign specs, sweepsim).
 func Preset(name string, g grid.Grid, htile int) (Benchmark, error) {
 	switch strings.ToLower(name) {
 	case "lu":

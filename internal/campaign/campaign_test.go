@@ -2,11 +2,14 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
+	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/logp"
+	"repro/internal/obs"
 )
 
 // newEngine builds an engine from cfg, failing the test on a config error.
@@ -504,5 +507,51 @@ func TestOverrideRejectsHAlias(t *testing.T) {
 	prm, err := ov.Apply(logp.XT4())
 	if err != nil || prm.H != 1 {
 		t.Errorf(`"oh" override: H=%v err=%v`, prm.H, err)
+	}
+}
+
+// TestRecordedLinkTracksNamed: a routed run flight-recorded through the
+// engine labels its timeline link tracks the way the interconnect names
+// its links ("n<i>.±x" on a 2D torus), with no caller-side naming.
+func TestRecordedLinkTracksNamed(t *testing.T) {
+	s, err := ParseSpec([]byte(`{
+	  "name": "routed",
+	  "apps": [{"preset": "sweep3d", "grid": {"nx": 12, "ny": 12, "nz": 12}}],
+	  "machines": [{"preset": "xt4", "cores_per_node": 2, "interconnect": {"kind": "torus2d"}}],
+	  "ranks": [16]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &obs.Recorder{Links: true}
+	if _, err := newEngine(t, Config{Workers: 1, Obs: rec}).ExecuteSpec(s); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteTimeline(&buf, rec); err != nil {
+		t.Fatal(err)
+	}
+	var tf struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Pid  int            `json:"pid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
+		t.Fatal(err)
+	}
+	torusLink := regexp.MustCompile(`^n[0-9]+\.[+-][xy]$`)
+	tracks := 0
+	for _, ev := range tf.TraceEvents {
+		if ev.Name == "thread_name" && ev.Pid == 2 {
+			tracks++
+			if name, _ := ev.Args["name"].(string); !torusLink.MatchString(name) {
+				t.Errorf("link track named %q, want n<i>.±x", name)
+			}
+		}
+	}
+	if tracks == 0 {
+		t.Fatal("routed run produced no link tracks")
 	}
 }

@@ -17,7 +17,7 @@ import (
 // one version.
 const SchemaVersion = 1
 
-// Config is the complete, versioned configuration of a campaign Engine.
+// Config is the complete configuration of a campaign Engine.
 // It consolidates the knobs the engine accreted over time (worker pool,
 // shard override, histograms, flight recorder, progress hook) with the
 // serving-layer features (result cache, run-range partitioning,
@@ -25,9 +25,6 @@ const SchemaVersion = 1
 // thin frontends over one validated struct. Build one as a literal and hand
 // it to NewEngine — the single place configurations are validated.
 type Config struct {
-	// Version is the config schema version; 0 means SchemaVersion.
-	Version int
-
 	// Workers is the worker-pool size; non-positive means GOMAXPROCS.
 	Workers int
 	// Shards, if positive, overrides the spec's simulator shard count for
@@ -78,12 +75,9 @@ type Config struct {
 	Output string
 }
 
-// Validate checks the config's invariants: a known version, a parseable
-// filter, a coherent range selection and a non-negative shard override.
+// Validate checks the config's invariants: a parseable filter, a coherent
+// range selection and a non-negative shard override.
 func (c Config) Validate() error {
-	if c.Version != 0 && c.Version != SchemaVersion {
-		return fmt.Errorf("campaign: config version %d not supported (want %d)", c.Version, SchemaVersion)
-	}
 	if c.Shards < 0 {
 		return fmt.Errorf("campaign: negative shard override %d", c.Shards)
 	}

@@ -430,12 +430,6 @@ func TestExecuteSpecErrorPaths(t *testing.T) {
 			t.Error("NewEngine accepted negative range parts")
 		}
 	})
-
-	t.Run("unsupported version", func(t *testing.T) {
-		if _, err := NewEngine(Config{Version: 99}); err == nil {
-			t.Error("NewEngine accepted an unknown config version")
-		}
-	})
 }
 
 // TestSchemaVersionInRows: every JSONL row leads with schema_version 1.

@@ -72,7 +72,7 @@ func (o *ObsFlags) Recorder() *obs.Recorder {
 // WriteArtifacts writes the timeline and sample artifacts the flags
 // requested from rec, with paths transformed by pathFn (the identity when
 // nil — campaign ranges use it to keep per-range artifacts apart).
-func (o *ObsFlags) WriteArtifacts(rec *obs.Recorder, topt obs.TimelineOptions, pathFn func(string) string) error {
+func (o *ObsFlags) WriteArtifacts(rec *obs.Recorder, pathFn func(string) string) error {
 	if rec == nil {
 		return nil
 	}
@@ -81,7 +81,7 @@ func (o *ObsFlags) WriteArtifacts(rec *obs.Recorder, topt obs.TimelineOptions, p
 	}
 	if o.ChromeTrace != "" {
 		if err := WriteArtifact(pathFn(o.ChromeTrace), func(f *os.File) error {
-			return obs.WriteTimeline(f, rec, topt)
+			return obs.WriteTimeline(f, rec)
 		}); err != nil {
 			return err
 		}

@@ -8,7 +8,7 @@
 // provides a closed-form LogGP cost per algorithm in the style of the
 // paper's all-reduce model (equation (9)), so the abstraction error of the
 // closed form is measurable per collective, per topology and per message
-// size (cmd/collplan, the "collectives" experiment driver).
+// size (the "collectives" experiment driver).
 //
 // The algorithm schedules themselves live in internal/simmpi (collops.go)
 // so the simulator can expand collective ops in its allocation-free hot

@@ -10,7 +10,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -94,9 +93,7 @@ func IDs() []string {
 
 // All runs every registered experiment.
 func All(quick bool) ([]Table, error) {
-	ids := IDs()
-	sort.Strings(ids)
-	tables := make([]Table, 0, len(ids))
+	tables := make([]Table, 0, len(registryOrder))
 	for _, id := range registryOrder {
 		t, err := Run(id, quick)
 		if err != nil {

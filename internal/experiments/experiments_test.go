@@ -2,6 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -127,14 +132,35 @@ func TestValidationWithinPaperBounds(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/quick.sha256")
+
+// TestQuickDriversRun runs every registered driver in quick mode and pins
+// its rendered table byte for byte: each line of testdata/quick.sha256 is
+// the SHA-256 of one table and its id, the line `go run ./cmd/wavebench
+// -exp <id> -quick | sha256sum` prints, and a drifted table fails the
+// subtest named by its id. To bless an intentional change:
+//
+//	go test ./internal/experiments -run TestQuickDriversRun -update
+//
+// and explain the changed lines in the commit message.
 func TestQuickDriversRun(t *testing.T) {
-	// Every registered driver must succeed in quick mode; the heavier ones
-	// are exercised individually elsewhere.
-	if testing.Short() {
-		t.Skip("runs every driver")
+	const path = "testdata/quick.sha256"
+	want := map[string]string{}
+	if !*update {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run with -update to record)", err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			if sum, id, ok := strings.Cut(line, "  "); ok {
+				want[id] = sum
+			}
+		}
 	}
+	var manifest strings.Builder
 	for _, id := range IDs() {
-		id := id
+		wantSum := want[id]
+		delete(want, id)
 		t.Run(id, func(t *testing.T) {
 			tab, err := Run(id, true)
 			if err != nil {
@@ -146,7 +172,22 @@ func TestQuickDriversRun(t *testing.T) {
 			if tab.ID != id {
 				t.Errorf("table id %q", tab.ID)
 			}
+			var buf bytes.Buffer
+			tab.Render(&buf)
+			sum := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
+			fmt.Fprintf(&manifest, "%s  %s\n", sum, id)
+			if !*update && sum != wantSum {
+				t.Errorf("rendered table drifted from %s", path)
+			}
 		})
+	}
+	for id := range want {
+		t.Errorf("%s lists %q, which is no longer registered", path, id)
+	}
+	if *update && !t.Failed() {
+		if err := os.WriteFile(path, []byte(manifest.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -212,5 +253,74 @@ func TestValidateCampaignParity(t *testing.T) {
 	}
 	if i != len(got) {
 		t.Errorf("campaign produced %d extra points", len(got)-i)
+	}
+}
+
+// TestCollectivesMatchCollGolden: the quick-mode P=8 rows of every fabric
+// print the completion times and message counts that internal/coll's
+// golden file pins for the same machine, collective and rank count.
+func TestCollectivesMatchCollGolden(t *testing.T) {
+	golden, err := os.ReadFile("../coll/testdata/collectives_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{} // "<label> <collective>" → "<simulated> <messages>"
+	for _, line := range strings.Split(string(golden), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) < 6 || fields[2] != "P=8" {
+			continue
+		}
+		tm, err := strconv.ParseFloat(strings.TrimPrefix(fields[3], "time="), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[fields[0]+" "+fields[1]] = f(tm) + " " + strings.TrimPrefix(fields[5], "msgs=")
+	}
+	labels := map[string]string{"flat wire": "xt4-dual/bus", "torus2d": "xt4-dual/torus2d", "fattree": "xt4-dual/fattree"}
+
+	tab, err := Collectives(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matched := 0
+	for _, row := range tab.Rows {
+		if row[2] != "8" {
+			continue
+		}
+		key := labels[row[0]] + " " + row[1]
+		w, ok := want[key]
+		if !ok {
+			t.Errorf("%s P=8 has no golden line", key)
+			continue
+		}
+		if got := row[4] + " " + row[6]; got != w {
+			t.Errorf("%s P=8: simulated/messages %q, golden %q", key, got, w)
+		}
+		matched++
+	}
+	if matched != 18 {
+		t.Errorf("matched %d P=8 rows, want 6 collectives × 3 fabrics", matched)
+	}
+}
+
+// TestCollectivesCrossoverPerFabric: at P=64 the ring all-reduce overtakes
+// recursive doubling earlier on routed fabrics than on the flat wire.
+func TestCollectivesCrossoverPerFabric(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size collectives study")
+	}
+	tab, err := Collectives(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	notes := strings.Join(tab.Notes, "\n")
+	for _, want := range []string{
+		"flat wire, P=64: ring beats recursive doubling from 1048576 B",
+		"torus2d, P=64: ring beats recursive doubling from 262144 B",
+		"fattree, P=64: ring beats recursive doubling from 524288 B",
+	} {
+		if !strings.Contains(notes, want) {
+			t.Errorf("notes lack %q:\n%s", want, notes)
+		}
 	}
 }

@@ -152,23 +152,6 @@ func OptimalJobs(pavail, minPartition int, c Criterion, eval Evaluator) (Partiti
 	return Optimal(points, c)
 }
 
-// Speedup returns T(base)/T(p) for a scaling curve expressed as a map from
-// processor count to execution time.
-func Speedup(times map[int]float64, base int) (map[int]float64, error) {
-	tb, ok := times[base]
-	if !ok {
-		return nil, fmt.Errorf("metrics: no base point p=%d", base)
-	}
-	out := make(map[int]float64, len(times))
-	for p, t := range times {
-		if t <= 0 {
-			return nil, fmt.Errorf("metrics: non-positive time at p=%d", p)
-		}
-		out[p] = tb / t
-	}
-	return out, nil
-}
-
 // DiminishingReturns returns the smallest processor count in the sorted
 // sweep beyond which doubling processors improves execution time by less
 // than the given fraction (e.g. 0.2 for 20%); it returns the last point if

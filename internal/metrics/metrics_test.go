@@ -134,23 +134,6 @@ func TestCriterionString(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	times := map[int]float64{1: 100, 2: 50, 4: 30}
-	s, err := Speedup(times, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s[1] != 1 || s[2] != 2 || math.Abs(s[4]-100.0/30) > 1e-9 {
-		t.Errorf("speedup = %v", s)
-	}
-	if _, err := Speedup(times, 8); err == nil {
-		t.Error("missing base accepted")
-	}
-	if _, err := Speedup(map[int]float64{1: 0}, 1); err == nil {
-		t.Error("zero time accepted")
-	}
-}
-
 func TestDiminishingReturns(t *testing.T) {
 	ps := []int{1, 2, 4, 8}
 	times := []float64{100, 55, 40, 38}

@@ -68,7 +68,7 @@ func runFlight(t *testing.T, edge, n, m, shards int, rec *obs.Recorder) simmpi.R
 func shardInvariantArtifact(t *testing.T, rec *obs.Recorder, every float64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := obs.WriteTimeline(&buf, rec, obs.TimelineOptions{}); err != nil {
+	if err := obs.WriteTimeline(&buf, rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := obs.WriteSamples(&buf, rec, every); err != nil {
@@ -159,7 +159,7 @@ func TestTimelineSchemaFromSimulation(t *testing.T) {
 	res := runFlight(t, 16, 4, 4, 1, rec)
 
 	var buf bytes.Buffer
-	if err := obs.WriteTimeline(&buf, rec, obs.TimelineOptions{}); err != nil {
+	if err := obs.WriteTimeline(&buf, rec); err != nil {
 		t.Fatal(err)
 	}
 	var tf struct {
@@ -223,7 +223,7 @@ func TestShardWindowTracks(t *testing.T) {
 		t.Errorf("shard tracks = %d, want 4", len(shards))
 	}
 	var buf bytes.Buffer
-	if err := obs.WriteTimeline(&buf, rec, obs.TimelineOptions{}); err != nil {
+	if err := obs.WriteTimeline(&buf, rec); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"name":"shards"`) {

@@ -132,12 +132,13 @@ type Recorder struct {
 	// owns the rank, so the stream is deterministic for any shard count.
 	Ops bool
 
-	spans   [][]Span
-	ops     [][]OpEvent
-	msgs    []MsgEvent
-	links   []LinkEvent
-	windows []WindowEvent
-	hists   SimHists
+	spans    [][]Span
+	ops      [][]OpEvent
+	msgs     []MsgEvent
+	links    []LinkEvent
+	windows  []WindowEvent
+	hists    SimHists
+	linkName func(link int) string
 }
 
 // PrepareRanks sizes the per-rank span buffers for a run of n ranks,
@@ -200,6 +201,11 @@ func (r *Recorder) Link(link int32, start, wait, dur float64) {
 		r.hists.LinkDelay.Observe(wait)
 	}
 }
+
+// NameLinks sets how timeline link tracks are labelled. The simulator
+// hands it the interconnect's topo.Interconnect.LinkName whenever it
+// attaches the recorder's link tracer.
+func (r *Recorder) NameLinks(name func(link int) string) { r.linkName = name }
 
 // Window records one (shard, window) observation from the barrier
 // coordinator; a window in which the shard ran no events counts as a stall

@@ -35,15 +35,10 @@ const (
 	pidShards = 3
 )
 
-// TimelineOptions customises WriteTimeline.
-type TimelineOptions struct {
-	// LinkName labels link tracks (e.g. topo.Interconnect.LinkName);
-	// nil falls back to "link<i>".
-	LinkName func(link int) string
-}
-
-// WriteTimeline renders the recording as Chrome trace-event JSON.
-func WriteTimeline(w io.Writer, r *Recorder, opt TimelineOptions) error {
+// WriteTimeline renders the recording as Chrome trace-event JSON. Link
+// tracks carry the names the simulator handed the recorder (see
+// Recorder.NameLinks), or "link<i>" without them.
+func WriteTimeline(w io.Writer, r *Recorder) error {
 	bw := bufio.NewWriter(w)
 	e := &traceWriter{w: bw}
 	bw.WriteString("{\"traceEvents\":[")
@@ -89,8 +84,8 @@ func WriteTimeline(w io.Writer, r *Recorder, opt TimelineOptions) error {
 		for tid, id := range ids {
 			tidOf[id] = tid
 			name := fmt.Sprintf("link%d", id)
-			if opt.LinkName != nil {
-				name = opt.LinkName(int(id))
+			if r.linkName != nil {
+				name = r.linkName(int(id))
 			}
 			e.meta("thread_name", pidLinks, tid, "name", encodeJSONString(name))
 		}

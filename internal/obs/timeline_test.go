@@ -23,10 +23,10 @@ type traceEvent struct {
 	Args map[string]interface{} `json:"args"`
 }
 
-func decodeTimeline(t *testing.T, r *Recorder, opt TimelineOptions) ([]byte, traceFile) {
+func decodeTimeline(t *testing.T, r *Recorder) ([]byte, traceFile) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteTimeline(&buf, r, opt); err != nil {
+	if err := WriteTimeline(&buf, r); err != nil {
 		t.Fatal(err)
 	}
 	var tf traceFile
@@ -40,7 +40,7 @@ func decodeTimeline(t *testing.T, r *Recorder, opt TimelineOptions) ([]byte, tra
 // needs: "M" metadata events carry a name arg; "X" complete events carry
 // name, ts, dur, pid and tid.
 func TestTimelineSchema(t *testing.T) {
-	_, tf := decodeTimeline(t, handRecorder(), TimelineOptions{})
+	_, tf := decodeTimeline(t, handRecorder())
 	if len(tf.TraceEvents) == 0 {
 		t.Fatal("empty traceEvents")
 	}
@@ -73,9 +73,9 @@ func TestTimelineSchema(t *testing.T) {
 }
 
 func TestTimelineTracks(t *testing.T) {
-	raw, tf := decodeTimeline(t, handRecorder(), TimelineOptions{
-		LinkName: func(link int) string { return "torus+x" },
-	})
+	r := handRecorder()
+	r.NameLinks(func(link int) string { return "torus+x" })
+	raw, tf := decodeTimeline(t, r)
 	pids := map[int]bool{}
 	var sawStall, sawLinkName bool
 	for _, ev := range tf.TraceEvents {
@@ -98,7 +98,7 @@ func TestTimelineTracks(t *testing.T) {
 		t.Error("zero-event window not rendered as a stall")
 	}
 	if !sawLinkName {
-		t.Error("LinkName option ignored")
+		t.Error("link names ignored")
 	}
 	// Send spans carry peer and byte count for the Perfetto args pane.
 	if !bytes.Contains(raw, []byte(`"peer":1`)) || !bytes.Contains(raw, []byte(`"wait":0.5`)) {
@@ -107,7 +107,7 @@ func TestTimelineTracks(t *testing.T) {
 }
 
 func TestTimelineEmptyRecorder(t *testing.T) {
-	raw, tf := decodeTimeline(t, &Recorder{}, TimelineOptions{})
+	raw, tf := decodeTimeline(t, &Recorder{})
 	if len(tf.TraceEvents) != 0 {
 		t.Errorf("empty recorder produced %d events", len(tf.TraceEvents))
 	}
@@ -117,8 +117,8 @@ func TestTimelineEmptyRecorder(t *testing.T) {
 }
 
 func TestTimelineDeterministic(t *testing.T) {
-	a, _ := decodeTimeline(t, handRecorder(), TimelineOptions{})
-	b, _ := decodeTimeline(t, handRecorder(), TimelineOptions{})
+	a, _ := decodeTimeline(t, handRecorder())
+	b, _ := decodeTimeline(t, handRecorder())
 	if !bytes.Equal(a, b) {
 		t.Error("two identical recordings rendered differently")
 	}

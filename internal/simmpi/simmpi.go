@@ -348,6 +348,7 @@ func (s *Sim) Run() (Result, error) {
 		if o.Links || o.Hist {
 			s.topo.SetLinkTracer(o.Link)
 			defer s.topo.SetLinkTracer(nil)
+			o.NameLinks(s.topo.Interconnect().LinkName)
 		}
 	}
 	if s.prun != nil {

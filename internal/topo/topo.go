@@ -326,53 +326,12 @@ func (ic *Interconnect) Spec() Spec {
 	return ic.spec
 }
 
-// Nodes returns the node count the fabric serves.
-func (ic *Interconnect) Nodes() int {
-	if ic == nil {
-		return 0
-	}
-	return ic.nodes
-}
-
 // LinkCount returns the number of directed links in the fabric.
 func (ic *Interconnect) LinkCount() int {
 	if ic == nil {
 		return 0
 	}
 	return len(ic.links)
-}
-
-// HopL returns the resolved per-hop router latency in µs.
-func (ic *Interconnect) HopL() float64 {
-	if ic == nil {
-		return 0
-	}
-	return ic.hopL
-}
-
-// LinkG returns the resolved per-byte link occupancy in µs/byte.
-func (ic *Interconnect) LinkG() float64 {
-	if ic == nil {
-		return 0
-	}
-	return ic.linkG
-}
-
-// Describe renders the instantiated geometry, e.g. "torus2d 6x6 (144 links)".
-func (ic *Interconnect) Describe() string {
-	if ic == nil {
-		return "bus (flat wire, no links)"
-	}
-	switch ic.kind {
-	case Torus2D:
-		return fmt.Sprintf("torus2d %dx%d (%d links)", ic.dims[0], ic.dims[1], len(ic.links))
-	case Torus3D:
-		return fmt.Sprintf("torus3d %dx%dx%d (%d links)", ic.dims[0], ic.dims[1], ic.dims[2], len(ic.links))
-	case FatTree:
-		return fmt.Sprintf("fattree %d leaves × radix %d, %d spines (%d links)",
-			ic.leaves, ic.leafRadix, ic.spine, len(ic.links))
-	}
-	return ic.kind.String()
 }
 
 // Reset returns every link to the idle, zero-statistics state for a fresh
@@ -544,14 +503,6 @@ func (ic *Interconnect) LinkName(i int) string {
 		return fmt.Sprintf("l%d-s%d.%s", pair/ic.spine, pair%ic.spine, dir)
 	}
 	return fmt.Sprintf("link%d", i)
-}
-
-// LinkStats returns one link's aggregate counters.
-func (ic *Interconnect) LinkStats(i int) (requests, queued uint64, busy, waited float64) {
-	if ic == nil {
-		return 0, 0, 0, 0
-	}
-	return ic.links[i].Stats()
 }
 
 // MaxLinkBusy returns the largest per-link busy time; divided by the
