@@ -203,7 +203,7 @@ func (mo *Model) Evaluate(dec grid.Decomposition) (Report, error) {
 		return Report{}, fmt.Errorf("core: decomposition grid %v does not match app grid %v",
 			dec.Grid, mo.App.Grid)
 	}
-	return mo.evaluate(dec), nil
+	return mo.evaluate(dec, vectorDiag), nil
 }
 
 // EvaluateP predicts runtime on p cores using the most-square decomposition.
@@ -215,7 +215,8 @@ func (mo *Model) EvaluateP(p int) (Report, error) {
 	return mo.Evaluate(dec)
 }
 
-func (mo *Model) evaluate(dec grid.Decomposition) Report {
+// evaluate runs the model with vec as StartP's vector kernel (see startP).
+func (mo *Model) evaluate(dec grid.Decomposition, vec diagFunc) Report {
 	app := mo.App
 	mach := mo.Machine
 	prm := &mach.Params
@@ -229,7 +230,7 @@ func (mo *Model) evaluate(dec grid.Decomposition) Report {
 
 	// Pipeline fills (r3a, r3b) from the StartP recurrence over the
 	// canonical sweep from (1,1).
-	last := StartP(n, m, wpre, w, mo.hops(n, m, sEW, sNS))
+	last := startP(n, m, wpre, w, mo.hops(n, m, sEW, sNS), vec)
 	tDiag := last[1] // StartP(1,m), equation (r3a)
 	tFull := last[n] // StartP(n,m), equation (r3b)
 
@@ -374,47 +375,116 @@ func (mo *Model) hops(n, m, sEW, sNS int) Hops {
 //
 // The sweep visits the array by anti-diagonals i + j = d. Both of a cell's
 // inputs lie on diagonal d−1, so the cells of one diagonal do not depend on
-// each other, and a single column-indexed array holds the previous diagonal
-// while the current one overwrites it from its east end.
+// each other. Two column-indexed buffers hold the previous and the next
+// diagonal, swapping roles after each one, so that a diagonal's loads never
+// read a slot the same diagonal stores to: a vector loop that computes four
+// cells per instruction then runs without store-to-load stalls. Cell (i, m)
+// is the west end of diagonal i + m, so each diagonal hands its west end to
+// a third array that collects the last row.
+//
+// On amd64 CPUs with AVX2, the interior cells of each diagonal are computed
+// by an assembly kernel, four at a time, with the same operations in the
+// same order as the Go loop, so the result is bit-identical. Its VMAXPD
+// differs from Go's max only on NaN or on +0 against −0, so StartP takes the
+// Go loop whenever origin, w or a hop cost is NaN or has its sign bit set.
 func StartP(n, m int, origin, w float64, h Hops) []float64 {
-	buf := make([]float64, n+1+2*m)
-	s := buf[:n+1]
+	return startP(n, m, origin, w, h, vectorDiag)
+}
+
+// diagFunc computes the interior cells of one anti-diagonal from the
+// previous one, whose cell x is the west input and cell x+1 the north input
+// of cell x:
+//
+//	dst[x] = max(((prev[x]+w)+tE[x])+rN[x], ((prev[x+1]+w)+tS[x])+sE[x])
+//
+// for x < len(dst). prev holds at least len(dst)+1 elements, and every
+// other slice at least len(dst).
+type diagFunc func(dst, prev, tE, sE, tS, rN []float64, w float64)
+
+// diagGo is the portable diagFunc, and the reference for the vector kernel.
+// Cell x's north sum prev[x+1]+w is cell x+1's west sum, so it is added once.
+func diagGo(dst, prev, tE, sE, tS, rN []float64, w float64) {
+	// Slices of length len(dst) let the compiler drop the loop's bounds checks.
+	cur := prev[1 : len(dst)+1]
+	tE, sE, tS, rN = tE[:len(dst)], sE[:len(dst)], tS[:len(dst)], rN[:len(dst)]
+	west := prev[0] + w
+	for x := range dst {
+		north := cur[x] + w
+		dst[x] = max((west+tE[x])+rN[x], (north+tS[x])+sE[x])
+		west = north
+	}
+}
+
+// vectorExact reports whether origin, w and every hop cost are numbers
+// without their sign bit set. Sums of such numbers are never NaN or −0, so
+// on them VMAXPD and Go's max agree bit for bit.
+func vectorExact(origin, w float64, h Hops) bool {
+	// Bit patterns above +Inf's are NaNs or have the sign bit set.
+	exact := func(v float64) bool { return math.Float64bits(v) <= 0x7ff0000000000000 }
+	if !exact(origin) || !exact(w) {
+		return false
+	}
+	for _, tab := range [...][]float64{h.TotalE, h.SendE, h.TotalS, h.RecvN} {
+		for _, v := range tab {
+			if !exact(v) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// startP is StartP with the vector kernel given: it runs vec when vec is
+// not nil and vectorExact holds, and diagGo otherwise.
+func startP(n, m int, origin, w float64, h Hops, vec diagFunc) []float64 {
+	diag := diagGo
+	if vec != nil && vectorExact(origin, w, h) {
+		diag = vec
+	}
+	buf := make([]float64, 3*(n+1)+2*m)
+	prev, next, last := buf[:n+1], buf[n+1:2*(n+1)], buf[2*(n+1):3*(n+1)]
 	// Along a diagonal j = d − i falls as i rises. Row j's costs are copied
-	// to index m − j, so that the inner loop reads every table at ascending
-	// indices and the compiler can drop its bounds checks.
-	totalS, recvN := buf[n+1:n+1+m], buf[n+1+m:]
+	// to index m − j, so that the kernel reads every table at ascending
+	// indices.
+	totalS, recvN := buf[3*(n+1):3*(n+1)+m], buf[3*(n+1)+m:]
 	for j := 2; j <= m; j++ {
 		totalS[m-j], recvN[m-j] = h.TotalS[j], h.RecvN[j]
 	}
 
-	s[1] = origin
+	prev[1] = origin
 	for i := 2; i <= n; i++ { // row 1 has no north neighbour
-		s[i] = (s[i-1] + w) + h.TotalE[i]
+		prev[i] = (prev[i-1] + w) + h.TotalE[i]
 	}
+	if m == 1 {
+		return prev
+	}
+	// Diagonal d stores columns up to d − 2; above that both buffers keep
+	// row 1, which the next diagonal reads as its north inputs.
+	copy(next, prev)
 	for d := 3; d <= n+m; d++ { // rows 2..m: cells (i, d−i)
 		lo, hi := max(1, d-m), min(n, d-2)
 		if hi == n { // no east neighbour: nothing sent east
 			j := d - n
-			north := (s[n] + w) + h.TotalS[j]
+			north := (prev[n] + w) + h.TotalS[j]
 			if n > 1 {
-				north = max(((s[n-1]+w)+h.TotalE[n])+h.RecvN[j], north)
+				north = max(((prev[n-1]+w)+h.TotalE[n])+h.RecvN[j], north)
 			}
-			s[n] = north
+			next[n] = north
 		}
 		if a, b := max(lo, 2), min(hi, n-1); a <= b {
 			k, o := b-a+1, a+m-d // cell (a+x, d−a−x) reads row costs at o+x
-			cur, west := s[a:a+k], s[a-1:][:k]
-			tE, sE := h.TotalE[a:a+k], h.SendE[a:a+k]
-			tS, rN := totalS[o:o+k], recvN[o:o+k]
-			for x := len(cur) - 1; x >= 0; x-- {
-				cur[x] = max(((west[x]+w)+tE[x])+rN[x], ((cur[x]+w)+tS[x])+sE[x])
-			}
+			diag(next[a:a+k], prev[a-1:a+k], h.TotalE[a:a+k], h.SendE[a:a+k],
+				totalS[o:o+k], recvN[o:o+k], w)
 		}
 		if lo == 1 && n > 1 { // no west neighbour: only the north message
-			s[1] = ((s[1] + w) + h.TotalS[d-1]) + h.SendE[1]
+			next[1] = ((prev[1] + w) + h.TotalS[d-1]) + h.SendE[1]
 		}
+		if d > m { // the west end (d−m, m) is in the last row
+			last[lo] = next[lo]
+		}
+		prev, next = next, prev
 	}
-	return s
+	return last
 }
 
 // contention returns the total Table 6 interference added to the four

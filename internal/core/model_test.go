@@ -624,66 +624,214 @@ func reportDiff(a, b Report) string {
 	return ""
 }
 
+// diagPaths are the two ways StartP computes a diagonal's interior: the Go
+// loop (no vector kernel) and the vector kernel, when this CPU has one.
+var diagPaths = []struct {
+	name string
+	vec  diagFunc
+}{{"go", nil}, {"vector", vectorDiag}}
+
+// eachPath runs f as one subtest per diagonal path. The vector subtest skips
+// on a CPU without the kernel, saying so.
+func eachPath(t *testing.T, f func(t *testing.T, vec diagFunc)) {
+	for _, p := range diagPaths {
+		t.Run(p.name, func(t *testing.T) {
+			if p.name == "vector" && p.vec == nil {
+				t.Skip("no vector kernel: it needs amd64 with AVX2, so only the Go loop is tested here")
+			}
+			f(t, p.vec)
+		})
+	}
+}
+
 func TestEvaluateBitIdenticalToReference(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	for c := 0; c < 2000; c++ {
-		mo, dec := randomModel(r)
-		for o := 0; o < 8; o++ {
-			mo.Opts = Options{SyncTerms: o&1 != 0, NoContention: o&2 != 0, ForceOffNode: o&4 != 0}
-			got, err := mo.Evaluate(dec)
-			if err != nil {
+	eachPath(t, func(t *testing.T, vec diagFunc) {
+		r := rand.New(rand.NewSource(13))
+		for c := 0; c < 2000; c++ {
+			mo, dec := randomModel(r)
+			if _, err := mo.Evaluate(dec); err != nil {
 				t.Fatalf("case %d: %v", c, err)
 			}
-			if d := reportDiff(got, referenceModel(mo, dec)); d != "" {
-				t.Fatalf("case %d (%dx%d, %s, %+v): %s", c, dec.N, dec.M, mo.Machine, mo.Opts, d)
+			for o := 0; o < 8; o++ {
+				mo.Opts = Options{SyncTerms: o&1 != 0, NoContention: o&2 != 0, ForceOffNode: o&4 != 0}
+				got := mo.evaluate(dec, vec)
+				if d := reportDiff(got, referenceModel(mo, dec)); d != "" {
+					t.Fatalf("case %d (%dx%d, %s, %+v): %s", c, dec.N, dec.M, mo.Machine, mo.Opts, d)
+				}
 			}
 		}
+	})
+}
+
+// rowMajorStartP evaluates (r2a, r2b) cell by cell, row by row, and returns
+// the last row.
+func rowMajorStartP(n, m int, origin, w float64, h Hops) []float64 {
+	prev, cur := make([]float64, n+1), make([]float64, n+1)
+	for j := 1; j <= m; j++ {
+		for i := 1; i <= n; i++ {
+			if i == 1 && j == 1 {
+				cur[i] = origin
+				continue
+			}
+			west, north := math.Inf(-1), math.Inf(-1)
+			if i > 1 {
+				west = cur[i-1] + w + h.TotalE[i]
+				if j > 1 {
+					west += h.RecvN[j]
+				}
+			}
+			if j > 1 {
+				north = prev[i] + w + h.TotalS[j]
+				if i < n {
+					north += h.SendE[i]
+				}
+			}
+			cur[i] = math.Max(west, north)
+		}
+		prev, cur = cur, prev
 	}
+	return prev
+}
+
+// randomHops fills hop tables for an n × m array with cost(r) per entry.
+func randomHops(r *rand.Rand, n, m int, cost func(r *rand.Rand) float64) Hops {
+	h := NewHops(n, m)
+	for _, tab := range [][]float64{h.TotalE, h.SendE, h.TotalS, h.RecvN} {
+		for k := range tab {
+			tab[k] = cost(r)
+		}
+	}
+	return h
+}
+
+// firstBitDiff returns the first column i in 1..n where got and want differ
+// in their bits, or 0.
+func firstBitDiff(got, want []float64, n int) int {
+	for i := 1; i <= n; i++ {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return i
+		}
+	}
+	return 0
 }
 
 func TestStartPLastRow(t *testing.T) {
 	// Every entry of the returned row, not only the two fills the model
-	// reads, must equal a plain row-major evaluation of (r2a, r2b).
-	r := rand.New(rand.NewSource(5))
-	for c := 0; c < 300; c++ {
-		n, m := r.Intn(20)+1, r.Intn(20)+1
-		origin, w := r.Float64(), r.Float64()
-		h := NewHops(n, m)
-		for _, tab := range [][]float64{h.TotalE, h.SendE, h.TotalS, h.RecvN} {
-			for k := range tab {
-				tab[k] = 10 * r.Float64()
+	// reads, must equal a plain row-major evaluation of (r2a, r2b). Every
+	// n, m ≤ 70 covers the vector kernel's four-cell body, tails of 0–3
+	// cells, one-cell diagonals, n = 1 and m = 1; some cases have w = 0 or
+	// all-zero hop costs, which make the two terms of the max tie.
+	eachPath(t, func(t *testing.T, vec diagFunc) {
+		r := rand.New(rand.NewSource(5))
+		for n := 1; n <= 70; n++ {
+			for m := 1; m <= 70; m++ {
+				origin, w := r.Float64(), r.Float64()
+				if r.Intn(8) == 0 {
+					w = 0
+				}
+				cost := func(r *rand.Rand) float64 { return 10 * r.Float64() }
+				if r.Intn(8) == 0 {
+					cost = func(*rand.Rand) float64 { return 0 }
+				}
+				h := randomHops(r, n, m, cost)
+				got, want := startP(n, m, origin, w, h, vec), rowMajorStartP(n, m, origin, w, h)
+				if i := firstBitDiff(got, want, n); i != 0 {
+					t.Fatalf("%dx%d: StartP(%d, m) = %v, want %v", n, m, i, got[i], want[i])
+				}
 			}
 		}
-		prev, cur := make([]float64, n+1), make([]float64, n+1)
-		for j := 1; j <= m; j++ {
-			for i := 1; i <= n; i++ {
-				if i == 1 && j == 1 {
-					cur[i] = origin
-					continue
+	})
+}
+
+func TestStartPGuardsVectorKernel(t *testing.T) {
+	// VMAXPD returns its second operand when either is NaN or both are
+	// zero, where Go's max returns NaN or +0. Each case below has interior
+	// cells whose west term is NaN or +0 while the north term is a number
+	// or −0, so an unguarded kernel would return other bits than the Go
+	// loop; StartP must return the Go loop's.
+	const n, m = 9, 9 // interior diagonals of up to 7 cells: body and tail
+	negZero := math.Copysign(0, -1)
+	positive := func(*rand.Rand) float64 { return 1 }
+	for _, tc := range []struct {
+		name string
+		set  func(origin, w *float64, h Hops)
+	}{
+		{"NaN RecvN", func(_, _ *float64, h Hops) { h.RecvN[5] = math.NaN() }},
+		{"NaN origin", func(origin, _ *float64, _ Hops) { *origin = math.NaN() }},
+		{"NaN w", func(_, w *float64, _ Hops) { *w = math.NaN() }},
+		{"-0 but one +0 RecvN", func(origin, w *float64, h Hops) {
+			*origin, *w = negZero, negZero
+			for _, tab := range [][]float64{h.TotalE, h.SendE, h.TotalS, h.RecvN} {
+				for k := range tab {
+					tab[k] = negZero
 				}
-				west, north := math.Inf(-1), math.Inf(-1)
-				if i > 1 {
-					west = cur[i-1] + w + h.TotalE[i]
-					if j > 1 {
-						west += h.RecvN[j]
-					}
-				}
-				if j > 1 {
-					north = prev[i] + w + h.TotalS[j]
-					if i < n {
-						north += h.SendE[i]
-					}
-				}
-				cur[i] = math.Max(west, north)
 			}
-			prev, cur = cur, prev
+			h.RecvN[5] = 0
+		}},
+		{"negative TotalS", func(_, _ *float64, h Hops) { h.TotalS[4] = -1 }},
+	} {
+		origin, w := 1.0, 1.0
+		h := randomHops(nil, n, m, positive)
+		tc.set(&origin, &w, h)
+		if vectorExact(origin, w, h) {
+			t.Errorf("%s: vectorExact accepts the input", tc.name)
 		}
-		got := StartP(n, m, origin, w, h)
-		for i := 1; i <= n; i++ {
-			if math.Float64bits(got[i]) != math.Float64bits(prev[i]) {
-				t.Fatalf("%dx%d: StartP(%d, m) = %v, want %v", n, m, i, got[i], prev[i])
+		got, want := StartP(n, m, origin, w, h), startP(n, m, origin, w, h, nil)
+		if i := firstBitDiff(got, want, n); i != 0 {
+			t.Errorf("%s: StartP(%d, m) = %v (%#x), want the Go loop's %v (%#x)", tc.name,
+				i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// FuzzStartP requires the vector kernel path and the Go loop to return the
+// same bits for n, m ≤ 128, any origin and w (NaN, −0 and negative values
+// included), and hop costs drawn from a seed: positive in three inputs of
+// four, and otherwise sprinkled with zeros, −0, negatives, infinities and
+// NaNs.
+func FuzzStartP(f *testing.F) {
+	f.Add(uint8(7), uint8(9), 0.0, 1.5, int64(1))
+	f.Add(uint8(0), uint8(69), math.Copysign(0, -1), 0.0, int64(2))
+	f.Add(uint8(69), uint8(0), math.NaN(), -1.0, int64(3))
+	f.Add(uint8(127), uint8(127), 3.0, 0.25, int64(4))
+	f.Fuzz(func(t *testing.T, nb, mb uint8, origin, w float64, seed int64) {
+		if vectorDiag == nil {
+			t.Skip("no vector kernel: it needs amd64 with AVX2")
+		}
+		n, m := int(nb)%128+1, int(mb)%128+1
+		r := rand.New(rand.NewSource(seed))
+		special := r.Intn(4) == 0
+		h := randomHops(r, n, m, func(r *rand.Rand) float64 {
+			if special && r.Intn(16) == 0 {
+				return [...]float64{0, math.Copysign(0, -1), -r.Float64(), math.Inf(1), math.NaN()}[r.Intn(5)]
 			}
+			return 10 * r.Float64()
+		})
+		got, want := startP(n, m, origin, w, h, vectorDiag), startP(n, m, origin, w, h, nil)
+		if i := firstBitDiff(got, want, n); i != 0 {
+			t.Fatalf("%dx%d: StartP(%d, m) = %v (%#x) on the vector path, %v (%#x) on the Go loop",
+				n, m, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
+	})
+}
+
+var startPSink []float64
+
+// BenchmarkStartP times one sweep of a 256 × 512 array (P = 131,072, the
+// model scan's largest) on each diagonal path.
+func BenchmarkStartP(b *testing.B) {
+	const n, m = 256, 512
+	r := rand.New(rand.NewSource(1))
+	h := randomHops(r, n, m, func(r *rand.Rand) float64 { return 10 * r.Float64() })
+	for _, p := range diagPaths {
+		b.Run(p.name, func(b *testing.B) {
+			if p.name == "vector" && p.vec == nil {
+				b.Skip("no vector kernel: it needs amd64 with AVX2")
+			}
+			for i := 0; i < b.N; i++ {
+				startPSink = startP(n, m, 0, 1.5, h, p.vec)
+			}
+		})
 	}
 }
 
