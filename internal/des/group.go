@@ -11,11 +11,19 @@ package des
 // Cross-shard effects are not applied by the shards themselves. Each shard
 // records them during the window (in simulation-owned buffers) and the
 // barrier callback — which runs single-threaded between windows, while no
-// shard executes — merges and applies them in a deterministic order.
-// Determinism therefore does not depend on goroutine scheduling or on how
-// shards are spread over goroutines: each shard fires its events in its
-// engine's own order (the canonical (time, ctx, pri) order for sharded
-// simulations), and boundary effects are ordered by the barrier's merge.
+// shard executes — merges them in a deterministic order. Every other
+// participant waits while the barrier runs, so it should hold only the work
+// that needs the merged order. It may leave the rest of an effect to the
+// one shard the effect lands in: the participant that owns that shard
+// finishes it at the start of the next window (the apply callback), in
+// parallel with the other participants, and the barrier returns the
+// earliest time such a deferred effect schedules an event at, so that the
+// window opens no later. Determinism therefore does not depend on
+// goroutine scheduling or on how shards are spread over goroutines: each
+// shard fires its events in its engine's own order (the canonical (time,
+// ctx, pri) order for sharded simulations), boundary effects are ordered
+// by the barrier's merge, and each shard's deferred effects by the list the
+// barrier left for it.
 //
 // The Group owns only the windowing machinery: the participants that run
 // the shards, the window hand-off, and progress/stall statistics. What a
@@ -25,13 +33,14 @@ package des
 // Participants. Run spreads the K shards over n = min(K, GOMAXPROCS)
 // participants: the goroutine that called Run (the coordinator) plus n−1
 // helper goroutines, each owning a fixed contiguous range of shards for the
-// whole run. The coordinator runs the barrier and then its own range inside
-// each window; with n = 1 it runs every shard itself and starts no
-// goroutine. Windows are short — 4,096-rank LU on a torus opens 17,215
-// windows of about 300 events each — so a hand-off must cost much less
-// than waking a parked goroutine: the waiting side polls an atomic counter
-// and parks on a channel only when the other side is far slower than a
-// typical window or barrier (spinPolls).
+// whole run. The coordinator runs the barrier; then, inside each window,
+// every participant applies and runs its own range. With n = 1 the
+// coordinator runs every shard itself and starts no goroutine. Windows are
+// short — 4,096-rank LU on a torus opens 17,215 windows of about 300
+// events each — so a hand-off must cost much less than waking a parked
+// goroutine: the waiting side polls an atomic counter and parks on a
+// channel only when the other side is far slower than a typical window or
+// barrier (spinPolls).
 
 import (
 	"fmt"
@@ -52,7 +61,7 @@ import (
 // A Gosched every 64 polls moved it in about 40 windows; with one every
 // 16, 64 or 256 polls runs took 1.02–1.30 s, in no consistent order.
 // spinPolls polls took 0.9–3.2 ms there, against a mean barrier of about
-// 15 µs, so a participant parks only when the other side stalls.
+// 5 µs, so a participant parks only when the other side stalls.
 const (
 	spinPolls  = 1 << 18
 	yieldEvery = 64
@@ -114,26 +123,36 @@ func (g *Group) Stalls() uint64 { return g.stalls }
 // nil path costs one branch per (shard, window), nothing per event.
 func (g *Group) SetObserver(fn WindowObserver) { g.obs = fn }
 
-// Run drives the shards to quiescence. Each iteration first invokes the
-// barrier callback — single-threaded, while no shard executes — which
-// applies buffered cross-shard effects by scheduling events into any of the
-// group's engines. It then opens the next window at the earliest pending
-// event across all shards and lets every shard execute its events with
-// timestamps inside [T, T+lookahead), the shards of different participants
-// concurrently. The run ends when the barrier schedules nothing and no
-// engine has pending events.
+// Run drives the shards to quiescence. Each iteration first invokes
+// barrier — single-threaded, while no shard executes — which applies
+// buffered cross-shard effects by scheduling events into any of the group's
+// engines, or defers an effect to the shard it lands in and returns the
+// earliest virtual time a deferred effect schedules an event at (+Inf when
+// it deferred nothing). Run then opens the next window at the earlier of
+// that time and the earliest pending event across all shards. Inside the
+// window each participant, for each shard i it owns, calls apply(i) —
+// which schedules shard i's deferred effects into engine i and touches no
+// other shard — and then lets the shard execute its events with timestamps
+// inside [T, T+lookahead), the shards of different participants
+// concurrently. The run ends when the barrier defers nothing and no engine
+// has pending events.
 //
-// The callback must not touch shard state outside a barrier, and shards
+// The window must open at the deferred time when that is the earlier one:
+// a deferred event before every pending event would otherwise be scheduled
+// into a window that opened after it. apply runs exactly once per shard in
+// every window, also for a shard with nothing deferred.
+//
+// The callbacks must not touch shard state outside their turn, and shards
 // must not touch each other's state inside a window; the Group supplies
 // the happens-before edges (atomic hand-off counters) that make the
 // alternation race-free.
 //
-// A panic in a shard reaches the goroutine that called Run. A shard the
-// coordinator runs panics there directly; a helper recovers the panic,
-// and Run re-raises it as an error naming the shard and carrying the
+// A panic in a shard or in apply reaches the goroutine that called Run. A
+// shard the coordinator runs panics there directly; a helper recovers the
+// panic, and Run re-raises it as an error naming the shard and carrying the
 // helper's stack. Either way every helper has exited when the panic leaves
 // Run, as on a normal return.
-func (g *Group) Run(barrier func()) {
+func (g *Group) Run(barrier func() float64, apply func(shard int)) {
 	n := min(len(g.engines), runtime.GOMAXPROCS(0))
 	g.quit.Store(false)
 	var w uint64 // windows opened by this Run: the hand-off sequence
@@ -145,7 +164,7 @@ func (g *Group) Run(barrier func()) {
 		h.window.wake = make(chan struct{}, 1)
 		h.done.wake = make(chan struct{}, 1)
 		exited.Add(1)
-		go h.run(g, &exited)
+		go h.run(g, apply, &exited)
 	}
 	defer func() {
 		// Release every helper, also when a panic is leaving Run. A panic
@@ -156,18 +175,16 @@ func (g *Group) Run(barrier func()) {
 		}
 		exited.Wait()
 	}()
-	own := g.engines[:len(g.engines)/n]
+	own := len(g.engines) / n
 
 	for {
-		barrier()
-		earliest := math.Inf(1)
-		any := false
+		earliest := barrier()
 		for _, eng := range g.engines {
 			if t, ok := eng.NextEventTime(); ok && t < earliest {
-				earliest, any = t, true
+				earliest = t
 			}
 		}
-		if !any {
+		if math.IsInf(earliest, 1) {
 			return
 		}
 		g.windowEnd = earliest + g.lookahead
@@ -179,7 +196,8 @@ func (g *Group) Run(barrier func()) {
 		for j := range helpers {
 			helpers[j].window.set(w)
 		}
-		for _, eng := range own {
+		for i, eng := range g.engines[:own] {
+			apply(i)
 			eng.RunBefore(g.windowEnd)
 		}
 		for j := range helpers {
@@ -211,8 +229,9 @@ type helper struct {
 	fault  *shardPanic // set before done is advanced to the faulting window
 }
 
-// run executes the helper's shards in every window until Run releases it.
-func (h *helper) run(g *Group, exited *sync.WaitGroup) {
+// run applies and executes the helper's shards in every window until Run
+// releases it.
+func (h *helper) run(g *Group, apply func(int), exited *sync.WaitGroup) {
 	defer exited.Done()
 	var w uint64
 	cur := h.lo
@@ -228,6 +247,7 @@ func (h *helper) run(g *Group, exited *sync.WaitGroup) {
 			return
 		}
 		for cur = h.lo; cur < h.hi; cur++ {
+			apply(cur)
 			g.engines[cur].RunBefore(g.windowEnd)
 		}
 		h.done.set(w)

@@ -3,6 +3,7 @@ package des
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -11,6 +12,12 @@ import (
 	"testing"
 	"time"
 )
+
+// noDefer is a barrier that applies and defers nothing.
+func noDefer() float64 { return math.Inf(1) }
+
+// noApply is an apply callback for runs that defer nothing.
+func noApply(int) {}
 
 func TestRunBeforeStopsStrictlyBeforeBound(t *testing.T) {
 	var e Engine
@@ -78,7 +85,7 @@ func TestGroupWindowIsolation(t *testing.T) {
 	}
 	g := NewGroup(engines, 0.5)
 	barriers := 0
-	g.Run(func() { barriers++ })
+	g.Run(func() float64 { barriers++; return math.Inf(1) }, noApply)
 	for i := range executed {
 		want := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 		if !reflect.DeepEqual(executed[i], want) {
@@ -99,14 +106,15 @@ func TestGroupBarrierDelivery(t *testing.T) {
 	f0.at(1, func() {})
 	rounds := 0
 	g := NewGroup(engines, 1)
-	g.Run(func() {
+	g.Run(func() float64 {
 		if rounds < 3 {
 			// Cross-shard delivery: schedule into shard 1 from the barrier.
 			tm := float64(10 + rounds)
 			f1.at(tm, func() { got = append(got, tm) })
 		}
 		rounds++
-	})
+		return math.Inf(1)
+	}, noApply)
 	if !reflect.DeepEqual(got, []float64{10, 11, 12}) {
 		t.Fatalf("barrier-delivered events: %v", got)
 	}
@@ -120,7 +128,7 @@ func TestGroupStallAccounting(t *testing.T) {
 	engines[0].AtKind(2, 1, 0, 0)
 	// Shard 1 is empty throughout: every window stalls it.
 	g := NewGroup(engines, 0.5)
-	g.Run(func() {})
+	g.Run(noDefer, noApply)
 	if g.Stalls() != g.Windows() {
 		t.Fatalf("stalls=%d windows=%d; empty shard should stall every window", g.Stalls(), g.Windows())
 	}
@@ -134,12 +142,13 @@ func TestGroupSingleShard(t *testing.T) {
 	f.at(1, func() { n.Add(1) })
 	injected := false
 	g := NewGroup(engines, 2)
-	g.Run(func() {
+	g.Run(func() float64 {
 		if !injected {
 			injected = true
 			f.at(5, func() { n.Add(1) })
 		}
-	})
+		return math.Inf(1)
+	}, noApply)
 	if n.Load() != 2 {
 		t.Fatalf("executed %d events, want 2", n.Load())
 	}
@@ -212,7 +221,7 @@ func TestGroupMatchesSerialExecution(t *testing.T) {
 			fs2[i].at(tm, func() { per[i] = append(per[i], hit{sh, tm}) })
 		}
 		g := NewGroup(engines2, 0.1+rng.Float64())
-		g.Run(func() {})
+		g.Run(noDefer, noApply)
 		var merged []hit
 		for i := range per {
 			merged = append(merged, per[i]...)
@@ -263,18 +272,23 @@ func awaitGoroutines(t *testing.T, n int) {
 // Shard i starts at 1.5·i, so early windows stall the later shards. Every
 // event logs its time in its shard's log; a token hops along its shard
 // with gap 0.3, and every third hop also sends a token to the next shard,
-// which the barrier schedules 1.25 later. Inside a window each shard
-// touches only its own log and outbox, so the logs must not depend on how
-// the shards are spread over goroutines.
+// which arrives 1.25 later. The barrier schedules that token into the next
+// shard itself, or, with deferred set, leaves it in the next shard's inbox
+// for the shard's apply. Inside a window each shard touches only its own
+// log, outbox and inbox, so the logs must not depend on how the shards are
+// spread over goroutines, nor on which of the two delivers the tokens.
 type ring struct {
-	fs   []*funcs
-	logs [][]float64
-	out  [][]float64 // per-shard arrival times for the next shard
-	hook func(shard int)
+	fs        []*funcs
+	logs      [][]float64
+	out       [][]float64 // per-shard arrival times for the next shard
+	in        [][]float64 // deferred: per-shard arrivals left for apply
+	deferred  bool
+	hook      func(shard int) // called by every event
+	applyHook func(shard int) // called by every apply
 }
 
 func newRing(k int) *ring {
-	r := &ring{logs: make([][]float64, k), out: make([][]float64, k)}
+	r := &ring{logs: make([][]float64, k), out: make([][]float64, k), in: make([][]float64, k)}
 	for i := 0; i < k; i++ {
 		r.fs = append(r.fs, newFuncs(&Engine{}))
 		r.fs[i].at(float64(i)*1.5, r.hop(i, 12))
@@ -299,14 +313,31 @@ func (r *ring) hop(i, left int) func() {
 	}
 }
 
-func (r *ring) barrier() {
+func (r *ring) barrier() float64 {
+	earliest := math.Inf(1)
 	for i, out := range r.out {
 		next := (i + 1) % len(r.fs)
 		for _, t := range out {
+			if r.deferred {
+				r.in[next] = append(r.in[next], t)
+				earliest = math.Min(earliest, t)
+				continue
+			}
 			r.fs[next].at(t, r.hop(next, 2))
 		}
 		r.out[i] = out[:0]
 	}
+	return earliest
+}
+
+func (r *ring) apply(i int) {
+	if r.applyHook != nil {
+		r.applyHook(i)
+	}
+	for _, t := range r.in[i] {
+		r.fs[i].at(t, r.hop(i, 2))
+	}
+	r.in[i] = r.in[i][:0]
 }
 
 func (r *ring) run(obs WindowObserver) *Group {
@@ -316,51 +347,157 @@ func (r *ring) run(obs WindowObserver) *Group {
 	}
 	g := NewGroup(engines, 1)
 	g.SetObserver(obs)
-	g.Run(r.barrier)
+	g.Run(r.barrier, r.apply)
 	return g
 }
 
 // TestGroupLayoutsMatch runs one ring at several GOMAXPROCS values: all
 // shards inline on the caller (1), fewer participants than shards with
-// uneven ranges (2 and 3), and more processors than shards (8). Logs,
-// windows, stalls and window observations must not change.
+// uneven ranges (2 and 3), and more processors than shards (8), with the
+// tokens delivered by the barrier and deferred to apply. Logs, windows,
+// stalls and window observations must not change.
 func TestGroupLayoutsMatch(t *testing.T) {
 	const k = 5
 	var want [][]float64
 	var wantWindows, wantStalls uint64
-	for _, procs := range []int{1, 2, 3, 8} {
+	for _, deferred := range []bool{false, true} {
+		for _, procs := range []int{1, 2, 3, 8} {
+			withProcs(t, procs)
+			r := newRing(k)
+			r.deferred = deferred
+			events := make([]uint64, k)
+			var observed uint64
+			g := r.run(func(window uint64, shard int, start, end float64, ran uint64, pending int) {
+				if end != start+1 {
+					t.Errorf("window %d spans [%v, %v), want length 1", window, start, end)
+				}
+				events[shard] += ran
+				observed = window
+			})
+			for i, n := range events {
+				if n != uint64(len(r.logs[i])) {
+					t.Errorf("GOMAXPROCS=%d deferred=%v: observer saw %d events on shard %d, which logged %d",
+						procs, deferred, n, i, len(r.logs[i]))
+				}
+			}
+			if observed != g.Windows() {
+				t.Errorf("GOMAXPROCS=%d deferred=%v: observer saw %d windows, group ran %d", procs, deferred, observed, g.Windows())
+			}
+			if want == nil {
+				want, wantWindows, wantStalls = r.logs, g.Windows(), g.Stalls()
+				if wantStalls == 0 {
+					t.Fatal("ring never stalled a shard; the stall count is not exercised")
+				}
+				continue
+			}
+			if !reflect.DeepEqual(r.logs, want) {
+				t.Errorf("GOMAXPROCS=%d deferred=%v: logs differ from the inline run:\n got %v\nwant %v", procs, deferred, r.logs, want)
+			}
+			if g.Windows() != wantWindows || g.Stalls() != wantStalls {
+				t.Errorf("GOMAXPROCS=%d deferred=%v: windows/stalls %d/%d, inline %d/%d",
+					procs, deferred, g.Windows(), g.Stalls(), wantWindows, wantStalls)
+			}
+		}
+	}
+}
+
+// goid returns the calling goroutine's id, read from its stack header.
+func goid() string {
+	var buf [64]byte
+	n := runtime.Stack(buf[:], false)
+	return strings.Fields(string(buf[:n]))[1]
+}
+
+// TestGroupApplyContract: in every window apply runs exactly once per
+// shard, on the goroutine that runs the shard, and before any of the
+// shard's events in that window.
+func TestGroupApplyContract(t *testing.T) {
+	const k = 5
+	for _, procs := range []int{1, 2, 3} {
 		withProcs(t, procs)
 		r := newRing(k)
-		events := make([]uint64, k)
-		var observed uint64
-		g := r.run(func(window uint64, shard int, start, end float64, ran uint64, pending int) {
-			if end != start+1 {
-				t.Errorf("window %d spans [%v, %v), want length 1", window, start, end)
+		r.deferred = true
+		caller := goid()
+		applied := make([]int, k)      // applies so far; the observer checks it
+		appliedNow := make([]bool, k)  // applied in the open window
+		applier := make([]string, k)   // goroutine of the last apply
+		misplaced := make([]string, k) // a breach of the contract, per shard
+		r.applyHook = func(i int) {
+			applied[i]++
+			appliedNow[i] = true
+			applier[i] = goid()
+			if onCaller := i < k/procs; onCaller != (applier[i] == caller) {
+				misplaced[i] = fmt.Sprintf("apply(%d) on the caller: %v, want %v", i, !onCaller, onCaller)
 			}
-			events[shard] += ran
-			observed = window
+		}
+		r.hook = func(i int) {
+			switch {
+			case !appliedNow[i]:
+				misplaced[i] = fmt.Sprintf("shard %d ran an event before its apply", i)
+			case applier[i] != goid():
+				misplaced[i] = fmt.Sprintf("shard %d ran on another goroutine than its apply", i)
+			}
+		}
+		g := r.run(func(window uint64, shard int, _, _ float64, _ uint64, _ int) {
+			if uint64(applied[shard]) != window {
+				t.Errorf("GOMAXPROCS=%d: shard %d applied %d times in %d windows", procs, shard, applied[shard], window)
+			}
+			appliedNow[shard] = false
 		})
-		for i, n := range events {
-			if n != uint64(len(r.logs[i])) {
-				t.Errorf("GOMAXPROCS=%d: observer saw %d events on shard %d, which logged %d", procs, n, i, len(r.logs[i]))
+		if g.Windows() == 0 {
+			t.Fatal("ring ran no window")
+		}
+		for _, m := range misplaced {
+			if m != "" {
+				t.Errorf("GOMAXPROCS=%d: %s", procs, m)
 			}
 		}
-		if observed != g.Windows() {
-			t.Errorf("GOMAXPROCS=%d: observer saw %d windows, group ran %d", procs, observed, g.Windows())
+	}
+}
+
+// TestGroupDeferredTimeOpensWindow: shard 0's only event sends an event
+// at 2.5 to shard 1, which the barrier defers to shard 1's apply. The next
+// window must open at 2.5, before shard 1's pending event at 10 when it has
+// one, and the run must not end while the deferred event is all that is
+// left.
+func TestGroupDeferredTimeOpensWindow(t *testing.T) {
+	for _, pending := range []bool{true, false} {
+		engines := []*Engine{{}, {}}
+		f0, f1 := newFuncs(engines[0]), newFuncs(engines[1])
+		var got []float64
+		var out, in []float64 // shard 0's outbox, shard 1's inbox
+		f0.at(1, func() { out = append(out, 2.5) })
+		if pending {
+			f1.at(10, func() { got = append(got, 10) })
 		}
-		if want == nil {
-			want, wantWindows, wantStalls = r.logs, g.Windows(), g.Stalls()
-			if wantStalls == 0 {
-				t.Fatal("ring never stalled a shard; the stall count is not exercised")
+		var starts []float64
+		g := NewGroup(engines, 1)
+		g.SetObserver(func(_ uint64, shard int, start, _ float64, _ uint64, _ int) {
+			if shard == 0 {
+				starts = append(starts, start)
 			}
-			continue
+		})
+		g.Run(func() float64 {
+			in, out = append(in, out...), out[:0]
+			if len(in) == 0 {
+				return math.Inf(1)
+			}
+			return in[0]
+		}, func(i int) {
+			if i == 1 {
+				for _, tm := range in {
+					f1.at(tm, func() { got = append(got, engines[1].Now()) })
+				}
+				in = in[:0]
+			}
+		})
+		want, wantStarts := []float64{2.5}, []float64{1, 2.5}
+		if pending {
+			want, wantStarts = []float64{2.5, 10}, []float64{1, 2.5, 10}
 		}
-		if !reflect.DeepEqual(r.logs, want) {
-			t.Errorf("GOMAXPROCS=%d: logs differ from the inline run:\n got %v\nwant %v", procs, r.logs, want)
-		}
-		if g.Windows() != wantWindows || g.Stalls() != wantStalls {
-			t.Errorf("GOMAXPROCS=%d: windows/stalls %d/%d, inline %d/%d",
-				procs, g.Windows(), g.Stalls(), wantWindows, wantStalls)
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(starts, wantStarts) {
+			t.Errorf("pending=%v: ran %v in windows opening at %v; want %v in windows at %v",
+				pending, got, starts, want, wantStarts)
 		}
 	}
 }
@@ -397,13 +534,13 @@ func TestGroupParksAndWakes(t *testing.T) {
 	}
 	engines := []*Engine{r.fs[0].e, r.fs[1].e}
 	g := NewGroup(engines, 1)
-	g.Run(func() {
+	g.Run(func() float64 {
 		if slept < 4 {
 			slept++
 			time.Sleep(5 * time.Millisecond)
 		}
-		r.barrier()
-	})
+		return r.barrier()
+	}, r.apply)
 	if !reflect.DeepEqual(r.logs, want.logs) {
 		t.Fatalf("logs with parked waits differ:\n got %v\nwant %v", r.logs, want.logs)
 	}
@@ -419,26 +556,41 @@ func TestGroupRunLeavesNoGoroutine(t *testing.T) {
 
 var errShard = errors.New("shard handler failed")
 
-// TestGroupShardPanicReachesCaller: a panic in any shard — on the caller
-// inline, or on a helper — is recoverable by Run's caller, and no helper
-// outlives it. A helper's panic comes back as an error that names the
-// shard and wraps the original value.
+// TestGroupShardPanicReachesCaller: a panic in any shard or in its apply —
+// on the caller inline, or on a helper — is recoverable by Run's caller,
+// and no helper outlives it. A helper's panic comes back as an error that
+// names the shard and wraps the original value.
 func TestGroupShardPanicReachesCaller(t *testing.T) {
 	for _, tc := range []struct {
 		procs, shard int
 		helper       bool
+		inApply      bool
 	}{
 		{procs: 1, shard: 1},
 		{procs: 2, shard: 0},
 		{procs: 2, shard: 1, helper: true},
 		{procs: 3, shard: 2, helper: true},
+		{procs: 2, shard: 0, inApply: true},
+		{procs: 2, shard: 1, helper: true, inApply: true},
+		{procs: 3, shard: 2, helper: true, inApply: true},
 	} {
 		withProcs(t, tc.procs)
 		before := runtime.NumGoroutine()
 		r := newRing(3)
-		r.hook = func(shard int) {
-			if shard == tc.shard && len(r.logs[shard]) == 4 {
-				panic(errShard)
+		if tc.inApply {
+			applies := 0
+			r.applyHook = func(shard int) {
+				if shard == tc.shard {
+					if applies++; applies == 3 {
+						panic(errShard)
+					}
+				}
+			}
+		} else {
+			r.hook = func(shard int) {
+				if shard == tc.shard && len(r.logs[shard]) == 4 {
+					panic(errShard)
+				}
 			}
 		}
 		v := func() (v any) {
@@ -449,13 +601,13 @@ func TestGroupShardPanicReachesCaller(t *testing.T) {
 		awaitGoroutines(t, before)
 		err, ok := v.(error)
 		if !ok || !errors.Is(err, errShard) {
-			t.Errorf("GOMAXPROCS=%d shard %d: recovered %v, want %v", tc.procs, tc.shard, v, errShard)
+			t.Errorf("GOMAXPROCS=%d shard %d apply=%v: recovered %v, want %v", tc.procs, tc.shard, tc.inApply, v, errShard)
 			continue
 		}
 		named := strings.Contains(err.Error(), fmt.Sprintf("shard %d panicked", tc.shard))
 		if tc.helper != named || tc.helper != (err != errShard) {
-			t.Errorf("GOMAXPROCS=%d shard %d: recovered %q; want the shard named only for a helper's panic",
-				tc.procs, tc.shard, err)
+			t.Errorf("GOMAXPROCS=%d shard %d apply=%v: recovered %q; want the shard named only for a helper's panic",
+				tc.procs, tc.shard, tc.inApply, err)
 		}
 	}
 }
@@ -466,10 +618,10 @@ func TestGroupRunsAgain(t *testing.T) {
 	withProcs(t, 2)
 	r := newRing(2)
 	g := NewGroup([]*Engine{r.fs[0].e, r.fs[1].e}, 1)
-	g.Run(r.barrier)
+	g.Run(r.barrier, r.apply)
 	windows, logged := g.Windows(), len(r.logs[1])
 	r.fs[1].at(r.fs[1].e.Now()+5, r.hop(1, 0))
-	g.Run(r.barrier)
+	g.Run(r.barrier, r.apply)
 	if len(r.logs[1]) != logged+1 || g.Windows() != windows+1 {
 		t.Fatalf("second Run logged %d events in %d windows, want 1 in 1",
 			len(r.logs[1])-logged, g.Windows()-windows)

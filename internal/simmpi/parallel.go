@@ -13,8 +13,10 @@ package simmpi
 // window ends.
 //
 // Cross-shard interactions never touch the peer shard directly. They are
-// recorded in per-shard boundary buffers and applied by the barrier
-// coordinator, which runs single-threaded between windows:
+// recorded in per-shard boundary buffers and merged by the barrier
+// coordinator, which runs single-threaded between windows. The barrier
+// holds only what must be ordered across shards; what affects one shard
+// alone is left to the participant that owns it (des.Group's apply):
 //
 //   - xkMsg: a send whose receiver lives elsewhere. The coordinator creates
 //     a proxy message in the receiver's shard — entering the channel FIFO in
@@ -25,9 +27,13 @@ package simmpi
 //     shard.
 //   - xkEagerArrive / xkRdvArrive: the data arrival, scheduled into the
 //     receiver's shard against the proxy; the sender-side record is freed.
-//   - linkOp: with an interconnect attached, every AcquireLinks call (cross-
-//     or intra-shard) is deferred and replayed serially in merged event
-//     order, because links are shared machine-wide resources.
+//   - linkOp: with an interconnect attached, every link reservation (cross-
+//     or intra-shard) is deferred. The emitting shard walks the route inside
+//     its window; the coordinator reserves the routes serially in merged
+//     event order, because links are shared machine-wide FCFS resources,
+//     and computes each data arrival. The shard owning the receiver
+//     schedules the arrival, and the sender's shard frees its record, at
+//     the start of the next window, in parallel with the other shards.
 //   - arEntry: closed-form all-reduce entries; the coordinator folds them
 //     and resumes every rank once a generation is complete.
 //
@@ -49,7 +55,9 @@ package simmpi
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
+	"sort"
 
 	"repro/internal/des"
 	"repro/internal/logp"
@@ -82,18 +90,31 @@ type crossRec struct {
 }
 
 // linkOp is a deferred interconnect reservation: the injection event ran
-// (bus acquired, sender resumed) but the shared links are only walked at
-// the barrier, in merged event order — (t, ctx, pri), the canonical order
-// the injection events themselves fire in.
+// (bus acquired, sender resumed, route walked into the shard's routes
+// buffer) but the shared links are only reserved at the barrier, in merged
+// event order — (t, ctx, pri), the canonical order the injection events
+// themselves fire in. It carries everything the reservation and the
+// arrival need, so the barrier reads the sender's message pool only for a
+// cross-shard message's proxy.
 type linkOp struct {
-	t     float64 // injection event's virtual time (merge order)
-	ctx   float64 // injection event's scheduling context (engine CurCtx)
-	pri   uint64  // canonical same-time priority of the injection (evPri)
-	start float64 // bus-granted injection start
-	shard int32
-	idx   int32
-	mi    int32 // sender-shard message
-	rdv   bool
+	t        float64 // injection event's virtual time (merge order)
+	ctx      float64 // injection event's scheduling context (engine CurCtx)
+	pri      uint64  // canonical same-time priority of the injection (evPri)
+	start    float64 // bus-granted injection start
+	src, dst int32
+	bytes    int32
+	mi       int32 // sender-shard message
+	lo, hi   int32 // route span in the shard's routes buffer
+	rdv      bool
+	cross    bool // receiver owned by another shard
+}
+
+// arrival is a data arrival the link replay computed: the event (atCtx's
+// arguments) the owning shard schedules at the start of the next window.
+type arrival struct {
+	t, ctx            float64
+	kind              des.Kind
+	owner, peer, arg0 int32
 }
 
 // arEntry is one rank entering a closed-form all-reduce generation. pt is
@@ -260,7 +281,7 @@ func (s *Sim) runParallel(k int) (Result, error) {
 			o.Window(window, int32(shard), start, end, events, pending)
 		})
 	}
-	g.Run(func() { s.barrier(p) })
+	g.Run(func() float64 { return s.barrier(p) }, func(i int) { s.shards[i].applyArrivals() })
 	p.windows, p.stalls = g.Windows(), g.Stalls()
 
 	var end float64
@@ -308,21 +329,28 @@ func (sh *shard) execSendCross(r *rankState, peer, bytes int) {
 // barrier (parallel run with an interconnect attached).
 func (sh *shard) deferLinks() bool { return sh.xlinks }
 
-// pushLinkOp defers an injection's interconnect walk to the barrier. The
-// recorded priority is the injection event's own canonical priority, so
-// the barrier's replay acquires links in exactly the order the serial
-// engine fires the injection events.
+// pushLinkOp defers an injection's interconnect reservation to the
+// barrier. The route is walked here, inside the window, in parallel with
+// the other shards; the barrier only reserves it. The recorded priority is
+// the injection event's own canonical priority, so the barrier reserves
+// links in exactly the order the serial engine fires the injection events.
 func (sh *shard) pushLinkOp(t, start float64, mi int32, rdv bool) {
 	m := &sh.msgs[mi]
 	kind := evEagerInject
 	if rdv {
 		kind = evRdvInject
 	}
-	sh.linkOps = append(sh.linkOps, linkOp{
+	lo := int32(len(sh.routes))
+	sh.routes = sh.topo.AppendRoute(sh.routes, int(m.src), int(m.dst))
+	op := linkOp{
 		t: t, ctx: sh.eng.CurCtx(), pri: evPri(kind, m.src, m.dst), start: start,
-		shard: sh.id, idx: sh.emit, mi: mi, rdv: rdv,
-	})
-	sh.emit++
+		src: m.src, dst: m.dst, bytes: m.bytes, mi: mi,
+		lo: lo, hi: int32(len(sh.routes)), rdv: rdv, cross: m.cross,
+	}
+	if n := len(sh.linkOps); n > 0 && linkBefore(&op, &sh.linkOps[n-1]) {
+		sh.linkUnsorted = true
+	}
+	sh.linkOps = append(sh.linkOps, op)
 }
 
 // emitArrive buffers a cross-shard data arrival (flat-wire path; with an
@@ -364,30 +392,29 @@ func recCmp(a, b crossRec) int {
 	return cmp.Compare(a.idx, b.idx)
 }
 
-// linkCmp orders deferred link reservations by the canonical order of
-// their injection events, (t, ctx, pri), then by the unique (shard, idx).
-func linkCmp(a, b linkOp) int {
-	if c := cmp.Compare(a.t, b.t); c != 0 {
-		return c
+// linkBefore reports whether a's injection fires before b's in the
+// canonical order (t, ctx, pri). Event times are never NaN, so plain
+// comparisons suffice. Ops of different shards never tie, because pri holds
+// the sender rank; equal ops of one shard keep their emission order.
+func linkBefore(a, b *linkOp) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	if c := cmp.Compare(a.ctx, b.ctx); c != 0 {
-		return c
+	if a.ctx != b.ctx {
+		return a.ctx < b.ctx
 	}
-	if c := cmp.Compare(a.pri, b.pri); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.shard, b.shard); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.idx, b.idx)
+	return a.pri < b.pri
 }
 
 // barrier drains every shard's boundary buffers and applies them in the
 // deterministic merged order: channel insertions first (they wire up the
-// proxies everything else resolves through), then link replays, then the
-// remaining scheduled events, then all-reduce completions — matching the
-// serial engine's scheduling order for each record class.
-func (s *Sim) barrier(p *parRun) {
+// proxies everything else resolves through), then link reservations, then
+// the remaining scheduled events, then all-reduce completions — matching
+// the serial engine's scheduling order for each record class. The link
+// reservations' arrivals are left to each shard's owner (applyArrivals);
+// barrier returns the earliest of their times, or +Inf when there is none,
+// for des.Group to open the next window no later than that.
+func (s *Sim) barrier(p *parRun) float64 {
 	p.msgs, p.others = p.msgs[:0], p.others[:0]
 	anyAR := false
 	for _, sh := range s.shards[:p.k] {
@@ -408,7 +435,7 @@ func (s *Sim) barrier(p *parRun) {
 	for i := range p.msgs {
 		s.applyMsg(p, &p.msgs[i])
 	}
-	s.replayLinks(p)
+	earliest := s.replayLinks(p)
 	slices.SortFunc(p.others, recCmp)
 	for i := range p.others {
 		s.applyRec(p, &p.others[i])
@@ -416,43 +443,72 @@ func (s *Sim) barrier(p *parRun) {
 	if anyAR {
 		s.applyAllReduce(p)
 	}
+	return earliest
 }
 
-// replayLinks applies every shard's deferred link reservations in linkCmp
-// order and empties the buffers. A shard emits its link ops as its
-// injection events fire, in (t, ctx, pri) order, so each shard's buffer is
-// normally already sorted and a k-way merge replaces a sort of the whole
-// set. The one exception needs zero send overheads: an injection scheduled
-// with no delay by an event that fired after a same-time injection can
-// carry a lower priority than it. Such a buffer is sorted first, so the
-// replay order is linkCmp order in every case.
-func (s *Sim) replayLinks(p *parRun) {
+// replayLinks reserves every shard's deferred link ops in linkBefore order,
+// hands each resulting arrival to the shard that owns its receiver, and
+// returns the earliest arrival time (+Inf when no shard deferred an op).
+// Only the reservations must run here: links are machine-wide FCFS
+// resources, so their order is the merged order of all shards' injections.
+// The route walks ran inside the window (pushLinkOp), and the owners
+// schedule the arrivals and free the sender-side records at the start of
+// the next window (applyArrivals), in parallel.
+//
+// A shard emits its link ops as its injection events fire, in (t, ctx,
+// pri) order, so each shard's buffer is normally already sorted and a
+// k-way merge replaces a sort of the whole set. The one exception needs
+// zero send overheads: an injection scheduled with no delay by an event
+// that fired after a same-time injection can carry a lower priority than
+// it. pushLinkOp flags such a buffer, which is sorted first, so the
+// reservation order is linkBefore order in every case.
+//
+// Why deferring the arrivals keeps every result bit-identical: an engine
+// fires events in (time, ctx, pri) order, and only a full tie falls
+// through to the payload slot, which depends on when the event was
+// scheduled. Per engine, link arrivals are still scheduled in the merged
+// order among themselves; they now follow the barrier's RTS, CTS and
+// all-reduce resume events instead of preceding the CTS and resumes. Those
+// are events of other kinds, and evPri is kind-major, so no arrival ties
+// with them and the move reorders nothing. (Two arrivals that tie fully —
+// same kind, ranks, time and context — are broken by slot, which already
+// depends on each engine's history and so on the shard count; the property
+// tests pin that no result depends on it.) The deferred frees change which
+// message pool index a later message reuses, and pool indices are never
+// observable in results.
+func (s *Sim) replayLinks(p *parRun) float64 {
 	shards := s.shards[:p.k]
 	next := p.next[:0]
 	for _, sh := range shards {
-		if !slices.IsSortedFunc(sh.linkOps, linkCmp) {
-			slices.SortFunc(sh.linkOps, linkCmp)
+		if sh.linkUnsorted {
+			ops := sh.linkOps
+			sort.SliceStable(ops, func(i, j int) bool { return linkBefore(&ops[i], &ops[j]) })
+			sh.linkUnsorted = false
 		}
 		next = append(next, 0)
 	}
 	p.next = next
+	earliest := math.Inf(1)
 	for {
 		best := -1
+		var op *linkOp
 		for i, sh := range shards {
-			if next[i] < len(sh.linkOps) &&
-				(best < 0 || linkCmp(sh.linkOps[next[i]], shards[best].linkOps[next[best]]) < 0) {
-				best = i
+			if j := next[i]; j < len(sh.linkOps) && (op == nil || linkBefore(&sh.linkOps[j], op)) {
+				best, op = i, &sh.linkOps[j]
 			}
 		}
 		if best < 0 {
 			break
 		}
-		s.applyLink(p, &shards[best].linkOps[next[best]])
+		if t := s.applyLink(p, shards[best], op); t < earliest {
+			earliest = t
+		}
 		next[best]++
 	}
 	for _, sh := range shards {
-		sh.linkOps = sh.linkOps[:0]
+		sh.linkOps, sh.routes = sh.linkOps[:0], sh.routes[:0]
 	}
+	return earliest
 }
 
 // applyMsg materialises a cross-shard send in the receiver's shard: proxy
@@ -482,26 +538,42 @@ func (s *Sim) applyMsg(p *parRun, rec *crossRec) {
 	}
 }
 
-// applyLink replays a deferred interconnect reservation in merged event
-// order and schedules the resulting data arrival.
-func (s *Sim) applyLink(p *parRun, op *linkOp) {
-	ssh := s.shards[op.shard]
-	m := &ssh.msgs[op.mi]
+// applyLink reserves a deferred link op's route, computes its data
+// arrival, and queues the arrival on the receiver's shard and, for a
+// cross-shard message, the sender-side free on the sender's. It returns
+// the arrival time.
+func (s *Sim) applyLink(p *parRun, ssh *shard, op *linkOp) float64 {
 	start := op.start
-	start += s.topo.AcquireLinks(int(m.src), int(m.dst), start, int(m.bytes))
+	start += s.topo.Interconnect().Reserve(ssh.routes[op.lo:op.hi], start, int(op.bytes))
 	pp := &ssh.par
-	arrive := start + float64(m.bytes)*pp.G + pp.L
+	arrive := start + float64(op.bytes)*pp.G + pp.L
 	kind := evEagerArrive
 	if op.rdv {
 		kind = evRdvArrive
 	}
-	if m.cross {
-		dsh := s.shards[p.rankShard[m.dst]]
-		dsh.atCtx(arrive, op.t, kind, m.dst, m.src, m.proxy)
-		ssh.freeMsg(op.mi)
-		return
+	dsh, mi := ssh, op.mi
+	if op.cross {
+		dsh, mi = s.shards[p.rankShard[op.dst]], ssh.msgs[op.mi].proxy
+		ssh.frees = append(ssh.frees, op.mi)
 	}
-	ssh.atCtx(arrive, op.t, kind, m.dst, m.src, op.mi)
+	dsh.arrivals = append(dsh.arrivals, arrival{t: arrive, ctx: op.t, kind: kind, owner: op.dst, peer: op.src, arg0: mi})
+	return arrive
+}
+
+// applyArrivals schedules the data arrivals the last barrier's link replay
+// left for this shard and frees the sender-side records of its
+// cross-shard messages whose data went out. The shard's owner runs it at
+// the start of every window (des.Group's apply), before the shard's
+// events and in parallel with the other shards.
+func (sh *shard) applyArrivals() {
+	for i := range sh.arrivals {
+		a := &sh.arrivals[i]
+		sh.atCtx(a.t, a.ctx, a.kind, a.owner, a.peer, a.arg0)
+	}
+	for _, mi := range sh.frees {
+		sh.freeMsg(mi)
+	}
+	sh.arrivals, sh.frees = sh.arrivals[:0], sh.frees[:0]
 }
 
 // applyRec schedules a buffered cross-shard event (CTS or data arrival).

@@ -4,8 +4,8 @@ package simmpi_test
 // bit-identical to the serial engine for every shard count — same Time,
 // same per-rank finish times, same traffic and contention statistics. The
 // property is exercised over the paper benchmarks (eager + on-chip paths,
-// all-reduce convergence), a rendezvous-heavy synthetic exchange, and a
-// torus interconnect (deferred link replay), plus deadlock reporting,
+// all-reduce convergence), a rendezvous-heavy synthetic exchange, and
+// every interconnect fabric (deferred link replay), plus deadlock reporting,
 // Reset-reuse of a sharded simulator, its ParallelStats, and panics raised
 // inside a shard.
 
@@ -91,22 +91,32 @@ func TestParallelMatchesSerialBenchmarks(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerialTorus exercises the deferred link replay: every
-// interconnect reservation crosses the barrier and must reproduce the
-// serial acquisition order exactly, wait times included.
+// TestParallelMatchesSerialTorus exercises the deferred link replay on
+// every fabric: each interconnect reservation crosses the barrier and must
+// reproduce the serial acquisition order exactly, wait times included.
 func TestParallelMatchesSerialTorus(t *testing.T) {
 	g := grid.Cube(32)
-	spec := topo.Spec{Kind: topo.Torus2D}
-	base, _ := runBench(t, apps.Sweep3D(g, 2), g, 8, 8, machine.XT4(), spec, 1)
-	if base.LinkRequests == 0 {
-		t.Fatal("torus run never touched a link")
-	}
-	for _, k := range shardCounts[1:] {
-		res, eff := runBench(t, apps.Sweep3D(g, 2), g, 8, 8, machine.XT4(), spec, k)
-		if eff != k {
-			t.Fatalf("requested %d shards, ran with %d", k, eff)
+	for _, spec := range []topo.Spec{{Kind: topo.Torus2D}, {Kind: topo.Torus3D}, {Kind: topo.FatTree}} {
+		for _, tc := range []struct {
+			name string
+			bm   apps.Benchmark
+		}{
+			{"sweep3d", apps.Sweep3D(g, 2)},
+			{"lu", apps.LU(g)},
+		} {
+			name := tc.name + "/" + spec.String()
+			base, _ := runBench(t, tc.bm, g, 8, 8, machine.XT4(), spec, 1)
+			if base.LinkRequests == 0 {
+				t.Fatalf("%s: run never touched a link", name)
+			}
+			for _, k := range shardCounts[1:] {
+				res, eff := runBench(t, tc.bm, g, 8, 8, machine.XT4(), spec, k)
+				if eff != k {
+					t.Fatalf("%s: requested %d shards, ran with %d", name, k, eff)
+				}
+				sameFull(t, fmt.Sprintf("%s, %d shards", name, k), base, res)
+			}
 		}
-		sameFull(t, "torus", base, res)
 	}
 }
 
@@ -139,14 +149,19 @@ func rendezvousPrograms(sim *simmpi.Sim, n int) {
 	}
 }
 
-func runRendezvous(t *testing.T, shards int) (simmpi.Result, int) {
+// runRendezvous runs the exchange on 32 ranks placed linearly over nodes
+// of the given core count, with the given interconnect attached.
+func runRendezvous(t *testing.T, cores int, spec topo.Spec, shards int) (simmpi.Result, int) {
 	t.Helper()
 	const n = 32
-	mach, err := machine.XT4MultiCore(4)
+	mach, err := machine.XT4MultiCore(cores)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tp := simnet.NewTopology(mach.Params, n, simnet.LinearPlacement(mach))
+	if err := tp.AttachInterconnect(spec); err != nil {
+		t.Fatal(err)
+	}
 	sim, err := simmpi.NewWithOptions(tp, simmpi.Options{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
@@ -165,17 +180,34 @@ func runRendezvous(t *testing.T, shards int) (simmpi.Result, int) {
 
 // TestParallelMatchesSerialRendezvous pins the cross-shard rendezvous
 // protocol: RTS, CTS and data arrival each cross the boundary separately.
+// On two-core nodes every odd rank's rendezvous send is off-node, so with
+// a fabric attached the data injection's deferred link reservation and the
+// cross-shard arrival it produces are exercised too.
 func TestParallelMatchesSerialRendezvous(t *testing.T) {
-	base, _ := runRendezvous(t, 1)
-	if base.Sends == 0 {
-		t.Fatal("exchange sent nothing")
-	}
-	for _, k := range shardCounts[1:] {
-		res, eff := runRendezvous(t, k)
-		if eff != k {
-			t.Fatalf("requested %d shards, ran with %d", k, eff)
+	for _, tc := range []struct {
+		cores int
+		spec  topo.Spec
+	}{
+		{4, topo.Spec{}},
+		{2, topo.Spec{Kind: topo.Torus2D}},
+		{2, topo.Spec{Kind: topo.Torus3D}},
+		{2, topo.Spec{Kind: topo.FatTree}},
+	} {
+		name := fmt.Sprintf("rendezvous/%d cores/%s", tc.cores, tc.spec)
+		base, _ := runRendezvous(t, tc.cores, tc.spec, 1)
+		if base.Sends == 0 {
+			t.Fatalf("%s: exchange sent nothing", name)
 		}
-		sameFull(t, "rendezvous", base, res)
+		if tc.spec.Kind != topo.Bus && base.LinkRequests == 0 {
+			t.Fatalf("%s: run never touched a link", name)
+		}
+		for _, k := range shardCounts[1:] {
+			res, eff := runRendezvous(t, tc.cores, tc.spec, k)
+			if eff != k {
+				t.Fatalf("%s: requested %d shards, ran with %d", name, k, eff)
+			}
+			sameFull(t, fmt.Sprintf("%s, %d shards", name, k), base, res)
+		}
 	}
 }
 

@@ -269,12 +269,18 @@ type shard struct {
 	bytes uint64
 
 	// Parallel-run boundary buffers (parallel.go): cross-shard message
-	// records, deferred link reservations and closed-form all-reduce
-	// entries emitted during a window, drained by the barrier coordinator.
-	xrecs   []crossRec
-	linkOps []linkOp
-	arEnter []arEntry
-	emit    int32 // per-window emission counter ordering boundary records
+	// records, deferred link reservations with their routes and closed-form
+	// all-reduce entries emitted during a window, drained by the barrier
+	// coordinator; and the link arrivals and sender-side frees the barrier
+	// leaves for the shard's owner to apply at the next window's start.
+	xrecs        []crossRec
+	linkOps      []linkOp
+	linkUnsorted bool // linkOps is out of linkBefore order
+	routes       []int32
+	arEnter      []arEntry
+	emit         int32 // per-window emission counter ordering boundary records
+	arrivals     []arrival
+	frees        []int32
 }
 
 // New creates a simulation over the given topology. Programs are assigned
@@ -332,9 +338,10 @@ func (sh *shard) clear() {
 	sh.sends, sh.recvs, sh.bytes = 0, 0, 0
 	sh.obsMsgs = sh.obsMsgs[:0]
 	sh.xrecs = sh.xrecs[:0]
-	sh.linkOps = sh.linkOps[:0]
+	sh.linkOps, sh.linkUnsorted, sh.routes = sh.linkOps[:0], false, sh.routes[:0]
 	sh.arEnter = sh.arEnter[:0]
 	sh.emit = 0
+	sh.arrivals, sh.frees = sh.arrivals[:0], sh.frees[:0]
 }
 
 // SetProgram assigns rank r's program.

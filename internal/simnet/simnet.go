@@ -205,6 +205,16 @@ func (t *Topology) AcquireLinks(a, b int, now float64, size int) float64 {
 	return t.ic.Acquire(int(t.nodeOf[a]), int(t.nodeOf[b]), now, size)
 }
 
+// AppendRoute appends the interconnect route from rank a's node to rank b's
+// node (see topo.Interconnect.AppendRoute) and returns the extended slice;
+// it appends nothing on the flat-wire network or for same-node ranks.
+// Reserving the route with the interconnect's Reserve at virtual time now
+// charges what AcquireLinks(a, b, now, size) would. It only reads the
+// topology, so shards of a parallel run may call it concurrently.
+func (t *Topology) AppendRoute(route []int32, a, b int) []int32 {
+	return t.ic.AppendRoute(route, int(t.nodeOf[a]), int(t.nodeOf[b]))
+}
+
 // SetLinkTracer installs a per-reservation tracer on the attached
 // interconnect; pass nil to disable. A no-op on the flat-wire network.
 func (t *Topology) SetLinkTracer(fn topo.LinkTracer) { t.ic.SetLinkTracer(fn) }

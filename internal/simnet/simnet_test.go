@@ -1,11 +1,13 @@
 package simnet
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/grid"
 	"repro/internal/logp"
 	"repro/internal/machine"
+	"repro/internal/topo"
 )
 
 func TestGridPlacementRectangles(t *testing.T) {
@@ -67,6 +69,36 @@ func TestLinearPlacement(t *testing.T) {
 	}
 	if topo.Nodes() != 3 {
 		t.Errorf("Nodes = %d", topo.Nodes())
+	}
+}
+
+// TestAppendRoute: a rank pair's route is its nodes' route — empty on the
+// flat wire and within a node — and reserving it charges what AcquireLinks
+// charges on an identical fabric.
+func TestAppendRoute(t *testing.T) {
+	mach := machine.XT4()
+	flat := NewTopology(mach.Params, 8, LinearPlacement(mach))
+	if r := flat.AppendRoute(nil, 0, 7); len(r) != 0 {
+		t.Errorf("flat-wire route %v, want none", r)
+	}
+	a := NewTopology(mach.Params, 8, LinearPlacement(mach))
+	b := NewTopology(mach.Params, 8, LinearPlacement(mach))
+	for _, tp := range []*Topology{a, b} {
+		if err := tp.AttachInterconnect(topo.Spec{Kind: topo.Torus2D}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r := b.AppendRoute(nil, 2, 3); len(r) != 0 {
+		t.Errorf("same-node route %v, want none", r)
+	}
+	for _, pair := range [][2]int{{0, 7}, {1, 6}, {0, 7}} {
+		route := b.AppendRoute(nil, pair[0], pair[1])
+		if want := b.Interconnect().AppendRoute(nil, b.NodeOf(pair[0]), b.NodeOf(pair[1])); !reflect.DeepEqual(route, want) {
+			t.Fatalf("ranks %v: route %v, nodes' route %v", pair, route, want)
+		}
+		if da, db := a.AcquireLinks(pair[0], pair[1], 1, 4096), b.Interconnect().Reserve(route, 1, 4096); da != db {
+			t.Errorf("ranks %v: AcquireLinks %v, Reserve %v", pair, da, db)
+		}
 	}
 }
 

@@ -24,7 +24,9 @@
 //
 // Acquire is allocation-free in steady state: routes are materialised into
 // a scratch buffer owned by the Interconnect (same index-addressed style as
-// internal/simmpi's pools), and link lookup is pure arithmetic.
+// internal/simmpi's pools), and link lookup is pure arithmetic. Routing
+// (AppendRoute) is read-only and separate from reservation (Reserve), so a
+// sharded simulation can walk routes concurrently and reserve them later.
 package topo
 
 import (
@@ -227,9 +229,9 @@ type Interconnect struct {
 
 // LinkTracer receives one callback per link reservation: the link index,
 // the service start (after queueing), the queueing delay and the occupancy,
-// all in µs. Callers must guarantee single-threaded Acquire invocation
-// while a tracer is installed — the simulator does, because link replay on
-// sharded runs happens at the single-threaded window barrier.
+// all in µs. Callers must guarantee single-threaded Acquire and Reserve
+// invocation while a tracer is installed — the simulator does, because
+// sharded runs reserve links at the single-threaded window barrier.
 type LinkTracer func(link int32, start, wait, dur float64)
 
 // New instantiates a spec for the given node count, resolving the timing
@@ -355,9 +357,23 @@ func (ic *Interconnect) Acquire(srcNode, dstNode int, now float64, size int) flo
 		return 0
 	}
 	ic.scratch = ic.AppendRoute(ic.scratch[:0], srcNode, dstNode)
+	return ic.Reserve(ic.scratch, now, size)
+}
+
+// Reserve reserves a route built by AppendRoute for one message of the
+// given size whose head enters the first link at virtual time now, and
+// returns the extra delay relative to the flat-wire model, as Acquire does.
+// Acquire is AppendRoute plus Reserve; a caller that walks routes
+// elsewhere, such as the sharded simulator inside its windows, reserves
+// them here in the order the serial run would acquire them. A nil fabric
+// costs zero.
+func (ic *Interconnect) Reserve(route []int32, now float64, size int) float64 {
+	if ic == nil {
+		return 0
+	}
 	occ := float64(size) * ic.linkG
 	t := now
-	for i, l := range ic.scratch {
+	for i, l := range route {
 		if i > 0 {
 			t += ic.hopL
 		}
@@ -383,7 +399,8 @@ func (ic *Interconnect) SetLinkTracer(fn LinkTracer) {
 // to dstNode and returns the extended slice. Torus routes are
 // dimension-order minimal; fat-tree routes are up-down with the spine
 // chosen by destination (all traffic to one node shares a spine, the
-// deterministic analogue of destination-rooted routing).
+// deterministic analogue of destination-rooted routing). It only reads the
+// fabric's geometry, so any number of goroutines may call it at once.
 func (ic *Interconnect) AppendRoute(route []int32, srcNode, dstNode int) []int32 {
 	if ic == nil || srcNode == dstNode {
 		return route

@@ -221,6 +221,47 @@ func TestAcquireUncontendedSingleHopIsFree(t *testing.T) {
 	}
 }
 
+// TestReserveMatchesAcquire: routes walked up front and reserved later in
+// the same order charge exactly what Acquire charges, with the same link
+// tracer calls in the same order — the split a sharded simulation uses.
+func TestReserveMatchesAcquire(t *testing.T) {
+	type call struct {
+		link             int32
+		start, wait, dur float64
+	}
+	for _, spec := range []Spec{{Kind: Torus2D}, {Kind: Torus3D}, {Kind: FatTree, LeafRadix: 2, Spine: 1}} {
+		const nodes = 12
+		a, errA := New(spec, nodes, 0.0004)
+		b, errB := New(spec, nodes, 0.0004)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		var callsA, callsB []call
+		a.SetLinkTracer(func(l int32, start, wait, dur float64) { callsA = append(callsA, call{l, start, wait, dur}) })
+		b.SetLinkTracer(func(l int32, start, wait, dur float64) { callsB = append(callsB, call{l, start, wait, dur}) })
+		var routes []int32
+		var spans [][2]int
+		for i := 0; i < 60; i++ {
+			lo := len(routes)
+			routes = b.AppendRoute(routes, i%nodes, (i*5+3)%nodes)
+			spans = append(spans, [2]int{lo, len(routes)})
+		}
+		for i, sp := range spans {
+			now, size := 0.1*float64(i/12), 4096+64*(i%7)
+			da := a.Acquire(i%nodes, (i*5+3)%nodes, now, size)
+			if db := b.Reserve(routes[sp[0]:sp[1]], now, size); da != db {
+				t.Fatalf("%s message %d: Acquire %v, Reserve %v", spec, i, da, db)
+			}
+		}
+		if _, q, _, _ := a.Stats(); q == 0 {
+			t.Errorf("%s: no reservation queued; contention is not exercised", spec)
+		}
+		if !reflect.DeepEqual(callsA, callsB) {
+			t.Errorf("%s: link tracer calls differ", spec)
+		}
+	}
+}
+
 // TestHopLatency: each hop beyond the first adds exactly HopL on an idle
 // fabric.
 func TestHopLatency(t *testing.T) {
@@ -261,6 +302,9 @@ func TestNilInterconnect(t *testing.T) {
 	}
 	if r := ic.AppendRoute(nil, 0, 5); r != nil {
 		t.Errorf("nil AppendRoute = %v", r)
+	}
+	if d := ic.Reserve(nil, 0, 1024); d != 0 {
+		t.Errorf("nil Reserve = %v", d)
 	}
 	ic.Reset() // must not panic
 	if rq, _, _, _ := ic.Stats(); rq != 0 {
