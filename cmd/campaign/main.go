@@ -196,7 +196,14 @@ func main() {
 		cfg.ObsRun = runs[0].Index // flight-record the first filtered run
 	}
 	if !*quiet {
-		cfg.Progress = func(done, total int) {
+		// The ticker counts this process's slice of the filtered runs.
+		total := len(runs)
+		if rs := campaign.Ranges(len(runs), parts); part < len(rs) {
+			total = rs[part].Len()
+		}
+		done := 0
+		cfg.OnResult = func(campaign.RunResult) {
+			done++
 			if done == total || done%50 == 0 {
 				fmt.Fprintf(os.Stderr, "\r%d/%d runs", done, total)
 			}

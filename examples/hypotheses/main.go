@@ -54,7 +54,7 @@ func main() {
 	// The single-delta check also runs inside Run; calling it directly
 	// shows what the machine verifies: exactly one content-key component
 	// differs between the paired runs of the two arms.
-	delta, err := exp.CheckDelta(exp.Seeds[0], campaign.KeyMode{Canon: true})
+	delta, err := exp.CheckDelta(exp.Seeds[0])
 	if err != nil {
 		panic(err)
 	}

@@ -163,8 +163,8 @@ type cacheRecord struct {
 // {"schema_version", "key", "row"} object per memoized result, fully
 // indexed in memory at open. Puts append and flush immediately, so a
 // killed process loses at most the line being written — and the loader
-// tolerates that torn tail. The file is shared-nothing: one process owns
-// it at a time.
+// skips that torn tail, which the next open ends with a newline. The file
+// is shared-nothing: one process owns it at a time.
 type DiskStore struct {
 	mu   sync.Mutex
 	path string
@@ -208,7 +208,11 @@ func OpenDiskStore(path string) (*DiskStore, error) {
 		}
 		d.m[key] = res
 	}
-	if err := sc.Err(); err != nil {
+	err = sc.Err()
+	if err == nil {
+		err = terminateLine(f)
+	}
+	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("campaign: cache %s: %w", path, err)
 	}

@@ -248,10 +248,14 @@ func (d AppDim) resolveBase() (apps.Benchmark, error) {
 // of a custom spec (deterministic — struct fields in declaration order,
 // map keys sorted). Two textually different specs that happen to describe
 // the same physics hash apart, which costs a cache miss but never risks a
-// wrong hit.
+// wrong hit. The spec's workload and convergence are left out: the run
+// key's own components cover every knob of both, and rendering them here
+// too would make a one-knob delta differ in two components.
 func (d AppDim) sourceKey() string {
 	if d.Spec != nil {
-		b, err := json.Marshal(d.Spec)
+		sp := *d.Spec
+		sp.Workload, sp.Convergence = nil, nil
+		b, err := json.Marshal(&sp)
 		if err != nil {
 			// AppSpec round-trips through DecodeStrict before reaching
 			// here, so a marshal failure is unreachable; fail closed with

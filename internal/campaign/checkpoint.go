@@ -88,11 +88,34 @@ func newCheckpointWriter(dir string, r Range) (*checkpointWriter, error) {
 	if err := obs.EnsureParent(path); err != nil {
 		return nil, fmt.Errorf("campaign: checkpoint %s: %w", path, err)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: checkpoint: %w", err)
 	}
+	if err := terminateLine(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("campaign: checkpoint %s: %w", path, err)
+	}
 	return &checkpointWriter{f: f}, nil
+}
+
+// terminateLine ends a torn last line — a record a killed writer left
+// half-written — with a newline, so the next appended record starts a line
+// of its own instead of being glued onto the fragment and skipped with it
+// by the loader.
+func terminateLine(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil || st.Size() == 0 {
+		return err
+	}
+	last := []byte{0}
+	if _, err := f.ReadAt(last, st.Size()-1); err != nil {
+		return err
+	}
+	if last[0] != '\n' {
+		_, err = f.Write([]byte{'\n'})
+	}
+	return err
 }
 
 // append records one finished run. row must be the exact JSONL row bytes

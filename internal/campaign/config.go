@@ -19,7 +19,7 @@ const SchemaVersion = 1
 
 // Config is the complete configuration of a campaign Engine.
 // It consolidates the knobs the engine accreted over time (worker pool,
-// shard override, histograms, flight recorder, progress hook) with the
+// shard override, histograms, flight recorder, result hook) with the
 // serving-layer features (result cache, run-range partitioning,
 // checkpointing, output path), so the CLI and the campaignd server are
 // thin frontends over one validated struct. Build one as a literal and hand
@@ -40,9 +40,6 @@ type Config struct {
 	Obs    *obs.Recorder
 	ObsRun int
 
-	// Progress, if non-nil, is called after each run completes with the
-	// completed and total counts. Calls are serialised.
-	Progress func(done, total int)
 	// OnResult, if non-nil, is called with each finished result in
 	// completion order (not index order). Calls are serialised.
 	OnResult func(RunResult)

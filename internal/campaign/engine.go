@@ -155,6 +155,17 @@ func (c Config) workers(n int) int {
 	return w
 }
 
+// execMode resolves the run's simulator shard count (the config's
+// override, else the spec's) and the key mode that count and the config
+// imply: every sharded count runs the canonical event order.
+func (c Config) execMode(r Run) (shards int, mode KeyMode) {
+	shards = c.Shards
+	if shards <= 0 {
+		shards = r.shards
+	}
+	return shards, KeyMode{Hist: c.Hist, Canon: shards > 1}
+}
+
 // Execute runs every run and returns results indexed like the input. The
 // result slice is complete even on error; the returned error is the
 // lowest-indexed run failure. Output is independent of Workers and of the
@@ -201,11 +212,9 @@ func (e *Engine) executeAt(runs []Run, pos0 int) ([]RunResult, error) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var tally ExecStats
-	done := 0
 	ckptErr := make([]error, cfg.workers(len(runs)))
 	finish := func(i int, simulated, cacheHit, ckptHit bool) {
 		mu.Lock()
-		done++
 		tally.Runs++
 		if simulated {
 			tally.Simulated++
@@ -218,9 +227,6 @@ func (e *Engine) executeAt(runs []Run, pos0 int) ([]RunResult, error) {
 		}
 		if cfg.OnResult != nil {
 			cfg.OnResult(results[i])
-		}
-		if cfg.Progress != nil {
-			cfg.Progress(done, len(runs))
 		}
 		mu.Unlock()
 	}
@@ -241,11 +247,8 @@ func (e *Engine) executeAt(runs []Run, pos0 int) ([]RunResult, error) {
 				var key RunKey
 				needKey := ckpt != nil || (cfg.Store != nil && !bypass)
 				if needKey {
-					shards := cfg.Shards
-					if shards <= 0 {
-						shards = r.shards
-					}
-					key, scratch = r.ContentKey(KeyMode{Hist: cfg.Hist, Canon: shards > 1}, scratch)
+					_, mode := cfg.execMode(r)
+					key, scratch = r.ContentKey(mode, scratch)
 				}
 
 				if !bypass {
@@ -386,20 +389,8 @@ func (e *Engine) ExecuteSpec(s Spec) ([]RunResult, error) {
 // reused afterwards.
 func executeRun(r Run, cfg Config, simp **simmpi.Sim) RunResult {
 	start := time.Now()
-	out := RunResult{
-		Schema:     SchemaVersion,
-		Index:      r.Index,
-		Campaign:   r.Campaign,
-		App:        r.App,
-		Grid:       r.Grid,
-		Htile:      r.Htile,
-		Machine:    r.Machine,
-		Override:   r.Override,
-		P:          r.P,
-		Iterations: r.Iterations,
-		Collective: r.Collective,
-		Workload:   r.Workload,
-	}
+	var out RunResult
+	out.rehydrate(r)
 	fail := func(err error) RunResult {
 		out.Error = err.Error()
 		out.WallSeconds = time.Since(start).Seconds()
@@ -419,10 +410,7 @@ func executeRun(r Run, cfg Config, simp **simmpi.Sim) RunResult {
 	if err != nil {
 		return fail(err)
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = r.shards
-	}
+	shards, _ := cfg.execMode(r)
 	opt := simmpi.Options{Shards: shards, Obs: cfg.recorderFor(r.Index)}
 	if *simp == nil {
 		s, err := simmpi.NewWithOptions(topo, opt)

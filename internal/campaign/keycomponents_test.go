@@ -38,8 +38,8 @@ func firstRun(t *testing.T, mutate func(*Spec)) Run {
 // TestKeyComponentsMatchContentKey pins KeyComponents against ContentKey:
 // for a catalog of single-dimension spec mutations, the content hash
 // changes exactly when some component value changes, and the changed
-// components are the expected ones. A field added to ContentKey but not to
-// KeyComponents (or vice versa) breaks the equivalence here.
+// components are the expected ones. A field moved to the wrong component,
+// or a key that stops hashing the components' rendering, fails here.
 func TestKeyComponentsMatchContentKey(t *testing.T) {
 	mode := KeyMode{}
 	base := firstRun(t, nil)
@@ -162,5 +162,40 @@ func TestDiffKeyComponentsShapeErrors(t *testing.T) {
 	b := []KeyComponent{{Name: "machine", Value: "x"}}
 	if _, err := DiffKeyComponents(a, b); err == nil {
 		t.Error("name mismatch should error")
+	}
+}
+
+// TestCustomAppDeltaIsOneComponent: a custom app's own workload and
+// convergence are one component each, like a preset's. Its provenance
+// (the app component's src) must not render them a second time.
+func TestCustomAppDeltaIsOneComponent(t *testing.T) {
+	custom := func(mutate func(*config.AppSpec)) []KeyComponent {
+		app := config.Example().App
+		app.Grid = config.GridSpec{Nx: 12, Ny: 12, Nz: 12}
+		mutate(&app)
+		return firstRun(t, func(s *Spec) { s.Apps = []AppDim{{Spec: &app}} }).KeyComponents(KeyMode{})
+	}
+	withSigma := func(sigma float64) func(*config.AppSpec) {
+		return func(a *config.AppSpec) {
+			a.Workload = &config.WorkloadSpec{Dist: workload.DistLognormal, Sigma: sigma, Seed: 1}
+		}
+	}
+	for _, tc := range []struct {
+		name        string
+		base, treat func(*config.AppSpec)
+		want        string
+	}{
+		{"workload sigma", withSigma(0.1), withSigma(0.3), "workload"},
+		{"convergence", func(*config.AppSpec) {}, func(a *config.AppSpec) {
+			a.Convergence = &config.ConvergenceSpec{Bytes: 8, Alg: "ring"}
+		}, "collective"},
+	} {
+		diff, err := DiffKeyComponents(custom(tc.base), custom(tc.treat))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if fmt.Sprint(diff) != fmt.Sprint([]string{tc.want}) {
+			t.Errorf("%s: differing components = %v, want [%s]", tc.name, diff, tc.want)
+		}
 	}
 }

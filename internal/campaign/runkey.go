@@ -7,15 +7,10 @@ import (
 	"strconv"
 )
 
-// RunKey is the content address of one campaign run: the SHA-256 of a
-// canonical serialization of everything that determines the run's result —
-// the application (including a custom spec's full JSON), problem grid, tile
-// height, per-run boundary message sizes, convergence collective, iteration
-// count, the attached workload spec (every distribution, noise and block
-// knob), the machine's LogGP parameters after overrides, node shape and
-// interconnect, the rank count and decomposition, and the two execution-
-// mode bits that change output bytes (histogram collection and the
-// canonical-vs-legacy event order).
+// RunKey is the content address of one campaign run: the SHA-256 of the
+// run's identity rendering (appendIdentity), which covers everything that
+// determines the run's result, from the application to the execution-mode
+// bits that change output bytes.
 //
 // Two runs with the same RunKey produce byte-identical JSONL payloads, so
 // a ResultStore can serve one's cached result for the other. Display-only
@@ -51,82 +46,106 @@ type KeyMode struct {
 	Canon bool
 }
 
+// keyVersion heads the hashed identity. Bump it whenever the rendering
+// changes, so records keyed by an older rendering miss instead of being
+// served for a run they do not describe.
+const keyVersion = "runkey/v2\n"
+
+// componentNames are the identity's components in render order.
+var componentNames = [...]string{"app", "collective", "workload", "machine", "node", "interconnect", "placement", "mode"}
+
 // ContentKey computes the run's content address. The scratch buffer is
 // reused and returned grown, so a caller hashing many runs performs no
 // steady-state allocations; pass nil to let the first call allocate it.
 func (r Run) ContentKey(mode KeyMode, scratch []byte) (RunKey, []byte) {
-	b := scratch[:0]
-	f := func(v float64) {
-		// Hex float formatting is exact: distinct float64 values never
-		// collide, equal values always match.
-		b = strconv.AppendFloat(b, v, 'x', -1, 64)
-		b = append(b, '|')
-	}
-	i := func(v int) {
-		b = strconv.AppendInt(b, int64(v), 10)
-		b = append(b, '|')
-	}
-	s := func(v string) {
-		// Length-prefixed so field boundaries cannot be forged by content.
-		b = strconv.AppendInt(b, int64(len(v)), 10)
-		b = append(b, ':')
-		b = append(b, v...)
-		b = append(b, '|')
-	}
+	var ends [len(componentNames)]int
+	b := r.appendIdentity(append(scratch[:0], keyVersion...), mode, &ends)
+	return sha256.Sum256(b), b
+}
 
-	b = append(b, "runkey/v1|"...)
-	// Application: name + provenance (preset name, or the custom spec's
-	// canonical JSON — which pins every behavior a preset name would).
-	s(r.bm.App.Name)
+// appendIdentity appends the run's identity to b and records in ends the
+// offset just past each component. It is the one list of the fields that
+// determine a run's result bytes: ContentKey hashes the rendering and
+// KeyComponents cuts it at the recorded ends.
+//
+// Each component is a space-separated run of "label=value" fields —
+// strings quoted, floats in exact hex (distinct float64 values never
+// collide), "none" for an absent block — ended by a newline, which no
+// rendered value contains.
+func (r Run) appendIdentity(b []byte, mode KeyMode, ends *[len(componentNames)]int) []byte {
+	f := func(v float64) { b = append(strconv.AppendFloat(b, v, 'x', -1, 64), ' ') }
+	i := func(v int) { b = append(strconv.AppendInt(b, int64(v), 10), ' ') }
+	s := func(v string) { b = append(strconv.AppendQuote(b, v), ' ') }
+	field := func(label string) { b = append(append(b, label...), '=') }
+	comp := 0
+	end := func() {
+		if b[len(b)-1] == ' ' {
+			b = b[:len(b)-1]
+		}
+		b = append(b, '\n')
+		ends[comp] = len(b)
+		comp++
+	}
+	app := r.bm.App
+
+	// app: everything intrinsic to the application at any placement. The
+	// provenance (src) is the preset name or a custom spec's JSON, the
+	// part of the app's behavior a hash of numeric fields cannot see.
+	field("name")
+	s(app.Name)
+	field("src")
 	s(r.appSrc)
-	i(r.bm.App.Grid.Nx)
-	i(r.bm.App.Grid.Ny)
-	i(r.bm.App.Grid.Nz)
-	i(r.bm.App.Htile)
-	f(r.bm.App.WgPre)
-	f(r.bm.App.Wg)
-	i(r.bm.App.NSweeps)
-	i(r.bm.App.NFull)
-	i(r.bm.App.NDiag)
-	i(len(r.bm.Corners))
+	field("grid")
+	i(app.Grid.Nx)
+	i(app.Grid.Ny)
+	i(app.Grid.Nz)
+	field("htile")
+	i(app.Htile)
+	field("wg_pre")
+	f(app.WgPre)
+	field("wg")
+	f(app.Wg)
+	field("sweeps")
+	i(app.NSweeps)
+	i(app.NFull)
+	i(app.NDiag)
+	field("corners")
 	for _, c := range r.bm.Corners {
 		i(int(c))
 	}
-	// Boundary message sizes evaluated at this run's decomposition: the
-	// exact values the schedule will use, capturing the app's sizing
-	// functions without hashing code.
-	if r.bm.App.EWBytes != nil {
-		i(r.bm.App.EWBytes(r.dec, r.bm.App.Htile))
-	} else {
-		i(-1)
-	}
-	if r.bm.App.NSBytes != nil {
-		i(r.bm.App.NSBytes(r.dec, r.bm.App.Htile))
-	} else {
-		i(-1)
-	}
-	i(r.bm.ConvBytes)
-	i(int(r.bm.ConvAlg))
+	field("iterations")
 	i(r.Iterations)
+	end()
 
-	// Workload: every knob of the per-tile compute perturbation. The block
-	// is appended only when a workload is attached, so the keys of all
-	// workload-less runs are unchanged from pre-workload releases and their
-	// cached results stay valid.
+	// collective: the per-iteration convergence all-reduce. Its algorithm
+	// is inert without a payload, so it renders only alongside one.
+	if r.bm.ConvBytes > 0 {
+		field("bytes")
+		i(r.bm.ConvBytes)
+		field("alg")
+		i(int(r.bm.ConvAlg))
+	} else {
+		b = append(b, "none"...)
+	}
+	end()
+
+	// workload: every knob of the per-tile compute perturbation.
 	if wl := r.bm.Workload; wl != nil {
-		b = append(b, "workload|"...)
+		field("dist")
 		s(wl.Dist)
-		b = strconv.AppendUint(b, wl.Seed, 10)
-		b = append(b, '|')
+		field("seed")
+		b = append(strconv.AppendUint(b, wl.Seed, 10), ' ')
+		field("sigma")
 		f(wl.Sigma)
+		field("hot")
 		f(wl.HotFrac)
 		f(wl.HotMul)
 		if n := wl.Noise; n != nil {
-			b = append(b, "noise|"...)
+			field("noise")
 			f(n.Rate)
 			f(n.AmpUS)
 		}
-		i(len(wl.Blocks))
+		field("blocks")
 		for _, blk := range wl.Blocks {
 			f(blk.X0)
 			f(blk.Y0)
@@ -134,44 +153,95 @@ func (r Run) ContentKey(mode KeyMode, scratch []byte) (RunKey, []byte) {
 			f(blk.Y1)
 			f(blk.Mul)
 		}
+	} else {
+		b = append(b, "none"...)
 	}
+	end()
 
-	// Machine: physical parameters only (names excluded — see type doc).
+	// machine: the LogGP parameters after overrides. An override is a
+	// machine perturbation, so it lands here rather than in a component of
+	// its own; its display name is not part of the identity.
 	p := r.mach.Params
+	field("G")
 	f(p.G)
+	field("L")
 	f(p.L)
+	field("o")
 	f(p.O)
+	field("oh")
 	f(p.H)
+	field("Gcopy")
 	f(p.Gcopy)
+	field("Gdma")
 	f(p.Gdma)
+	field("ochip")
 	f(p.Ochip)
+	field("ocopy")
 	f(p.Ocopy)
+	end()
+
+	// node: the on-node organisation.
+	field("cores")
 	i(r.mach.CoresPerNode)
+	field("cx_cy")
 	i(r.mach.Cx)
 	i(r.mach.Cy)
+	field("bus_groups")
 	i(r.mach.BusGroups)
+	end()
+
+	// interconnect: the inter-node fabric.
 	ic := r.mach.Interconnect
+	field("kind")
 	i(int(ic.Kind))
-	i(len(ic.Dims))
+	field("dims")
 	for _, d := range ic.Dims {
 		i(d)
 	}
+	field("leaf_spine")
 	i(ic.LeafRadix)
 	i(ic.Spine)
+	field("linkG")
 	f(ic.LinkG)
+	field("hopL")
 	f(ic.HopL)
+	end()
 
-	// Placement: rank count and decomposition shape.
+	// placement: rank count, decomposition shape, and the boundary message
+	// sizes evaluated at this decomposition — the exact values the schedule
+	// uses, capturing the app's sizing functions without hashing code.
+	// They are placement-derived, so a pure rank-count delta stays one
+	// component.
+	field("p")
 	i(r.P)
+	field("dec")
 	i(r.dec.N)
 	i(r.dec.M)
+	field("ew_bytes")
+	if app.EWBytes != nil {
+		i(app.EWBytes(r.dec, app.Htile))
+	} else {
+		i(-1)
+	}
+	field("ns_bytes")
+	if app.NSBytes != nil {
+		i(app.NSBytes(r.dec, app.Htile))
+	} else {
+		i(-1)
+	}
+	end()
 
-	// Execution-mode bits that change output bytes.
-	if mode.Hist {
-		b = append(b, "hist|"...)
+	// mode: the execution-mode bits that change output bytes.
+	bit := func(label string, on bool) {
+		field(label)
+		if on {
+			i(1)
+		} else {
+			i(0)
+		}
 	}
-	if mode.Canon {
-		b = append(b, "canon|"...)
-	}
-	return sha256.Sum256(b), b
+	bit("hist", mode.Hist)
+	bit("canon", mode.Canon)
+	end()
+	return b
 }

@@ -197,8 +197,9 @@ func withSeed(s campaign.Spec, seed uint64) campaign.Spec {
 // in exactly one content-key component — the same component for all pairs.
 // It returns the delta, or an error naming the offending pair and
 // components (a two-dimension experiment is an error, as is a
-// zero-dimension one: identical arms measure nothing).
-func (e Experiment) CheckDelta(seed uint64, mode campaign.KeyMode) (Delta, error) {
+// zero-dimension one: identical arms measure nothing). Both arms share the
+// execution-mode bits, so the mode component is never the delta.
+func (e Experiment) CheckDelta(seed uint64) (Delta, error) {
 	base, err := withSeed(e.Baseline, seed).Expand()
 	if err != nil {
 		return Delta{}, fmt.Errorf("hypothesis: %s baseline: %w", e.ID, err)
@@ -216,8 +217,8 @@ func (e Experiment) CheckDelta(seed uint64, mode campaign.KeyMode) (Delta, error
 	}
 	var delta Delta
 	for i := range base {
-		bc := base[i].KeyComponents(mode)
-		tc := treat[i].KeyComponents(mode)
+		bc := base[i].KeyComponents(campaign.KeyMode{})
+		tc := treat[i].KeyComponents(campaign.KeyMode{})
 		diff, err := campaign.DiffKeyComponents(bc, tc)
 		if err != nil {
 			return Delta{}, fmt.Errorf("hypothesis: %s pair %d: %w", e.ID, i, err)

@@ -76,14 +76,10 @@ func Run(e Experiment, cfg Config) (*Report, error) {
 		Seeds:      append([]uint64(nil), e.Seeds...),
 	}
 
-	// The sharded engine always executes in canonical event order, so the
-	// components are diffed under the same mode bits the runs are keyed by.
-	mode := campaign.KeyMode{Canon: true}
-
 	violations := map[string][]string{}
 	var perSeed []float64
 	for _, seed := range e.Seeds {
-		delta, err := e.CheckDelta(seed, mode)
+		delta, err := e.CheckDelta(seed)
 		if err != nil {
 			return nil, err
 		}

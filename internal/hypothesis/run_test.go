@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-
-	"repro/internal/campaign"
 )
 
 // TestRunEndToEnd executes the small rank-count experiment and checks the
@@ -141,7 +139,7 @@ func TestBuiltinSuiteWellFormed(t *testing.T) {
 			continue
 		}
 		for _, seed := range e.Seeds {
-			if _, err := e.CheckDelta(seed, campaign.KeyMode{Canon: true}); err != nil {
+			if _, err := e.CheckDelta(seed); err != nil {
 				t.Errorf("%s seed %d: %v", e.ID, seed, err)
 			}
 		}
