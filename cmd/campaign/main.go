@@ -8,7 +8,7 @@
 //
 //	campaign -spec sweep.json [-workers N] [-shards K] [-out runs.jsonl] [-filter expr]
 //	campaign -builtin example            # small built-in demonstration sweep
-//	campaign -builtin flagship           # the 240-run design-space sweep
+//	campaign -builtin flagship           # the 360-run design-space sweep
 //	campaign -spec sweep.json -list      # show the expanded runs, don't execute
 //	campaign -print-spec example         # print a built-in spec as JSON
 //
@@ -18,15 +18,15 @@
 //
 // Serving-layer features (see campaign.Config):
 //
-//	-cache-dir DIR   memoize results by content address in DIR/cache.jsonl;
-//	                 re-running an overlapping sweep serves repeated runs
-//	                 from the cache, byte-identical to cold execution
+//	-cache-dir DIR   memoize results by content address in the store
+//	                 directory DIR (one cache*.jsonl file per writer);
+//	                 runs found there are served byte-identical to cold
+//	                 execution, so a killed campaign rerun resumes
 //	-range I/N       execute only slice I of N of the filtered run list
 //	                 (deterministic partitioning for multi-process sweeps)
-//	-checkpoint DIR  append each finished row to a per-range checkpoint
-//	                 file; re-running after a crash resumes where it died
-//	-merge           reassemble the full -out JSONL from DIR's checkpoints
-//	                 (byte-identical to a single-process run) and exit
+//	-merge           write the full -out JSONL from -cache-dir without
+//	                 simulating (byte-identical to a single-process run);
+//	                 give it the parts' -hist and -shards
 //
 // Observability: -hist attaches duration histograms to every run (a
 // "hists" field per JSONL row), while -chrome-trace and -sample-every
@@ -39,10 +39,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -54,148 +55,172 @@ import (
 	"repro/internal/prof"
 )
 
-func main() {
-	specPath := flag.String("spec", "", "campaign spec file (JSON)")
-	builtin := flag.String("builtin", "", "run a built-in campaign: "+strings.Join(campaign.BuiltinNames(), ", "))
-	printSpec := flag.String("print-spec", "", "print a built-in campaign spec as JSON and exit")
-	list := flag.Bool("list", false, "list the expanded runs without executing")
-	filter := flag.String("filter", "", "restrict runs, e.g. \"app=LU,p=64|256,override=baseline\"")
-	workers := cliflags.RegisterWorkers(flag.CommandLine)
-	shards := cliflags.RegisterShards(flag.CommandLine, 0)
-	out := flag.String("out", "", "write per-run results as JSONL to this file")
-	rangeSpec := flag.String("range", "", "execute slice I of N of the run list, e.g. 0/4")
-	ckptDir := flag.String("checkpoint", "", "checkpoint finished rows into this directory and resume from it")
-	merge := flag.Bool("merge", false, "merge -checkpoint files into -out and exit (requires both flags)")
-	cacheDir := flag.String("cache-dir", "", "content-addressed result cache directory (cache.jsonl inside it)")
-	obsFlags := cliflags.RegisterObs(flag.CommandLine)
-	quiet := flag.Bool("quiet", false, "suppress the progress ticker and summary tables")
-	pf := prof.Register(flag.CommandLine)
-	flag.Parse()
+// campaignFlags is the command's flag surface; registration is separated
+// from run so tests can pin the inventory.
+type campaignFlags struct {
+	spec, builtin, printSpec *string
+	list                     *bool
+	filter                   *string
+	workers, shards          *int
+	out, rangeSpec           *string
+	merge                    *bool
+	cacheDir                 *string
+	obs                      *cliflags.ObsFlags
+	quiet                    *bool
+	prof                     *prof.Flags
+}
 
-	stopProf, err := pf.Start()
-	if err != nil {
-		fail(err)
+func registerFlags(fs *flag.FlagSet) campaignFlags {
+	return campaignFlags{
+		spec:      fs.String("spec", "", "campaign spec file (JSON)"),
+		builtin:   fs.String("builtin", "", "run a built-in campaign: "+strings.Join(campaign.BuiltinNames(), ", ")),
+		printSpec: fs.String("print-spec", "", "print a built-in campaign spec as JSON and exit"),
+		list:      fs.Bool("list", false, "list the expanded runs without executing"),
+		filter:    fs.String("filter", "", "restrict runs, e.g. \"app=LU,p=64|256,override=baseline\""),
+		workers:   cliflags.RegisterWorkers(fs),
+		shards:    cliflags.RegisterShards(fs, 0),
+		out:       fs.String("out", "", "write per-run results as JSONL to this file"),
+		rangeSpec: fs.String("range", "", "execute slice I of N of the run list, e.g. 0/4"),
+		merge:     fs.Bool("merge", false, "write -out from the -cache-dir store without simulating, and exit (give it the parts' -hist and -shards)"),
+		cacheDir:  fs.String("cache-dir", "", "content-addressed result store directory; finished runs are hits, so a rerun resumes"),
+		obs:       cliflags.RegisterObs(fs),
+		quiet:     fs.Bool("quiet", false, "suppress the progress ticker and summary tables"),
+		prof:      prof.Register(fs),
 	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fail(err)
-		}
-	}()
+}
 
-	if *printSpec != "" {
-		spec, ok := campaign.Builtin(*printSpec)
+func main() {
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(2)
+	}
+	if err != nil {
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "campaign:") {
+			msg = "campaign: " + msg
+		}
+		fmt.Fprintln(os.Stderr, msg)
+		os.Exit(1)
+	}
+}
+
+// run is the command body. It returns rather than exiting, so the
+// deferred profile flush and store close run on every path, and the
+// store's first failed append fails the command.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
+	f := registerFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	stopProf, err := f.prof.Start()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProf()) }()
+
+	if *f.printSpec != "" {
+		spec, ok := campaign.Builtin(*f.printSpec)
 		if !ok {
-			fail(fmt.Errorf("unknown built-in campaign %q (want %s)", *printSpec, strings.Join(campaign.BuiltinNames(), ", ")))
+			return fmt.Errorf("unknown built-in campaign %q (want %s)", *f.printSpec, strings.Join(campaign.BuiltinNames(), ", "))
 		}
 		data, err := json.MarshalIndent(spec, "", "  ")
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Println(string(data))
-		return
+		fmt.Fprintln(stdout, string(data))
+		return nil
 	}
 
 	var spec campaign.Spec
 	switch {
-	case *specPath != "" && *builtin != "":
-		fail(fmt.Errorf("use -spec or -builtin, not both"))
-	case *specPath != "":
-		s, err := campaign.LoadSpec(*specPath)
-		if err != nil {
-			fail(err)
+	case *f.spec != "" && *f.builtin != "":
+		return fmt.Errorf("use -spec or -builtin, not both")
+	case *f.spec != "":
+		if spec, err = campaign.LoadSpec(*f.spec); err != nil {
+			return err
 		}
-		spec = s
-	case *builtin != "":
-		s, ok := campaign.Builtin(*builtin)
+	case *f.builtin != "":
+		s, ok := campaign.Builtin(*f.builtin)
 		if !ok {
-			fail(fmt.Errorf("unknown built-in campaign %q (want %s)", *builtin, strings.Join(campaign.BuiltinNames(), ", ")))
+			return fmt.Errorf("unknown built-in campaign %q (want %s)", *f.builtin, strings.Join(campaign.BuiltinNames(), ", "))
 		}
 		spec = s
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return flag.ErrHelp
 	}
 
-	// The expansion is needed up front for -list, -merge (total run count)
-	// and flight-recorder targeting; execution re-expands inside
-	// ExecuteSpec, which is cheap and keeps one code path.
+	// The expansion is needed up front for -list, the ticker's total and
+	// flight-recorder targeting; execution re-expands inside ExecuteSpec,
+	// which is cheap and keeps one code path.
 	runs, err := spec.Expand()
 	if err != nil {
-		fail(err)
+		return err
 	}
-	if *filter != "" {
-		f, err := campaign.ParseFilter(*filter)
+	if *f.filter != "" {
+		flt, err := campaign.ParseFilter(*f.filter)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		runs = f.Apply(runs)
+		runs = flt.Apply(runs)
 	}
 	if len(runs) == 0 {
-		fail(fmt.Errorf("campaign %q has no runs after filtering", spec.Name))
+		return fmt.Errorf("campaign %q has no runs after filtering", spec.Name)
 	}
 
-	if *list {
+	if *f.list {
 		for _, r := range runs {
-			fmt.Printf("%4d  %s\n", r.Index, r.Key())
+			fmt.Fprintf(stdout, "%4d  %s\n", r.Index, r.Key())
 		}
-		fmt.Printf("%d runs\n", len(runs))
-		return
+		fmt.Fprintf(stdout, "%d runs\n", len(runs))
+		return nil
 	}
 
-	if *merge {
-		if *ckptDir == "" || *out == "" {
-			fail(fmt.Errorf("-merge needs -checkpoint and -out"))
-		}
-		if err := obs.EnsureParent(*out); err != nil {
-			fail(err)
-		}
-		f, err := os.Create(*out)
-		if err != nil {
-			fail(err)
-		}
-		if err := campaign.MergeCheckpoints(*ckptDir, len(runs), f); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		if !*quiet {
-			fmt.Printf("merged %d runs from %s into %s\n", len(runs), *ckptDir, *out)
-		}
-		return
-	}
-
-	cfg := campaign.Config{
-		Workers:       *workers,
-		Shards:        *shards,
-		Hist:          obsFlags.Hist,
-		Filter:        *filter,
-		Output:        *out,
-		CheckpointDir: *ckptDir,
-	}
-	part, parts, err := parseRange(*rangeSpec)
+	part, parts, err := parseRange(*f.rangeSpec)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	cfg.RangePart, cfg.RangeParts = part, parts
+	cfg := campaign.Config{
+		Workers:    *f.workers,
+		Shards:     *f.shards,
+		Hist:       f.obs.Hist,
+		Filter:     *f.filter,
+		RangePart:  part,
+		RangeParts: parts,
+	}
+	if *f.merge && (*f.cacheDir == "" || *f.out == "") {
+		return fmt.Errorf("-merge needs -cache-dir and -out")
+	}
 
 	var store *campaign.DiskStore
-	if *cacheDir != "" {
-		store, err = campaign.OpenDiskStore(filepath.Join(*cacheDir, "cache.jsonl"))
+	if *f.cacheDir != "" {
+		store, err = campaign.OpenDiskStore(*f.cacheDir, campaign.StoreFile(part, parts))
 		if err != nil {
-			fail(err)
+			return err
 		}
-		defer store.Close()
+		defer func() { err = errors.Join(err, store.Close()) }()
 		cfg.Store = store
 	}
 
-	rec := obsFlags.Recorder()
+	if *f.merge {
+		if err := merge(cfg, spec, *f.out); err != nil {
+			return err
+		}
+		if !*f.quiet {
+			fmt.Fprintf(stdout, "merged %d runs from %s into %s\n", len(runs), *f.cacheDir, *f.out)
+		}
+		return nil
+	}
+	cfg.Output = *f.out
+
+	rec := f.obs.Recorder()
 	if rec != nil {
 		cfg.Obs = rec
 		cfg.ObsRun = runs[0].Index // flight-record the first filtered run
 	}
-	if !*quiet {
+	if !*f.quiet {
 		// The ticker counts this process's slice of the filtered runs.
 		total := len(runs)
 		if rs := campaign.Ranges(len(runs), parts); part < len(rs) {
@@ -215,13 +240,13 @@ func main() {
 
 	eng, err := campaign.NewEngine(cfg)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	start := time.Now()
 	results, err := eng.ExecuteSpec(spec)
 	wall := time.Since(start)
 	if err != nil {
-		fail(err)
+		return err
 	}
 
 	// A range that excludes the flight-recorded run leaves the recorder
@@ -234,30 +259,50 @@ func main() {
 			hi := results[len(results)-1].Index + 1
 			pathFn = func(p string) string { return obs.RangePath(p, lo, hi) }
 		}
-		if err := obsFlags.WriteArtifacts(rec, pathFn); err != nil {
-			fail(err)
+		if err := f.obs.WriteArtifacts(rec, pathFn); err != nil {
+			return err
 		}
 	}
 
-	if !*quiet {
-		campaign.RenderSummary(os.Stdout, spec.Name, results, campaign.Summarize(results))
+	if !*f.quiet {
+		campaign.RenderSummary(stdout, spec.Name, results, campaign.Summarize(results))
 		w := cfg.Workers
 		if w <= 0 {
 			w = runtime.GOMAXPROCS(0)
 		}
 		st := eng.Stats()
-		fmt.Printf("  wall time: %.2fs with %d workers (%.0f runs/s)\n",
+		fmt.Fprintf(stdout, "  wall time: %.2fs with %d workers (%.0f runs/s)\n",
 			wall.Seconds(), w, float64(len(results))/wall.Seconds())
-		if st.CacheHits > 0 || st.CheckpointHits > 0 {
-			fmt.Printf("  served: %d simulated, %d cache hits, %d checkpoint hits\n",
-				st.Simulated, st.CacheHits, st.CheckpointHits)
+		if st.CacheHits > 0 {
+			fmt.Fprintf(stdout, "  served: %d simulated, %d cache hits\n", st.Simulated, st.CacheHits)
 		}
 		if store != nil {
 			cs := store.Stats()
-			fmt.Printf("  cache: %d entries, %d hits / %d misses this invocation\n",
+			fmt.Fprintf(stdout, "  cache: %d entries, %d hits / %d misses this invocation\n",
 				cs.Entries, cs.Hits, cs.Misses)
 		}
 	}
+	return nil
+}
+
+// merge writes the whole campaign's JSONL from cfg's store to out.
+func merge(cfg campaign.Config, spec campaign.Spec, out string) error {
+	eng, err := campaign.NewEngine(cfg)
+	if err != nil {
+		return err
+	}
+	if err := obs.EnsureParent(out); err != nil {
+		return err
+	}
+	file, err := os.Create(out)
+	if err != nil {
+		return err
+	}
+	if err := eng.Merge(spec, file); err != nil {
+		file.Close()
+		return fmt.Errorf("%w; -merge must be given the parts' -hist and -shards, which are part of every run key", err)
+	}
+	return file.Close()
 }
 
 // parseRange parses the -range I/N syntax; empty means the whole list.
@@ -288,13 +333,4 @@ func rangeContains(results []campaign.RunResult, index int) bool {
 		}
 	}
 	return false
-}
-
-func fail(err error) {
-	msg := err.Error()
-	if !strings.HasPrefix(msg, "campaign:") {
-		msg = "campaign: " + msg
-	}
-	fmt.Fprintln(os.Stderr, msg)
-	os.Exit(1)
 }

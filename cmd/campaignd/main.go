@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	campaignd [-addr :8080] [-workers N] [-shards K] [-cache-size N] [-cache-dir DIR]
+//	campaignd [-addr :8080] [-workers N] [-shards K] [-cache-size N | -cache-dir DIR]
 //
 // Endpoints:
 //
@@ -22,9 +22,12 @@
 // Every JSON response and JSONL row carries a "schema_version" field; see
 // the README's campaign-service section for the compatibility rule.
 //
-// With -cache-dir the cache is tiered: an in-memory LRU in front of a
-// persistent JSONL file in that directory, so a restarted daemon keeps its
-// accumulated results.
+// With -cache-dir the cache is a disk store over that directory: it loads
+// every cache*.jsonl file there — the files of `campaign -cache-dir` runs
+// and range parts included — and appends to cache.jsonl, so a restarted
+// daemon keeps its accumulated results. The disk store holds every record
+// in memory, so -cache-size, which bounds the in-memory LRU used without
+// -cache-dir, is refused next to it.
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: in-flight responses
 // get a drain window, then the disk cache and profiles are flushed and
@@ -40,7 +43,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -67,8 +69,8 @@ func registerFlags(fs *flag.FlagSet) daemonFlags {
 		workers:   cliflags.RegisterWorkers(fs),
 		shards:    cliflags.RegisterShards(fs, 0),
 		hist:      cliflags.RegisterHist(fs),
-		cacheSize: fs.Int("cache-size", 0, "in-memory cache capacity in results (default 65536)"),
-		cacheDir:  fs.String("cache-dir", "", "persist the cache to cache.jsonl in this directory (tiered under the in-memory LRU)"),
+		cacheSize: fs.Int("cache-size", 0, "in-memory cache capacity in results, without -cache-dir (default 65536)"),
+		cacheDir:  fs.String("cache-dir", "", "persist the cache in this store directory: load every cache*.jsonl file, append to cache.jsonl"),
 		prof:      prof.Register(fs),
 	}
 }
@@ -101,12 +103,15 @@ func run(args []string, ready chan<- string, stop <-chan struct{}) (err error) {
 
 	var store campaign.ResultStore = campaign.NewMemoryStore(*f.cacheSize)
 	if *f.cacheDir != "" {
-		disk, derr := campaign.OpenDiskStore(filepath.Join(*f.cacheDir, "cache.jsonl"))
+		if *f.cacheSize != 0 {
+			return errors.New("-cache-size bounds the in-memory cache, and -cache-dir keeps every result in memory: give one or the other")
+		}
+		disk, derr := campaign.OpenDiskStore(*f.cacheDir, campaign.StoreFile(0, 1))
 		if derr != nil {
 			return derr
 		}
 		defer func() { err = errors.Join(err, disk.Close()) }()
-		store = campaign.NewTieredStore(store, disk)
+		store = disk
 	}
 
 	srv, err := campaign.NewServer(campaign.Config{

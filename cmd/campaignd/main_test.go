@@ -92,6 +92,16 @@ func TestRunListenError(t *testing.T) {
 	}
 }
 
+// TestCacheSizeRefusedWithCacheDir: -cache-size bounds only the in-memory
+// LRU, so next to -cache-dir it would be silently ignored; it is refused
+// before anything listens.
+func TestCacheSizeRefusedWithCacheDir(t *testing.T) {
+	err := run([]string{"-addr", "127.0.0.1:0", "-cache-dir", t.TempDir(), "-cache-size", "10"}, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "-cache-size") {
+		t.Fatalf("run = %v, want -cache-size refused next to -cache-dir", err)
+	}
+}
+
 // TestFlagInventory pins campaignd's flag surface and checks the shared
 // flags carry the shared registry's help text — a drift back to an inline
 // definition (the old -hist bug) fails here.

@@ -9,10 +9,11 @@
 // determines its bytes (and nothing that doesn't, like display labels).
 //
 // The same machinery backs multi-process sweeps on one machine or many:
-// `campaign -range i/N -checkpoint DIR` executes a deterministic slice of
-// the run list with per-range checkpoint files, a killed process resumes
-// where it died, and `campaign -merge` reassembles output byte-identical
-// to a single-process run.
+// `campaign -range i/N -cache-dir DIR` executes a deterministic slice of
+// the run list into a shared store directory (one file per part), a
+// killed process rerun over DIR finds its finished runs as cache hits, and
+// `campaign -merge -cache-dir DIR` writes output byte-identical to a
+// single-process run without simulating.
 package main
 
 import (

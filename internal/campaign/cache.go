@@ -3,11 +3,11 @@ package campaign
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
-
-	"repro/internal/obs"
 )
 
 // ResultStore memoizes run results by content address, so overlapping or
@@ -159,43 +159,118 @@ type cacheRecord struct {
 	Row    json.RawMessage `json:"row"`
 }
 
-// DiskStore is a ResultStore backed by an append-only JSONL file: one
-// {"schema_version", "key", "row"} object per memoized result, fully
-// indexed in memory at open. Puts append and flush immediately, so a
-// killed process loses at most the line being written — and the loader
-// skips that torn tail, which the next open ends with a newline. The file
-// is shared-nothing: one process owns it at a time.
+// storeFiles matches the names of the files a DiskStore loads from its
+// directory.
+const storeFiles = "cache*.jsonl"
+
+// StoreFile names the file that range part `part` of `parts` appends to in
+// a shared store directory: cache.jsonl for a whole campaign, otherwise
+// cache-I-of-N.jsonl, so that concurrent parts never share a file.
+func StoreFile(part, parts int) string {
+	if parts <= 1 {
+		return "cache.jsonl"
+	}
+	return fmt.Sprintf("cache-%d-of-%d.jsonl", part, parts)
+}
+
+// DiskStore is a ResultStore backed by a directory of append-only JSONL
+// files: one {"schema_version", "key", "row"} object per memoized result,
+// all of them indexed in memory at open. Each process sharing the
+// directory appends to a file of its own (see StoreFile), so concurrent
+// writers never share a file, and the next open loads every writer's
+// records.
+//
+// Puts append and flush immediately, so a killed process loses at most
+// the line being written: the loader skips that torn tail, and the next
+// open of the file ends it with a newline. Because records are addressed
+// by content, the directory is also a campaign's resume point and merge
+// source: a restarted campaign finds its finished runs as hits, and
+// Engine.Merge assembles a ranged campaign's output from them.
 type DiskStore struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
-	m    map[RunKey]RunResult
+	mu  sync.Mutex
+	f   *os.File
+	m   map[RunKey]RunResult
+	err error // the first failed append, returned by Close
 
 	hits, misses, puts uint64
 }
 
-// OpenDiskStore opens (creating if needed, parents included) a disk-backed
-// store and loads its index.
-func OpenDiskStore(path string) (*DiskStore, error) {
-	if err := obs.EnsureParent(path); err != nil {
-		return nil, fmt.Errorf("campaign: cache %s: %w", path, err)
+// OpenDiskStore opens the store directory dir, creating it (parents
+// included) if needed. It loads every cache*.jsonl file in dir and
+// appends only to dir/name, which must match cache*.jsonl itself so that
+// a later open loads it.
+func OpenDiskStore(dir, name string) (*DiskStore, error) {
+	if ok, _ := filepath.Match(storeFiles, name); !ok {
+		return nil, fmt.Errorf("campaign: cache file %q does not match %s", name, storeFiles)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("campaign: cache: %w", err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, name), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: cache: %w", err)
 	}
-	d := &DiskStore{path: path, f: f, m: make(map[RunKey]RunResult)}
+	d := &DiskStore{f: f, m: make(map[RunKey]RunResult)}
+	err = terminateLine(f)
+	if err == nil {
+		err = d.load(dir)
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("campaign: cache %s: %w", dir, err)
+	}
+	return d, nil
+}
+
+// terminateLine ends a torn last line — a record a killed writer left
+// half-written — with a newline, so the next appended record starts a line
+// of its own instead of being glued onto the fragment and skipped with it
+// by the loader.
+func terminateLine(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil || st.Size() == 0 {
+		return err
+	}
+	last := []byte{0}
+	if _, err := f.ReadAt(last, st.Size()-1); err != nil {
+		return err
+	}
+	if last[0] != '\n' {
+		_, err = f.Write([]byte{'\n'})
+	}
+	return err
+}
+
+// load indexes the records of every store file in dir, in name order.
+func (d *DiskStore) load(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if ok, _ := filepath.Match(storeFiles, e.Name()); !ok || e.IsDir() {
+			continue
+		}
+		if err := d.loadFile(filepath.Join(dir, e.Name())); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (d *DiskStore) loadFile(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
 		var rec cacheRecord
-		if json.Unmarshal(line, &rec) != nil || rec.Schema != SchemaVersion {
-			// A torn tail from a killed writer, or a future schema: skip —
-			// the worst case is re-simulating a run.
+		if json.Unmarshal(sc.Bytes(), &rec) != nil || rec.Schema != SchemaVersion {
+			// A blank line, a torn tail from a killed writer, or a future
+			// schema: skip — the worst case is re-simulating a run.
 			continue
 		}
 		key, err := ParseRunKey(rec.Key)
@@ -208,15 +283,7 @@ func OpenDiskStore(path string) (*DiskStore, error) {
 		}
 		d.m[key] = res
 	}
-	err = sc.Err()
-	if err == nil {
-		err = terminateLine(f)
-	}
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("campaign: cache %s: %w", path, err)
-	}
-	return d, nil
+	return sc.Err()
 }
 
 // Get implements ResultStore.
@@ -232,23 +299,31 @@ func (d *DiskStore) Get(key RunKey) (RunResult, bool) {
 	return res, ok
 }
 
-// Put implements ResultStore, appending the record before indexing it so
-// the in-memory view never claims more than the file holds.
+// Put implements ResultStore. It appends the record before indexing it,
+// so the in-memory view never claims more than the files hold, and skips
+// a key that is already indexed: its record on disk has the same content.
+// A failed append is kept for Close to return — the store is a campaign's
+// resume point, so a record it lost must fail the campaign.
 func (d *DiskStore) Put(key RunKey, res RunResult) {
 	row, err := json.Marshal(&res)
-	if err != nil {
-		return
+	var rec []byte
+	if err == nil {
+		rec, err = json.Marshal(cacheRecord{Schema: SchemaVersion, Key: key.String(), Row: row})
 	}
-	rec, err := json.Marshal(cacheRecord{Schema: SchemaVersion, Key: key.String(), Row: row})
-	if err != nil {
-		return
-	}
-	rec = append(rec, '\n')
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.puts++
-	if _, err := d.f.Write(rec); err != nil {
-		return // cache is best-effort: a full disk degrades to misses
+	if _, ok := d.m[key]; ok {
+		return
+	}
+	if err == nil {
+		_, err = d.f.Write(append(rec, '\n'))
+	}
+	if err != nil {
+		if d.err == nil {
+			d.err = fmt.Errorf("campaign: cache: %w", err)
+		}
+		return
 	}
 	d.m[key] = res
 }
@@ -264,68 +339,10 @@ func (d *DiskStore) Stats() CacheStats {
 	}
 }
 
-// Close flushes and closes the backing file. The store must not be used
-// afterwards.
+// Close closes the store's file and returns the first failed append, if
+// any. The store must not be used afterwards.
 func (d *DiskStore) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.f.Close()
-}
-
-// TieredStore layers a small fast store (typically a MemoryStore) over a
-// larger persistent one (typically a DiskStore): gets probe fast first and
-// promote slow hits, puts write through to both. Its stats count the
-// tiered view — a hit in either layer is one hit.
-type TieredStore struct {
-	fast, slow ResultStore
-	mu         sync.Mutex
-	hits       uint64
-	misses     uint64
-	puts       uint64
-}
-
-// NewTieredStore layers fast over slow.
-func NewTieredStore(fast, slow ResultStore) *TieredStore {
-	return &TieredStore{fast: fast, slow: slow}
-}
-
-// Get implements ResultStore.
-func (t *TieredStore) Get(key RunKey) (RunResult, bool) {
-	res, ok := t.fast.Get(key)
-	if !ok {
-		res, ok = t.slow.Get(key)
-		if ok {
-			t.fast.Put(key, res)
-		}
-	}
-	t.mu.Lock()
-	if ok {
-		t.hits++
-	} else {
-		t.misses++
-	}
-	t.mu.Unlock()
-	return res, ok
-}
-
-// Put implements ResultStore.
-func (t *TieredStore) Put(key RunKey, res RunResult) {
-	t.mu.Lock()
-	t.puts++
-	t.mu.Unlock()
-	t.fast.Put(key, res)
-	t.slow.Put(key, res)
-}
-
-// Stats implements ResultStore. Entries reports the persistent layer's
-// count — the fast layer is a subset view.
-func (t *TieredStore) Stats() CacheStats {
-	t.mu.Lock()
-	hits, misses, puts := t.hits, t.misses, t.puts
-	t.mu.Unlock()
-	return CacheStats{
-		Schema: SchemaVersion,
-		Hits:   hits, Misses: misses, Puts: puts,
-		Entries: t.slow.Stats().Entries,
-	}
+	return errors.Join(d.err, d.f.Close())
 }

@@ -277,7 +277,8 @@ func TestSummarize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := newEngine(t, Config{Workers: 4}).ExecuteSpec(s)
+	store := NewMemoryStore(0)
+	res, err := newEngine(t, Config{Workers: 4, Store: store}).ExecuteSpec(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,8 +310,22 @@ func TestSummarize(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	RenderSummary(&buf, s.Name, res, sums)
-	if !strings.Contains(buf.String(), "campaign unit: 16 runs") {
-		t.Errorf("summary render:\n%s", buf.String())
+	if out := buf.String(); !strings.Contains(out, "campaign unit: 16 runs") ||
+		!strings.Contains(out, "total simulated work: 16 runs,") {
+		t.Errorf("summary render:\n%s", out)
+	}
+
+	// Warm: every row is served from the store, so the footer has no
+	// simulator time to divide by.
+	warm, err := newEngine(t, Config{Workers: 4, Store: store}).ExecuteSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	RenderSummary(&buf, s.Name, warm, Summarize(warm))
+	if out := buf.String(); !strings.Contains(out, "campaign unit: 16 runs") ||
+		!strings.HasSuffix(out, "\n  no runs simulated\n") {
+		t.Errorf("warm summary render:\n%s", out)
 	}
 }
 

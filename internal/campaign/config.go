@@ -8,8 +8,8 @@ import (
 )
 
 // SchemaVersion is the version of every JSON artifact the campaign layer
-// emits: JSONL result rows, checkpoint and cache records, and campaignd
-// HTTP responses, all of which carry it as a "schema_version" field.
+// emits: JSONL result rows, cache records, and campaignd HTTP responses,
+// all of which carry it as a "schema_version" field.
 // Compatibility rule: within one version, fields are only ever added, and
 // existing fields keep their names, types and semantics; readers must
 // ignore fields they do not know. Any change that renames, removes or
@@ -20,8 +20,8 @@ const SchemaVersion = 1
 // Config is the complete configuration of a campaign Engine.
 // It consolidates the knobs the engine accreted over time (worker pool,
 // shard override, histograms, flight recorder, result hook) with the
-// serving-layer features (result cache, run-range partitioning,
-// checkpointing, output path), so the CLI and the campaignd server are
+// serving-layer features (result store, run-range partitioning, output
+// path), so the CLI and the campaignd server are
 // thin frontends over one validated struct. Build one as a literal and hand
 // it to NewEngine — the single place configurations are validated.
 type Config struct {
@@ -35,8 +35,9 @@ type Config struct {
 
 	// Obs, if non-nil, is attached as the flight recorder of the single
 	// run whose expansion Index equals ObsRun. That run always executes
-	// in the simulator — caches and checkpoints are bypassed for it — so
-	// its artifacts are produced even on a fully warm cache.
+	// in the simulator — the store is not asked for it, though its result
+	// is stored — so its artifacts are produced even on a fully warm
+	// cache.
 	Obs    *obs.Recorder
 	ObsRun int
 
@@ -56,15 +57,10 @@ type Config struct {
 
 	// Store, if non-nil, memoizes results by content address (RunKey):
 	// runs whose key hits the store are served from it instead of the
-	// simulator, byte-identical to a cold run.
+	// simulator, byte-identical to a cold run. A persistent store (a
+	// DiskStore) is also how a killed campaign resumes — its finished
+	// runs are hits — and what Engine.Merge reads.
 	Store ResultStore
-
-	// CheckpointDir, if non-empty, makes ExecuteSpec append each finished
-	// row to a per-range checkpoint file in this directory and, on start,
-	// skip runs already checkpointed with a matching content key. A killed
-	// campaign re-run with the same spec and directory resumes where it
-	// died; MergeCheckpoints reassembles the full output.
-	CheckpointDir string
 
 	// Output, if non-empty, is the JSONL path ExecuteSpec writes. The file
 	// is created before any run executes, so an unwritable path fails
@@ -92,6 +88,47 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// Range is a half-open [Lo, Hi) slice of a campaign's expanded run indices.
+// Campaigns shard across processes by range: each process executes one
+// range into a shared store directory, and Engine.Merge reassembles the
+// full JSONL from the store. Rows are addressed by content and written in
+// global index order, so the merged file is byte-identical however the
+// index space was partitioned.
+type Range struct {
+	Lo int `json:"lo"`
+	Hi int `json:"hi"`
+}
+
+// Len is the number of runs in the range.
+func (r Range) Len() int { return r.Hi - r.Lo }
+
+// Ranges partitions [0, n) into k contiguous ranges whose sizes differ by
+// at most one (the first n%k ranges get the extra run). k is clamped to
+// [1, n] for n > 0; Ranges(0, k) is empty.
+func Ranges(n, k int) []Range {
+	if n <= 0 {
+		return nil
+	}
+	if k < 1 {
+		k = 1
+	}
+	if k > n {
+		k = n
+	}
+	out := make([]Range, 0, k)
+	base, extra := n/k, n%k
+	lo := 0
+	for i := 0; i < k; i++ {
+		size := base
+		if i < extra {
+			size++
+		}
+		out = append(out, Range{Lo: lo, Hi: lo + size})
+		lo += size
+	}
+	return out
+}
+
 // recorderFor resolves the flight recorder for a run, or nil.
 func (c Config) recorderFor(index int) *obs.Recorder {
 	if c.Obs != nil && index == c.ObsRun {
@@ -108,8 +145,7 @@ func (c Config) recorderFor(index int) *obs.Recorder {
 
 // ExecStats count what the engine did across its Execute/ExecuteSpec
 // calls: how many runs it was asked for, and how each was satisfied. Runs
-// = Simulated + CacheHits + CheckpointHits for campaigns that completed
-// without error.
+// = Simulated + CacheHits for campaigns that completed without error.
 type ExecStats struct {
 	Schema int `json:"schema_version"`
 	// Runs is the number of runs dispatched.
@@ -118,7 +154,10 @@ type ExecStats struct {
 	Simulated int `json:"simulated"`
 	// CacheHits is the number served from the result store.
 	CacheHits int `json:"cache_hits"`
-	// CheckpointHits is the number recovered from checkpoint files.
+	// CheckpointHits is always 0: resumed runs are cache hits now that
+	// the result store is the only persistent state. The field stays
+	// because schema v1 never removes a field from campaignd's status
+	// JSON.
 	CheckpointHits int `json:"checkpoint_hits"`
 }
 
@@ -134,7 +173,6 @@ func (c *execCounters) add(delta ExecStats) {
 	c.s.Runs += delta.Runs
 	c.s.Simulated += delta.Simulated
 	c.s.CacheHits += delta.CacheHits
-	c.s.CheckpointHits += delta.CheckpointHits
 	c.mu.Unlock()
 }
 

@@ -1,8 +1,8 @@
 package campaign
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sync"
@@ -80,8 +80,8 @@ type RunResult struct {
 	Error string `json:"error,omitempty"`
 
 	// WallSeconds is the host wall time the run took (zero when the run
-	// was served from a cache or checkpoint). It is reported in summaries
-	// but deliberately excluded from JSONL (see type doc).
+	// was served from the result store). It is reported in summaries but
+	// deliberately excluded from JSONL (see type doc).
 	WallSeconds float64 `json:"-"`
 }
 
@@ -170,60 +170,26 @@ func (c Config) execMode(r Run) (shards int, mode KeyMode) {
 // result slice is complete even on error; the returned error is the
 // lowest-indexed run failure. Output is independent of Workers and of the
 // cache state: a run served from the configured ResultStore is
-// byte-identical to a simulated one.
-//
-// When checkpointing is configured, runs[i] is checkpointed under global
-// position i; use ExecuteSpec for range-partitioned campaigns, which
-// offsets positions so every range of one campaign shares a coherent
-// position space.
+// byte-identical to a simulated one, and every simulated run that
+// succeeds is put into the store.
 func (e *Engine) Execute(runs []Run) ([]RunResult, error) {
-	return e.executeAt(runs, 0)
-}
-
-// executeAt is Execute with an explicit global position offset: runs[i]
-// has position pos0+i in the campaign's output, the space checkpoint
-// records are keyed by.
-func (e *Engine) executeAt(runs []Run, pos0 int) ([]RunResult, error) {
 	cfg := e.cfg
 	results := make([]RunResult, len(runs))
 	if len(runs) == 0 {
 		return results, nil
 	}
 
-	// Checkpoint recovery: load once, then skip any run whose position is
-	// already recorded with a matching content key (a stale directory from
-	// an edited spec fails the key match and re-executes).
-	var recovered map[int]CheckpointEntry
-	var ckpt *checkpointWriter
-	if cfg.CheckpointDir != "" {
-		var err error
-		recovered, err = LoadCheckpoints(cfg.CheckpointDir)
-		if err != nil {
-			return results, err
-		}
-		ckpt, err = newCheckpointWriter(cfg.CheckpointDir, Range{Lo: pos0, Hi: pos0 + len(runs)})
-		if err != nil {
-			return results, err
-		}
-		defer ckpt.close()
-	}
-
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var tally ExecStats
-	ckptErr := make([]error, cfg.workers(len(runs)))
-	finish := func(i int, simulated, cacheHit, ckptHit bool) {
+	finish := func(i int, simulated bool) {
 		mu.Lock()
 		tally.Runs++
 		if simulated {
 			tally.Simulated++
-		}
-		if cacheHit {
+		} else {
 			tally.CacheHits++
-		}
-		if ckptHit {
-			tally.CheckpointHits++
 		}
 		if cfg.OnResult != nil {
 			cfg.OnResult(results[i])
@@ -232,69 +198,36 @@ func (e *Engine) executeAt(runs []Run, pos0 int) ([]RunResult, error) {
 	}
 	for w := 0; w < cfg.workers(len(runs)); w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			var sim *simmpi.Sim // lazily built, then reused via Reset
 			var scratch []byte  // content-key buffer, reused across runs
 			for i := range jobs {
 				r := runs[i]
-				pos := pos0 + i
-
-				// The flight-recorded run always simulates: its purpose is
-				// the recorder's streams, which caches cannot serve.
-				bypass := cfg.Obs != nil && r.Index == cfg.ObsRun
-
 				var key RunKey
-				needKey := ckpt != nil || (cfg.Store != nil && !bypass)
-				if needKey {
+				if cfg.Store != nil {
 					_, mode := cfg.execMode(r)
 					key, scratch = r.ContentKey(mode, scratch)
-				}
-
-				if !bypass {
-					if ent, ok := recovered[pos]; ok && ent.Key == key {
-						var res RunResult
-						if err := json.Unmarshal(ent.Row, &res); err == nil {
-							res.rehydrate(r)
-							results[i] = res
-							finish(i, false, false, true)
-							continue
-						}
-					}
-					if cfg.Store != nil {
+					// The flight-recorded run always simulates: its purpose
+					// is the recorder's streams, which a store cannot serve.
+					// Its row is a plain run's, so it is still put below.
+					if cfg.Obs == nil || r.Index != cfg.ObsRun {
 						if res, ok := cfg.Store.Get(key); ok {
 							res.rehydrate(r)
 							results[i] = res
-							if ckpt != nil {
-								if row, err := json.Marshal(&res); err == nil {
-									if err := ckpt.append(pos, key, row); err != nil {
-										ckptErr[w] = err
-									}
-								}
-							}
-							finish(i, false, true, false)
+							finish(i, false)
 							continue
 						}
 					}
 				}
-
 				res := executeRun(r, cfg, &sim)
 				results[i] = res
-				if res.Error == "" {
-					if cfg.Store != nil && !bypass {
-						cfg.Store.Put(key, res)
-					}
-					if ckpt != nil {
-						if row, err := json.Marshal(&res); err == nil {
-							if err := ckpt.append(pos, key, row); err != nil {
-								ckptErr[w] = err
-							}
-						}
-					}
+				if cfg.Store != nil && res.Error == "" {
+					cfg.Store.Put(key, res)
 				}
-				finish(i, true, false, false)
+				finish(i, true)
 			}
-		}(w)
+		}()
 	}
 	for i := range runs {
 		jobs <- i
@@ -307,32 +240,19 @@ func (e *Engine) executeAt(runs []Run, pos0 int) ([]RunResult, error) {
 			return results, fmt.Errorf("campaign: run %s: %s", runs[i].Key(), results[i].Error)
 		}
 	}
-	for _, err := range ckptErr {
-		if err != nil {
-			return results, err
-		}
-	}
 	return results, nil
 }
 
-// ExecuteSpec expands the spec and executes it under the engine's full
-// configuration: the Filter restricts the expansion, RangePart/RangeParts
-// select this process's slice of it (checkpoint positions stay global, so
-// every range of a campaign shares one coherent space), and Output — if
-// set — is created before anything executes and receives the results as
-// JSONL (the completed prefix is written even when a run fails).
-//
-// The returned results cover only this process's range. An expansion left
-// empty by the filter is an error — a silently empty campaign is always a
-// typo in the filter or the spec.
-func (e *Engine) ExecuteSpec(s Spec) ([]RunResult, error) {
-	cfg := e.cfg
+// expand returns the spec's runs restricted by the engine's Filter. An
+// expansion left empty by the filter is an error — a silently empty
+// campaign is always a typo in the filter or the spec.
+func (e *Engine) expand(s Spec) ([]Run, error) {
 	runs, err := s.Expand()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Filter != "" {
-		f, err := ParseFilter(cfg.Filter)
+	if e.cfg.Filter != "" {
+		f, err := ParseFilter(e.cfg.Filter)
 		if err != nil {
 			return nil, err
 		}
@@ -341,7 +261,23 @@ func (e *Engine) ExecuteSpec(s Spec) ([]RunResult, error) {
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("campaign: %q has no runs after filtering", s.Name)
 	}
-	pos0 := 0
+	return runs, nil
+}
+
+// ExecuteSpec expands the spec and executes it under the engine's full
+// configuration: the Filter restricts the expansion, RangePart/RangeParts
+// select this process's slice of it, and Output — if set — is created
+// before anything executes and receives the results as JSONL (the
+// completed prefix is written even when a run fails).
+//
+// The returned results cover only this process's range; Merge assembles
+// every range's rows from a shared store.
+func (e *Engine) ExecuteSpec(s Spec) ([]RunResult, error) {
+	cfg := e.cfg
+	runs, err := e.expand(s)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.RangeParts > 1 {
 		parts := Ranges(len(runs), cfg.RangeParts)
 		if cfg.RangePart >= len(parts) {
@@ -350,7 +286,6 @@ func (e *Engine) ExecuteSpec(s Spec) ([]RunResult, error) {
 		}
 		rg := parts[cfg.RangePart]
 		runs = runs[rg.Lo:rg.Hi]
-		pos0 = rg.Lo
 	}
 
 	// Open the output before executing: an unwritable path must fail here,
@@ -367,7 +302,7 @@ func (e *Engine) ExecuteSpec(s Spec) ([]RunResult, error) {
 		outFile = f
 	}
 
-	results, execErr := e.executeAt(runs, pos0)
+	results, execErr := e.Execute(runs)
 	if outFile != nil {
 		if err := WriteJSONL(outFile, results); err != nil {
 			outFile.Close()
@@ -381,6 +316,45 @@ func (e *Engine) ExecuteSpec(s Spec) ([]RunResult, error) {
 		}
 	}
 	return results, execErr
+}
+
+// Merge writes the spec's complete JSONL to w from the engine's store,
+// without simulating anything: it expands and filters the spec as
+// ExecuteSpec does (every range, whatever RangePart selects), looks up
+// each run under the engine's key mode, and writes the rows in index
+// order — byte-identical to a single-process run. If any run is missing,
+// Merge writes nothing and returns an error naming the first missing
+// indices. The key mode (Hist, and Shards through the event order) is
+// part of every key, so the engine must be configured like the ranges
+// that filled the store.
+func (e *Engine) Merge(s Spec, w io.Writer) error {
+	if e.cfg.Store == nil {
+		return fmt.Errorf("campaign: merge needs a result store")
+	}
+	runs, err := e.expand(s)
+	if err != nil {
+		return err
+	}
+	results := make([]RunResult, len(runs))
+	var missing []int
+	var scratch []byte
+	for i, r := range runs {
+		_, mode := e.cfg.execMode(r)
+		var key RunKey
+		key, scratch = r.ContentKey(mode, scratch)
+		res, ok := e.cfg.Store.Get(key)
+		if !ok {
+			missing = append(missing, r.Index)
+			continue
+		}
+		res.rehydrate(r)
+		results[i] = res
+	}
+	if len(missing) > 0 {
+		return fmt.Errorf("campaign: merge: %d of %d runs are not in the store; first missing indices %v (execute their ranges first, with the same key mode)",
+			len(missing), len(runs), missing[:min(len(missing), 8)])
+	}
+	return WriteJSONL(w, results)
 }
 
 // executeRun evaluates the analytic model and the simulator for one run.

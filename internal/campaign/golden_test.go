@@ -2,7 +2,9 @@ package campaign
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"maps"
 	"os"
 	"testing"
@@ -51,6 +53,59 @@ func TestExampleGoldenJSONL(t *testing.T) {
 		}
 	}
 	t.Fatalf("output grew from %d to %d rows", len(wantRows), len(gotRows))
+}
+
+// TestBuiltinJSONLPinned pins the JSONL bytes of the builtin sweeps that CI
+// otherwise compares only variant against variant, so a change that moves
+// every variant alike fails here. Each line of testdata/jsonl.sha256 is the
+// SHA-256 of one builtin's JSONL at one shard count. topologies is pinned
+// at shards 1, 2, 3 and 8: every count ≥ 2 must share one digest, while
+// serial runs keep the legacy same-time event order. flagship (a few
+// seconds) is skipped under -short. To bless an intentional change:
+//
+//	go test ./internal/campaign -run TestBuiltinJSONLPinned -update
+//
+// and explain the changed lines in the commit message.
+func TestBuiltinJSONLPinned(t *testing.T) {
+	if *update && testing.Short() {
+		t.Fatal("-update rewrites every line: run it without -short")
+	}
+	m := openManifest(t, "testdata/jsonl.sha256")
+	sharded := map[string]int{} // digest → sharded topology variants
+	for _, c := range []struct {
+		builtin string
+		shards  int // 0: the spec's own
+	}{
+		{"topologies", 1}, {"topologies", 2}, {"topologies", 3}, {"topologies", 8},
+		{"collectives", 0}, {"workloads", 0}, {"flagship", 0},
+	} {
+		id := c.builtin
+		if c.shards > 0 {
+			id = fmt.Sprintf("%s shards=%d", c.builtin, c.shards)
+		}
+		if c.builtin == "flagship" && testing.Short() {
+			m.skip(id)
+			continue
+		}
+		spec, _ := Builtin(c.builtin)
+		res, err := newEngine(t, Config{Shards: c.shards}).ExecuteSpec(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		h := sha256.New()
+		if err := WriteJSONL(h, res); err != nil {
+			t.Fatal(err)
+		}
+		sum := h.Sum(nil)
+		m.check(id, sum)
+		if c.shards > 1 {
+			sharded[string(sum)]++
+		}
+	}
+	if len(sharded) != 1 {
+		t.Errorf("topologies at shards 2, 3 and 8 gave %d different digests, want 1", len(sharded))
+	}
+	m.close()
 }
 
 // TestTopologiesDeterministicAcrossWorkers is the acceptance check of the

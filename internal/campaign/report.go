@@ -122,7 +122,9 @@ func (g *groupAcc) summary(dim, value string) GroupSummary {
 }
 
 // RenderSummary writes the per-dimension summary tables plus a campaign
-// footer (wall time, throughput) in aligned plain text.
+// footer (simulator time and throughput) in aligned plain text. The footer
+// counts simulated rows only: a row served from the result store took no
+// simulator time (its WallSeconds is zero).
 func RenderSummary(w io.Writer, name string, results []RunResult, summaries []GroupSummary) {
 	fmt.Fprintf(w, "== campaign %s: %d runs ==\n", name, len(results))
 	cols := []string{"dimension", "value", "runs", "mean|err|", "max|err|", "bands " + strings.Join(metrics.ErrorBandNames(), "/"), "sim p50(µs)", "sim p90(µs)", "sim max(µs)"}
@@ -149,19 +151,20 @@ func RenderSummary(w io.Writer, name string, results []RunResult, summaries []Gr
 	renderTable(w, cols, rows)
 
 	var wall, events float64
+	simulated := 0
 	for i := range results {
-		wall += results[i].WallSeconds
-		events += float64(results[i].Events)
+		if results[i].WallSeconds > 0 {
+			simulated++
+			wall += results[i].WallSeconds
+			events += float64(results[i].Events)
+		}
 	}
-	fmt.Fprintf(w, "  total simulated work: %.3g events, %.2f cpu-seconds (%.0f runs/cpu-sec, %.3gM events/s)\n",
-		events, wall, float64(len(results))/nonZero(wall), events/nonZero(wall)/1e6)
-}
-
-func nonZero(x float64) float64 {
-	if x <= 0 {
-		return 1e-9
+	if simulated == 0 {
+		fmt.Fprintln(w, "  no runs simulated")
+		return
 	}
-	return x
+	fmt.Fprintf(w, "  total simulated work: %d runs, %.3g events, %.2f cpu-seconds (%.0f runs/cpu-sec, %.3gM events/s)\n",
+		simulated, events, wall, float64(simulated)/wall, events/wall/1e6)
 }
 
 // renderTable writes rows under aligned column headers.

@@ -19,8 +19,8 @@ import (
 // its results.
 type RunKey [sha256.Size]byte
 
-// String renders the key as lower-case hex, the spelling used in
-// checkpoint files, cache files and HTTP responses.
+// String renders the key as lower-case hex, the spelling used in cache
+// files and HTTP responses.
 func (k RunKey) String() string { return hex.EncodeToString(k[:]) }
 
 // ParseRunKey decodes the hex spelling produced by String.

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func startServer(t *testing.T) (*Server, *httptest.Server) {
@@ -192,11 +194,11 @@ func TestServerErrors(t *testing.T) {
 }
 
 // TestServerRejectsPerProcessConfig: the server owns output, hooks and
-// checkpointing; a config carrying them is a construction-time error.
+// flight recording; a config carrying them is a construction-time error.
 func TestServerRejectsPerProcessConfig(t *testing.T) {
 	for _, cfg := range []Config{
 		{Output: "x.jsonl"},
-		{CheckpointDir: "/tmp/x"},
+		{Obs: &obs.Recorder{}},
 		{Filter: "app=LU"},
 		{RangeParts: 2, RangePart: 0},
 		{OnResult: func(RunResult) {}},

@@ -3,12 +3,15 @@ package campaign
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/obs"
 )
 
 // marshalRows renders results exactly as the JSONL output would.
@@ -191,14 +194,13 @@ func TestMemoryStoreLRU(t *testing.T) {
 	}
 }
 
-// TestDiskStoreReload round-trips results through the JSONL file,
-// including survival of a torn tail from a killed writer.
+// TestDiskStoreReload round-trips results through a store directory: a
+// torn tail from a killed writer is skipped, every cache*.jsonl file in the
+// directory is loaded whichever file the reopened store appends to, and
+// other files are not.
 func TestDiskStoreReload(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sub", "cache.jsonl")
-	store, err := OpenDiskStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := filepath.Join(t.TempDir(), "sub")
+	store := openStore(t, dir, StoreFile(0, 1))
 	var k RunKey
 	k[0] = 7
 	want := RunResult{Schema: SchemaVersion, Index: 3, App: "LU", SimMicros: 12.5}
@@ -208,17 +210,21 @@ func TestDiskStoreReload(t *testing.T) {
 	}
 
 	// Simulate a mid-write kill: append a truncated record.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, "cache.jsonl"), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.WriteString(`{"schema_version":1,"key":"dead`)
 	f.Close()
-
-	reopened, err := OpenDiskStore(path)
-	if err != nil {
+	// A record in a file outside the store's name pattern is not loaded.
+	var other RunKey
+	other[0] = 8
+	ignored := `{"schema_version":1,"key":"` + other.String() + `","row":{}}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "ckpt-0-24.jsonl"), []byte(ignored), 0o644); err != nil {
 		t.Fatal(err)
 	}
+
+	reopened := openStore(t, dir, StoreFile(1, 2))
 	defer reopened.Close()
 	got, ok := reopened.Get(k)
 	if !ok {
@@ -228,7 +234,148 @@ func TestDiskStoreReload(t *testing.T) {
 		t.Errorf("reloaded %+v, want %+v", got, want)
 	}
 	if st := reopened.Stats(); st.Entries != 1 {
-		t.Errorf("reopened store has %d entries, want 1 (torn tail must be skipped)", st.Entries)
+		t.Errorf("reopened store has %d entries, want 1 (torn tail and foreign files must be skipped)", st.Entries)
+	}
+
+	for _, name := range []string{"other.jsonl", "cache.json", filepath.Join("sub", "cache.jsonl")} {
+		if s, err := OpenDiskStore(dir, name); err == nil {
+			s.Close()
+			t.Errorf("OpenDiskStore accepted file name %q, which a later open would not load", name)
+		}
+	}
+}
+
+// TestDiskStoreKeepsFailedAppend: a record the store could not append is
+// not indexed, and Close reports the failure — the store is a campaign's
+// resume point, so a lost record must fail the campaign.
+func TestDiskStoreKeepsFailedAppend(t *testing.T) {
+	store := openStore(t, t.TempDir(), StoreFile(0, 1))
+	store.f.Close() // the next append fails, as on a full disk
+	var k RunKey
+	k[0] = 9
+	store.Put(k, RunResult{Schema: SchemaVersion, App: "LU"})
+	if _, ok := store.Get(k); ok {
+		t.Error("a failed append was indexed")
+	}
+	if err := store.Close(); err == nil || !strings.Contains(err.Error(), "campaign: cache:") {
+		t.Errorf("Close = %v, want the failed append", err)
+	}
+}
+
+// openStore opens a DiskStore in dir that appends to name.
+func openStore(t *testing.T, dir, name string) *DiskStore {
+	t.Helper()
+	store, err := OpenDiskStore(dir, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+// exampleGolden is the committed JSONL of the example campaign: every
+// store path below must reproduce it byte for byte.
+func exampleGolden(t *testing.T) []byte {
+	t.Helper()
+	want, err := os.ReadFile("testdata/example_golden.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// executePart runs range part `part` of `parts` of the example campaign
+// into the store directory dir, as `campaign -range part/parts -cache-dir
+// dir` does.
+func executePart(t *testing.T, dir string, part, parts, workers int) []RunResult {
+	t.Helper()
+	store := openStore(t, dir, StoreFile(part, parts))
+	res, err := newEngine(t, Config{Workers: workers, RangePart: part, RangeParts: parts, Store: store}).ExecuteSpec(Example())
+	if err != nil {
+		t.Fatalf("part %d/%d: %v", part, parts, err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// mergeStore merges the example campaign from the store directory dir
+// under cfg's key mode, checking that the merge simulated nothing.
+func mergeStore(t *testing.T, dir string, cfg Config) ([]byte, error) {
+	t.Helper()
+	store := openStore(t, dir, StoreFile(0, 1))
+	defer store.Close()
+	cfg.Store = store
+	eng := newEngine(t, cfg)
+	var buf bytes.Buffer
+	err := eng.Merge(Example(), &buf)
+	if st := eng.Stats(); st.Runs != 0 || store.Stats().Puts != 0 {
+		t.Errorf("merge executed runs: %+v, %d puts", st, store.Stats().Puts)
+	}
+	return buf.Bytes(), err
+}
+
+// TestWarmStoresMatchGolden: the example campaign served from a warm
+// MemoryStore and from a reopened DiskStore is the golden JSONL, every run
+// a hit.
+func TestWarmStoresMatchGolden(t *testing.T) {
+	want := exampleGolden(t)
+	check := func(name string, store ResultStore, hits int) {
+		t.Helper()
+		eng := newEngine(t, Config{Workers: 4, Store: store})
+		res, err := eng.ExecuteSpec(Example())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(marshalRows(t, res), want) {
+			t.Errorf("%s: JSONL differs from the golden", name)
+		}
+		if st := eng.Stats(); st.CacheHits != hits || st.Simulated != len(res)-hits {
+			t.Errorf("%s: %d hits, %d simulated; want %d hits", name, st.CacheHits, st.Simulated, hits)
+		}
+	}
+	mem := NewMemoryStore(0)
+	check("cold memory store", mem, 0)
+	check("warm memory store", mem, 24)
+
+	dir := t.TempDir()
+	disk := openStore(t, dir, StoreFile(0, 1))
+	check("cold disk store", disk, 0)
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	disk = openStore(t, dir, StoreFile(0, 1))
+	check("reopened disk store", disk, 24)
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFlightRecordedRunIsStored: the flight-recorded run always simulates,
+// so its recorder fills even on a warm store, and its result is stored —
+// a merge after a traced range part must find it.
+func TestFlightRecordedRunIsStored(t *testing.T) {
+	want := exampleGolden(t)
+	store := NewMemoryStore(0)
+	for pass, hits := range []int{0, 23} {
+		rec := &obs.Recorder{Spans: true}
+		eng := newEngine(t, Config{Workers: 2, Store: store, Obs: rec, ObsRun: 5})
+		res, err := eng.ExecuteSpec(Example())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(marshalRows(t, res), want) {
+			t.Errorf("pass %d: JSONL differs from the golden", pass)
+		}
+		if st := eng.Stats(); st.CacheHits != hits || st.Simulated != 24-hits {
+			t.Errorf("pass %d: %d hits, %d simulated; want %d hits", pass, st.CacheHits, st.Simulated, hits)
+		}
+		if len(rec.SpanList()) == 0 {
+			t.Errorf("pass %d: the recorded run left no spans", pass)
+		}
+	}
+	if st := store.Stats(); st.Entries != 24 {
+		t.Errorf("store holds %d runs, want all 24 (the recorded one included)", st.Entries)
 	}
 }
 
@@ -264,125 +411,106 @@ func TestRanges(t *testing.T) {
 }
 
 // TestMergeByteIdenticalAcrossPartitionings is the acceptance matrix: the
-// merged JSONL is byte-identical across {1,4} ranges × {1,8} workers ×
-// {cold, warm} cache.
+// JSONL merged from a store directory is the golden, byte for byte, across
+// {1,4} ranges × {1,8} workers × {cold, warm} store.
 func TestMergeByteIdenticalAcrossPartitionings(t *testing.T) {
-	spec := Example()
-	ref, err := NewEngine(Config{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refRes, err := ref.ExecuteSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := marshalRows(t, refRes)
-	total := len(refRes)
-
-	warmStore := NewMemoryStore(0)
+	want := exampleGolden(t)
+	warmDir := t.TempDir()
 	for _, parts := range []int{1, 4} {
 		for _, workers := range []int{1, 8} {
 			for _, cache := range []string{"cold", "warm"} {
 				name := fmt.Sprintf("ranges=%d/workers=%d/%s", parts, workers, cache)
-				ckpt := t.TempDir()
-				var store ResultStore
+				dir := t.TempDir()
 				if cache == "warm" {
-					store = warmStore
+					dir = warmDir
 				}
 				for part := 0; part < parts; part++ {
-					eng, err := NewEngine(Config{
-						Workers: workers, RangePart: part, RangeParts: parts,
-						CheckpointDir: ckpt, Store: store,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := eng.ExecuteSpec(spec); err != nil {
-						t.Fatalf("%s part %d: %v", name, part, err)
-					}
+					executePart(t, dir, part, parts, workers)
 				}
-				var merged bytes.Buffer
-				if err := MergeCheckpoints(ckpt, total, &merged); err != nil {
+				merged, err := mergeStore(t, dir, Config{})
+				if err != nil {
 					t.Fatalf("%s: merge: %v", name, err)
 				}
-				if !bytes.Equal(merged.Bytes(), want) {
-					t.Errorf("%s: merged JSONL differs from single-process run", name)
+				if !bytes.Equal(merged, want) {
+					t.Errorf("%s: merged JSONL differs from the golden", name)
 				}
 			}
 		}
 	}
 }
 
-// TestResumeSkipsCompleted kills-and-resumes in-process: a partial range
-// leaves checkpoints behind, and a full re-run with the same directory
-// recovers exactly those runs without re-simulating them.
-func TestResumeSkipsCompleted(t *testing.T) {
-	spec := Example()
-	ckpt := t.TempDir()
-	first, err := NewEngine(Config{Workers: 2, RangePart: 0, RangeParts: 2, CheckpointDir: ckpt})
-	if err != nil {
-		t.Fatal(err)
+// TestMergeRefusesMissingRange: a merge over a store that lacks one range
+// fails, names that range's first indices, writes nothing and simulates
+// nothing; and since the key mode is part of every key, a complete store
+// merged under another mode misses every run.
+func TestMergeRefusesMissingRange(t *testing.T) {
+	dir := t.TempDir()
+	for _, part := range []int{0, 1, 3} {
+		executePart(t, dir, part, 4, 2)
 	}
-	partial, err := first.ExecuteSpec(spec)
-	if err != nil {
-		t.Fatal(err)
+	merged, err := mergeStore(t, dir, Config{})
+	if err == nil || !strings.Contains(err.Error(), "6 of 24 runs are not in the store; first missing indices [12 13 14 15 16 17]") {
+		t.Errorf("merge with range 2/4 missing: %v", err)
+	}
+	if len(merged) != 0 {
+		t.Errorf("a refused merge wrote %d bytes", len(merged))
 	}
 
-	resumed, err := NewEngine(Config{Workers: 2, CheckpointDir: ckpt})
-	if err != nil {
-		t.Fatal(err)
+	executePart(t, dir, 2, 4, 2)
+	if merged, err := mergeStore(t, dir, Config{}); err != nil || !bytes.Equal(merged, exampleGolden(t)) {
+		t.Errorf("merge of all four ranges: %v", err)
 	}
-	full, err := resumed.ExecuteSpec(spec)
+	if _, err := mergeStore(t, dir, Config{Hist: true}); err == nil || !strings.Contains(err.Error(), "24 of 24 runs") {
+		t.Errorf("merge under another key mode: %v", err)
+	}
+	if err := newEngine(t, Config{}).Merge(Example(), io.Discard); err == nil {
+		t.Error("merge without a store succeeded")
+	}
+}
+
+// TestResumeSkipsCompleted kills-and-resumes in-process: a partial range
+// leaves its results in the store directory, and a full re-run over the
+// same directory serves exactly those runs as hits and simulates the rest.
+func TestResumeSkipsCompleted(t *testing.T) {
+	dir := t.TempDir()
+	partial := executePart(t, dir, 0, 2, 2)
+
+	store := openStore(t, dir, StoreFile(0, 1))
+	defer store.Close()
+	resumed := newEngine(t, Config{Workers: 2, Store: store})
+	full, err := resumed.ExecuteSpec(Example())
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := resumed.Stats()
-	if st.CheckpointHits != len(partial) {
-		t.Errorf("resume recovered %d runs from checkpoints, want %d", st.CheckpointHits, len(partial))
+	if st.CacheHits != len(partial) {
+		t.Errorf("resume served %d runs from the store, want %d", st.CacheHits, len(partial))
 	}
 	if st.Simulated != len(full)-len(partial) {
 		t.Errorf("resume simulated %d runs, want %d", st.Simulated, len(full)-len(partial))
 	}
-
-	// And the resumed output is byte-identical to a clean run.
-	clean, err := NewEngine(Config{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanRes, err := clean.ExecuteSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(marshalRows(t, full), marshalRows(t, cleanRes)) {
-		t.Error("resumed JSONL differs from clean run")
+	if !bytes.Equal(marshalRows(t, full), exampleGolden(t)) {
+		t.Error("resumed JSONL differs from the golden")
 	}
 }
 
-// TestStaleCheckpointKeyMismatch: checkpoints recorded for one spec must
-// not be served for an edited spec whose runs landed on the same indices.
-func TestStaleCheckpointKeyMismatch(t *testing.T) {
-	ckpt := t.TempDir()
-	specA := Example()
-	engA, err := NewEngine(Config{Workers: 4, CheckpointDir: ckpt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := engA.ExecuteSpec(specA); err != nil {
-		t.Fatal(err)
-	}
+// TestEditedSpecMissesStore: results stored for one spec must not be
+// served for an edited spec whose runs land on the same indices.
+func TestEditedSpecMissesStore(t *testing.T) {
+	dir := t.TempDir()
+	executePart(t, dir, 0, 1, 4)
 
 	specB := Example()
 	specB.Iterations = 2 // same shape, different physics
-	engB, err := NewEngine(Config{Workers: 4, CheckpointDir: ckpt})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := openStore(t, dir, StoreFile(0, 1))
+	defer store.Close()
+	engB := newEngine(t, Config{Workers: 4, Store: store})
 	resB, err := engB.ExecuteSpec(specB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := engB.Stats(); st.CheckpointHits != 0 || st.Simulated != len(resB) {
-		t.Errorf("stale checkpoints served: %d hits, %d simulated", st.CheckpointHits, st.Simulated)
+	if st := engB.Stats(); st.CacheHits != 0 || st.Simulated != len(resB) {
+		t.Errorf("stale results served: %d hits, %d simulated", st.CacheHits, st.Simulated)
 	}
 }
 

@@ -159,12 +159,15 @@ func Read(r io.Reader) (Header, [][]simmpi.Op, error) {
 	if hdr.Kind != Kind {
 		return hdr, nil, fmt.Errorf("replay: not an op trace (kind %q)", hdr.Kind)
 	}
-	if hdr.DecN <= 0 || hdr.DecM <= 0 {
+	// Op peers are int32, so a run holds at most MaxInt32 ranks; the bound
+	// also rejects a dec_n × dec_m product that would overflow int.
+	if hdr.DecN <= 0 || hdr.DecM <= 0 || hdr.DecN > math.MaxInt32/hdr.DecM {
 		return hdr, nil, fmt.Errorf("replay: invalid decomposition %dx%d", hdr.DecN, hdr.DecM)
 	}
+	// The tables grow with the records actually read, never with the
+	// header's claim, so memory stays bounded by the input.
 	ranks := hdr.Ranks()
-	ops := make([][]simmpi.Op, ranks)
-	seen := make([]bool, ranks)
+	streams := make(map[int][]simmpi.Op)
 	for line := 2; sc.Scan(); line++ {
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue
@@ -176,10 +179,9 @@ func Read(r io.Reader) (Header, [][]simmpi.Op, error) {
 		if rr.Rank < 0 || rr.Rank >= ranks {
 			return hdr, nil, fmt.Errorf("replay: line %d: rank %d outside %d ranks", line, rr.Rank, ranks)
 		}
-		if seen[rr.Rank] {
+		if _, dup := streams[rr.Rank]; dup {
 			return hdr, nil, fmt.Errorf("replay: line %d: duplicate record for rank %d", line, rr.Rank)
 		}
-		seen[rr.Rank] = true
 		n := len(rr.Kinds)
 		if len(rr.Peers) != n || len(rr.Bytes) != n || len(rr.Durs) != n {
 			return hdr, nil, fmt.Errorf("replay: line %d: rank %d arrays disagree (%d kinds, %d peers, %d bytes, %d durs)",
@@ -198,15 +200,21 @@ func Read(r io.Reader) (Header, [][]simmpi.Op, error) {
 			}
 			stream[i] = op
 		}
-		ops[rr.Rank] = stream
+		streams[rr.Rank] = stream
 	}
 	if err := sc.Err(); err != nil {
 		return hdr, nil, fmt.Errorf("replay: %w", err)
 	}
-	for r, ok := range seen {
+	ops := make([][]simmpi.Op, len(streams))
+	for r := range ops {
+		stream, ok := streams[r]
 		if !ok {
 			return hdr, nil, fmt.Errorf("replay: trace has no record for rank %d", r)
 		}
+		ops[r] = stream
+	}
+	if len(ops) != ranks {
+		return hdr, nil, fmt.Errorf("replay: trace has no record for rank %d", len(ops))
 	}
 	return hdr, ops, nil
 }

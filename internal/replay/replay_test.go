@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -18,7 +19,7 @@ import (
 // record runs a small Sweep3D with a lognormal+noise workload under an
 // Ops recorder and returns the stamped header, the recorder, and the
 // result.
-func record(t *testing.T, shards int) (Header, *obs.Recorder, simmpi.Result) {
+func record(t testing.TB, shards int) (Header, *obs.Recorder, simmpi.Result) {
 	t.Helper()
 	mspec := config.MachineSpec{Preset: "xt4", CoresPerNode: 2}
 	mach, err := mspec.Machine()
@@ -159,18 +160,59 @@ func TestReadRejects(t *testing.T) {
 	lines := strings.SplitAfter(trace.String(), "\n")
 
 	for name, mangle := range map[string]string{
-		"empty":          "",
-		"wrong version":  strings.Replace(lines[0], `"schema_version":1`, `"schema_version":2`, 1) + strings.Join(lines[1:], ""),
-		"wrong kind":     strings.Replace(lines[0], `"kind":"optrace"`, `"kind":"spans"`, 1) + strings.Join(lines[1:], ""),
-		"missing rank":   strings.Join(lines[:len(lines)-2], ""),
-		"duplicate rank": trace.String() + lines[1],
-		"unknown field":  lines[0] + `{"rank":0,"kinds":"","peers":[],"bytes":[],"durs":[],"bogus":1}` + "\n",
-		"ragged arrays":  lines[0] + strings.Replace(lines[1], `"peers":[`, `"peers":[99999,`, 1) + strings.Join(lines[2:], ""),
+		"empty":           "",
+		"wrong version":   strings.Replace(lines[0], `"schema_version":1`, `"schema_version":2`, 1) + strings.Join(lines[1:], ""),
+		"wrong kind":      strings.Replace(lines[0], `"kind":"optrace"`, `"kind":"spans"`, 1) + strings.Join(lines[1:], ""),
+		"missing rank":    strings.Join(lines[:len(lines)-2], ""),
+		"duplicate rank":  trace.String() + lines[1],
+		"unknown field":   lines[0] + `{"rank":0,"kinds":"","peers":[],"bytes":[],"durs":[],"bogus":1}` + "\n",
+		"ragged arrays":   lines[0] + strings.Replace(lines[1], `"peers":[`, `"peers":[99999,`, 1) + strings.Join(lines[2:], ""),
+		"rank overflow":   strings.Replace(lines[0], `"dec_n":4,"dec_m":2`, `"dec_n":3037000500,"dec_m":3037000500`, 1),
+		"rank past int32": strings.Replace(lines[0], `"dec_n":4,"dec_m":2`, `"dec_n":65536,"dec_m":32768`, 1) + strings.Join(lines[1:], ""),
 	} {
 		if _, _, err := Read(strings.NewReader(mangle)); err == nil {
 			t.Errorf("%s: Read accepted a malformed trace", name)
 		}
 	}
+}
+
+// FuzzReplayRead drives arbitrary bytes through Read. No input may panic
+// — a header's rank count included, which Read must not trust before the
+// records arrive — and an accepted trace holds exactly one stream per rank
+// the header declares, every op of which passes checkOp.
+func FuzzReplayRead(f *testing.F) {
+	hdr, rec, _ := record(f, 1)
+	var trace bytes.Buffer
+	if err := Write(&trace, hdr, rec); err != nil {
+		f.Fatalf("Write: %v", err)
+	}
+	head, _, _ := strings.Cut(trace.String(), "\n")
+	decomp := fmt.Sprintf(`"dec_n":%d,"dec_m":%d`, hdr.DecN, hdr.DecM)
+	if !strings.Contains(head, decomp) {
+		f.Fatalf("header %s does not spell %s", head, decomp)
+	}
+	f.Add(trace.Bytes())
+	// dec_n × dec_m overflows int64 to a negative rank count.
+	f.Add([]byte(strings.Replace(head, decomp, `"dec_n":3037000500,"dec_m":3037000500`, 1) + "\n"))
+	f.Add([]byte(strings.Replace(head, decomp, `"dec_n":1,"dec_m":1`, 1) + "\n" +
+		`{"rank":0,"kinds":"AA==","peers":[0],"bytes":[0],"durs":[1.5]}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hdr, ops, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		ranks := hdr.Ranks()
+		if len(ops) != ranks {
+			t.Fatalf("accepted a trace of %d streams for %d ranks", len(ops), ranks)
+		}
+		for r, stream := range ops {
+			for i, op := range stream {
+				if err := checkOp(op, r, ranks); err != nil {
+					t.Fatalf("rank %d op %d accepted but invalid: %v", r, i, err)
+				}
+			}
+		}
+	})
 }
 
 func TestCheckOp(t *testing.T) {
