@@ -347,30 +347,6 @@ func BenchmarkTransportKernel(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/cells, "ns/cell-visit")
 }
 
-// BenchmarkTransportKernelParallel measures the goroutine-parallel
-// transport sweep on a 4×4 worker grid.
-func BenchmarkTransportKernelParallel(b *testing.B) {
-	g := grid.Cube(48)
-	p := sweep.NewTransportProblem(g, 6)
-	dec := grid.MustDecompose(g, 4, 4)
-	octs := sweep.Octants([]grid.Corner{grid.NW, grid.SE})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.SolveParallel(dec, 4, octs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSSORKernel measures the LU-like substitution kernel.
-func BenchmarkSSORKernel(b *testing.B) {
-	p := sweep.NewSSORProblem(grid.Cube(48))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.SolveSequential()
-	}
-}
-
 // BenchmarkAllReduceSim measures the native collective at P=1024.
 func BenchmarkAllReduceSim(b *testing.B) {
 	mach := machine.XT4()

@@ -30,8 +30,10 @@
 // -cache-dir, is refused next to it.
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: in-flight responses
-// get a drain window, then the disk cache and profiles are flushed and
-// closed before exit.
+// and running campaigns share a drain window, then the disk cache and
+// profiles are flushed and closed before exit. A campaign still running
+// when the window ends fails the exit, named with its done/total count;
+// with -cache-dir, resubmitting it resumes from the store.
 package main
 
 import (
@@ -74,6 +76,10 @@ func registerFlags(fs *flag.FlagSet) daemonFlags {
 		prof:      prof.Register(fs),
 	}
 }
+
+// drainWindow bounds graceful shutdown: in-flight responses, then running
+// campaigns.
+var drainWindow = 10 * time.Second
 
 func main() {
 	if err := run(os.Args[1:], nil, nil); err != nil {
@@ -157,11 +163,19 @@ func run(args []string, ready chan<- string, stop <-chan struct{}) (err error) {
 	case <-stop:
 	}
 
-	sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
+	sctx, scancel := context.WithTimeout(context.Background(), drainWindow)
 	defer scancel()
 	if err := hs.Shutdown(sctx); err != nil {
 		return err
 	}
 	<-serveErr // drain the ErrServerClosed that Shutdown makes Serve return
+	// No submission can start now; the store must outlive every running
+	// campaign's Puts.
+	if err := srv.Wait(sctx); err != nil {
+		if *f.cacheDir != "" {
+			return fmt.Errorf("%w; resubmitting a campaign resumes from the store in %s", err, *f.cacheDir)
+		}
+		return err
+	}
 	return nil
 }

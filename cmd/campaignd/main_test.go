@@ -15,20 +15,17 @@ import (
 	"repro/internal/cliflags"
 )
 
-// TestRunStartStop drives the daemon through a full lifecycle: start on an
-// ephemeral port with a disk-backed cache, serve a request, then stop via
-// the graceful-shutdown path and check the deferred cleanups ran (the
-// disk cache file must exist and run must return nil — not os.Exit).
-func TestRunStartStop(t *testing.T) {
-	dir := t.TempDir()
+// startDaemon runs the daemon with args on an ephemeral port and returns
+// its address, the channel that stops it and the channel run's error
+// arrives on.
+func startDaemon(t *testing.T, args ...string) (addr string, stop chan struct{}, done chan error) {
+	t.Helper()
 	ready := make(chan string, 1)
-	stop := make(chan struct{})
-	done := make(chan error, 1)
+	stop = make(chan struct{})
+	done = make(chan error, 1)
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-cache-dir", dir}, ready, stop)
+		done <- run(append([]string{"-addr", "127.0.0.1:0"}, args...), ready, stop)
 	}()
-
-	var addr string
 	select {
 	case addr = <-ready:
 	case err := <-done:
@@ -36,6 +33,17 @@ func TestRunStartStop(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not become ready")
 	}
+	return addr, stop, done
+}
+
+// TestRunStartStop drives the daemon through a full lifecycle: start on an
+// ephemeral port with a disk-backed cache, serve a request, then stop via
+// the graceful-shutdown path and check the deferred cleanups ran (the
+// submitted campaign's record must be in the closed disk cache and run
+// must return nil — not os.Exit).
+func TestRunStartStop(t *testing.T) {
+	dir := t.TempDir()
+	addr, stop, done := startDaemon(t, "-cache-dir", dir)
 
 	resp, err := http.Get("http://" + addr + "/healthz")
 	if err != nil {
@@ -74,8 +82,12 @@ func TestRunStartStop(t *testing.T) {
 		t.Fatal("daemon did not shut down")
 	}
 
-	if _, err := os.Stat(filepath.Join(dir, "cache.jsonl")); err != nil {
+	cache, err := os.ReadFile(filepath.Join(dir, "cache.jsonl"))
+	if err != nil {
 		t.Errorf("disk cache was not closed cleanly: %v", err)
+	}
+	if n := strings.Count(string(cache), "\n"); n != 1 {
+		t.Errorf("disk cache holds %d records, want the campaign's one run:\n%s", n, cache)
 	}
 
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
@@ -130,5 +142,44 @@ func TestFlagInventory(t *testing.T) {
 	}
 	if fs.Lookup("hist").Usage != obsFS.Lookup("hist").Usage {
 		t.Error("-hist help text differs between RegisterHist and RegisterObs")
+	}
+}
+
+// TestRunStopFailsRunningCampaign: a campaign still running when the drain
+// window ends fails the daemon's exit, named with its progress, rather
+// than losing its remaining runs behind a closed store.
+func TestRunStopFailsRunningCampaign(t *testing.T) {
+	defer func(w time.Duration) { drainWindow = w }(drainWindow)
+	drainWindow = 100 * time.Millisecond
+	dir := t.TempDir()
+	addr, stop, done := startDaemon(t, "-cache-dir", dir, "-workers", "1")
+
+	// One 4,096-rank Sweep3D run: seconds of simulation, far beyond the
+	// window.
+	spec := strings.NewReader(`{
+	  "name": "slow",
+	  "apps": [{"preset": "sweep3d", "grid": {"nx": 64, "ny": 64, "nz": 64}}],
+	  "machines": [{"preset": "xt4", "cores_per_node": 1}],
+	  "ranks": [4096]
+	}`)
+	resp, err := http.Post("http://"+addr+"/v1/campaigns", "application/json", spec)
+	if err != nil {
+		t.Fatalf("POST /v1/campaigns: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/campaigns = %d, want 202", resp.StatusCode)
+	}
+
+	close(stop)
+	select {
+	case err := <-done:
+		want := `campaign: 1 campaign(s) still running: c1 "slow" at 0/1 runs; resubmitting a campaign resumes from the store in ` + dir
+		if err == nil || err.Error() != want {
+			t.Fatalf("run = %v, want %q", err, want)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("daemon did not shut down")
 	}
 }

@@ -57,6 +57,9 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}()
 
+	if *cube <= 0 {
+		return fmt.Errorf("-cube %d: the grid edge must be positive", *cube)
+	}
 	g := grid.Cube(*cube)
 	bm, err := apps.Preset(*app, g, *htile)
 	if err != nil {
@@ -82,6 +85,9 @@ func run(args []string, out io.Writer) (err error) {
 	dec, err := grid.SquareDecomposition(g, *p)
 	if err != nil {
 		return err
+	}
+	if dec.N > g.Nx || dec.M > g.Ny {
+		return fmt.Errorf("%dx%d processor array exceeds the %v grid — reduce -p or enlarge -cube", dec.N, dec.M, g)
 	}
 
 	rep, err := core.New(bm.App, mach).Evaluate(dec)

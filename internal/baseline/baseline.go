@@ -1,17 +1,12 @@
-// Package baseline implements the two previous-generation wavefront models
-// the paper compares against:
+// Package baseline implements the previous-generation wavefront model the
+// paper compares against: the Sundaram-Stukel & Vernon LogGP model of
+// Sweep3D (PPoPP'99), reproduced in paper Table 4 (equations s1–s5). It is
+// specific to Sweep3D's sweep structure and was developed for the IBM SP/2,
+// including handshake back-propagation synchronization terms.
 //
-//   - The Sundaram-Stukel & Vernon LogGP model of Sweep3D (PPoPP'99),
-//     reproduced in paper Table 4 (equations s1–s5). It is specific to
-//     Sweep3D's sweep structure and was developed for the IBM SP/2,
-//     including handshake back-propagation synchronization terms.
-//   - The Hoisie et al. single-sweep pipeline model (Int. J. HPC
-//     Applications, 2000), which counts pipeline stages on the processor
-//     array and multiplies by per-stage cost.
-//
-// Both serve as comparison baselines for the plug-and-play model in the
-// experiments: the plug-and-play model reproduces their predictions where
-// their assumptions hold, while also covering codes they cannot express.
+// It serves as a comparison baseline for the plug-and-play model in the
+// experiments: the plug-and-play model reproduces its predictions where its
+// assumptions hold, while also covering codes it cannot express.
 package baseline
 
 import (
@@ -132,31 +127,3 @@ func Evaluate(c Sweep3DConfig) (Result, error) {
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// HoisieConfig parameterises the Hoisie et al. single-sweep pipeline model:
-// on an n × m array, a sweep's completion time is
-// (#pipeline stages) × (per-stage cost), where the stage count is
-// (n + m − 2) + #tiles and the per-stage cost is the tile compute time plus
-// the communication time of one boundary exchange.
-type HoisieConfig struct {
-	N, M     int
-	Tiles    int     // tiles per stack (Nz/Htile)
-	TileWork float64 // per-tile compute time, µs
-	CommCost float64 // per-stage communication cost, µs
-}
-
-// HoisieSweep returns the single-sweep completion time of the Hoisie model.
-func HoisieSweep(c HoisieConfig) float64 {
-	stages := float64(c.N+c.M-2) + float64(c.Tiles)
-	return stages * (c.TileWork + c.CommCost)
-}
-
-// HoisieIteration extends the single-sweep model to a full iteration with
-// the given number of sweeps, assuming sweeps follow each other back to
-// back (the customisation the paper notes the Hoisie model requires for
-// each specific code).
-func HoisieIteration(c HoisieConfig, sweeps int) float64 {
-	fill := float64(c.N+c.M-2) * (c.TileWork + c.CommCost)
-	stack := float64(c.Tiles) * (c.TileWork + c.CommCost)
-	return fill + float64(sweeps)*stack + fill // fill in, pipelined sweeps, drain
-}

@@ -184,20 +184,3 @@ func TestBaselineAgreesWithPlugAndPlay(t *testing.T) {
 		}
 	}
 }
-
-func TestHoisieModels(t *testing.T) {
-	c := HoisieConfig{N: 8, M: 8, Tiles: 32, TileWork: 10, CommCost: 2}
-	sweep := HoisieSweep(c)
-	want := float64(8+8-2+32) * 12
-	if sweep != want {
-		t.Errorf("HoisieSweep = %v, want %v", sweep, want)
-	}
-	iter := HoisieIteration(c, 8)
-	if iter <= 8*float64(c.Tiles)*12 {
-		t.Errorf("HoisieIteration = %v missing fill", iter)
-	}
-	// More sweeps cost more.
-	if HoisieIteration(c, 2) >= HoisieIteration(c, 8) {
-		t.Error("iteration time not increasing in sweeps")
-	}
-}

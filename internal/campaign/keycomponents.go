@@ -11,14 +11,12 @@ type KeyComponent struct {
 	Value string `json:"value"`
 }
 
-// ComponentNames lists the KeyComponent names in render order. Every run
-// produces exactly these components (with "none" placeholders where a
-// block is absent), so two runs always diff component-by-component.
-func ComponentNames() []string { return append([]string(nil), componentNames[:]...) }
-
 // KeyComponents renders the run's content identity as labelled components:
 // the rendering ContentKey hashes, cut at its component boundaries. Two
 // runs' keys therefore differ exactly when some component value does.
+// Every run produces the same components in the same order (with "none"
+// placeholders where a block is absent), so two runs always diff
+// component-by-component.
 func (r Run) KeyComponents(mode KeyMode) []KeyComponent {
 	var ends [len(componentNames)]int
 	b := r.appendIdentity(nil, mode, &ends)

@@ -46,10 +46,10 @@ func TestKeyComponentsMatchContentKey(t *testing.T) {
 	baseKey, _ := base.ContentKey(mode, nil)
 	baseComps := base.KeyComponents(mode)
 
-	if got := len(baseComps); got != len(ComponentNames()) {
-		t.Fatalf("KeyComponents emits %d components, ComponentNames lists %d", got, len(ComponentNames()))
+	if got := len(baseComps); got != len(componentNames) {
+		t.Fatalf("KeyComponents emits %d components, componentNames lists %d", got, len(componentNames))
 	}
-	for i, name := range ComponentNames() {
+	for i, name := range componentNames {
 		if baseComps[i].Name != name {
 			t.Errorf("component %d is %q, want %q", i, baseComps[i].Name, name)
 		}

@@ -1,11 +1,13 @@
 package campaign
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -30,6 +32,8 @@ type Server struct {
 	seq       int
 	order     []string
 	campaigns map[string]*servedCampaign
+	running   int           // campaigns whose execution has not returned
+	idle      chan struct{} // closed when running drops to zero
 }
 
 // servedCampaign is one submitted campaign's mutable state.
@@ -186,6 +190,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
+	s.mu.Lock()
+	if s.running == 0 {
+		s.idle = make(chan struct{})
+	}
+	s.running++
+	s.mu.Unlock()
 	go func() {
 		_, execErr := eng.Execute(runs)
 		c.mu.Lock()
@@ -196,6 +206,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			c.state = "done"
 		}
 		c.mu.Unlock()
+		s.mu.Lock()
+		s.running--
+		if s.running == 0 {
+			close(s.idle)
+		}
+		s.mu.Unlock()
 	}()
 
 	writeJSON(w, http.StatusAccepted, submitResponse{
@@ -206,6 +222,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// Wait blocks until no campaign is running, or until ctx ends; then it
+// returns an error naming each campaign still running with its done/total
+// run count. Call it once the handler takes no more submissions and before
+// closing the store, so the store outlives every Put.
+func (s *Server) Wait(ctx context.Context) error {
+	s.mu.Lock()
+	running, idle := s.running, s.idle
+	s.mu.Unlock()
+	if running == 0 {
+		return nil
+	}
+	select {
+	case <-idle:
+		return nil
+	case <-ctx.Done():
+	}
+	var unfinished []string
+	for _, st := range s.list().Campaigns {
+		if st.State == "running" {
+			unfinished = append(unfinished, fmt.Sprintf("%s %q at %d/%d runs", st.ID, st.Name, st.Done, st.Total))
+		}
+	}
+	if len(unfinished) == 0 {
+		return nil
+	}
+	return fmt.Errorf("campaign: %d campaign(s) still running: %s", len(unfinished), strings.Join(unfinished, ", "))
+}
+
 // listResponse enumerates campaigns in submission order.
 type listResponse struct {
 	Schema    int              `json:"schema_version"`
@@ -213,6 +257,11 @@ type listResponse struct {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.list())
+}
+
+// list reports every campaign's status in submission order.
+func (s *Server) list() listResponse {
 	s.mu.Lock()
 	ids := append([]string(nil), s.order...)
 	s.mu.Unlock()
@@ -223,7 +272,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		out.Campaigns = append(out.Campaigns, c.status())
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out
 }
 
 func (s *Server) lookup(r *http.Request) (*servedCampaign, error) {

@@ -169,16 +169,6 @@ type Report struct {
 // TotalSeconds returns the total runtime in seconds.
 func (r Report) TotalSeconds() float64 { return r.Total / 1e6 }
 
-// TotalDays returns the total runtime in days.
-func (r Report) TotalDays() float64 { return r.Total / 1e6 / 86400 }
-
-// Scale multiplies the total runtime (e.g. by time steps × energy groups)
-// and returns the scaled report.
-func (r Report) Scale(factor float64) Report {
-	r.Total *= factor
-	return r
-}
-
 // Model couples an application with a machine for evaluation.
 type Model struct {
 	App     App

@@ -439,14 +439,8 @@ func TestWithHelpers(t *testing.T) {
 
 func TestReportUnits(t *testing.T) {
 	r := Report{Total: 2 * 86400 * 1e6}
-	if !almostEq(r.TotalDays(), 2) {
-		t.Errorf("TotalDays = %v", r.TotalDays())
-	}
 	if !almostEq(r.TotalSeconds(), 2*86400) {
 		t.Errorf("TotalSeconds = %v", r.TotalSeconds())
-	}
-	if !almostEq(r.Scale(3).Total, 6*86400*1e6) {
-		t.Errorf("Scale broken")
 	}
 }
 

@@ -180,9 +180,9 @@ func TestCanonicalRunBoundsAndPending(t *testing.T) {
 	if len(*log) != 1 {
 		t.Fatalf("RunBefore(2) ran %d events", len(*log))
 	}
-	e.RunUntil(2) // inclusive: runs t=2
+	e.RunBefore(3) // runs t=2 and leaves the clock there
 	if len(*log) != 2 || e.Now() != 2 {
-		t.Fatalf("RunUntil(2): %d events, now=%v", len(*log), e.Now())
+		t.Fatalf("RunBefore(3): %d events, now=%v", len(*log), e.Now())
 	}
 	e.Run()
 	if len(*log) != 3 || e.Pending() != 0 {
@@ -195,7 +195,7 @@ func TestResetClearsCanonicalState(t *testing.T) {
 	collect(&e)
 	e.AtPriCtx(1, 0, 0, 1, 0, 0)
 	e.AtPriCtx(5, 2, 0, 1, 1, 0)
-	e.RunUntil(1)
+	e.RunBefore(2)
 	e.Reset()
 	if e.Pending() != 0 || e.Now() != 0 || e.CurCtx() != 0 {
 		t.Fatalf("Reset left pending=%d now=%v ctx=%v", e.Pending(), e.Now(), e.CurCtx())

@@ -203,26 +203,11 @@ func (e *Engine) Run() float64 {
 	return e.now
 }
 
-// RunUntil executes events with timestamps ≤ t, then advances the clock to
-// t if it has not already passed it.
-func (e *Engine) RunUntil(t float64) {
-	for {
-		next, ok := e.q.topTime()
-		if !ok || next > t {
-			break
-		}
-		e.Step()
-	}
-	if e.now < t {
-		e.now = t
-	}
-}
-
 // RunBefore executes events with timestamps strictly less than t and leaves
-// the clock at the last executed event. Unlike RunUntil it never advances
-// the clock artificially, so events delivered later for times in [now, t)
-// remain schedulable — the property the sharded scheduler (Group) relies on
-// when it injects cross-shard events at window barriers.
+// the clock at the last executed event. It never advances the clock
+// artificially, so events delivered later for times in [now, t) remain
+// schedulable — the property the sharded scheduler (Group) relies on when
+// it injects cross-shard events at window barriers.
 func (e *Engine) RunBefore(t float64) {
 	for {
 		next, ok := e.q.topTime()
@@ -273,9 +258,6 @@ func (r *Resource) Acquire(now, dur float64) (wait float64) {
 	}
 	return wait
 }
-
-// FreeAt returns the virtual time at which the resource next becomes idle.
-func (r *Resource) FreeAt() float64 { return r.freeAt }
 
 // Stats returns aggregate counters: total requests, requests that queued,
 // total busy time and total waiting time.

@@ -113,28 +113,6 @@ func TestRejectsNonFiniteTimes(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	var e Engine
-	f := newFuncs(&e)
-	fired := 0
-	f.after(1, func() { fired++ })
-	f.after(10, func() { fired++ })
-	e.RunUntil(5)
-	if fired != 1 {
-		t.Errorf("fired = %d, want 1", fired)
-	}
-	if e.Now() != 5 {
-		t.Errorf("Now = %v, want 5", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d", e.Pending())
-	}
-	e.Run()
-	if fired != 2 || e.Now() != 10 {
-		t.Errorf("after Run: fired=%d now=%v", fired, e.Now())
-	}
-}
-
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	var e Engine
 	if e.Step() {
@@ -159,9 +137,6 @@ func TestResourceFCFS(t *testing.T) {
 	req, q, busy, waited := r.Stats()
 	if req != 3 || q != 1 || busy != 11 || waited != 3 {
 		t.Errorf("Stats = %d %d %v %v", req, q, busy, waited)
-	}
-	if r.FreeAt() != 13 {
-		t.Errorf("FreeAt = %v", r.FreeAt())
 	}
 }
 
@@ -340,22 +315,6 @@ func TestHeapStressOrdering(t *testing.T) {
 	}
 }
 
-func TestRunUntilWithTypedEvents(t *testing.T) {
-	var e Engine
-	fired := 0
-	e.SetHandler(func(Event) { fired++ })
-	e.AtKind(1, 1, 0, 0)
-	e.AtKind(10, 1, 0, 0)
-	e.RunUntil(5)
-	if fired != 1 || e.Now() != 5 || e.Pending() != 1 {
-		t.Errorf("fired=%d now=%v pending=%d", fired, e.Now(), e.Pending())
-	}
-	e.Run()
-	if fired != 2 || e.Now() != 10 {
-		t.Errorf("after Run: fired=%d now=%v", fired, e.Now())
-	}
-}
-
 func TestEngineReset(t *testing.T) {
 	var e Engine
 	var order []int32
@@ -386,7 +345,7 @@ func TestEngineResetDropsAbandonedEvents(t *testing.T) {
 	e.SetHandler(func(Event) {})
 	e.AtKind(1, 1, 0, 0)
 	e.AtKind(5, 1, 0, 0)
-	e.RunUntil(2) // leaves the event at 5 pending
+	e.RunBefore(2) // leaves the event at 5 pending
 	e.Reset()
 	if e.Run() != 0 {
 		t.Error("reset engine ran abandoned events")

@@ -108,9 +108,6 @@ func NewGroup(engines []*Engine, lookahead float64) *Group {
 	}
 }
 
-// Lookahead returns the group's window length.
-func (g *Group) Lookahead() float64 { return g.lookahead }
-
 // Windows returns the number of windows executed so far.
 func (g *Group) Windows() uint64 { return g.windows }
 

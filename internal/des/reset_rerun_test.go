@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// The shard scheduler leans on bounded runs (RunBefore/RunUntil) with the
-// engine reused across simulations. This pins the contract that a Reset
+// The shard scheduler leans on bounded runs (RunBefore) with the engine
+// reused across simulations. This pins the contract that a Reset
 // after a *bounded* run — i.e. with events still pending and payload slots
 // still occupied — yields an engine whose next run is bit-identical to a
 // fresh engine's.
@@ -28,22 +28,22 @@ func traceRun(e *Engine, trace *[]Event) (end float64, ran uint64) {
 	return e.Run(), e.EventsRun()
 }
 
-func TestResetAfterBoundedRunUntilIsBitIdentical(t *testing.T) {
+func TestResetAfterBoundedRunIsBitIdentical(t *testing.T) {
 	// Fresh engine, full run: the reference trace.
 	var fresh Engine
 	var want []Event
 	wantEnd, wantRan := traceRun(&fresh, &want)
 
-	// Second engine: run a *different* workload partway with RunUntil,
+	// Second engine: run a *different* workload partway with RunBefore,
 	// leaving pending events and a mid-run clock.
 	var e Engine
 	e.SetHandler(func(Event) {})
 	e.AtKind(1, 2, 0, 0)
 	e.AtKind(5, 2, 1, 1) // never reached before the bound
 	e.AtKind(6, 4, 2, 2) // abandoned too
-	e.RunUntil(3)
-	if e.Now() != 3 || e.Pending() != 2 {
-		t.Fatalf("bounded run state: now=%v pending=%d, want 3, 2", e.Now(), e.Pending())
+	e.RunBefore(3)
+	if e.Now() != 1 || e.Pending() != 2 {
+		t.Fatalf("bounded run state: now=%v pending=%d, want 1, 2", e.Now(), e.Pending())
 	}
 
 	e.Reset()

@@ -167,21 +167,6 @@ func DeriveTable2(mach machine.Machine) (Derived, error) {
 	return dOff, nil
 }
 
-// Params converts derived values into a logp.Params set usable by the
-// models.
-func (d Derived) Params(name string) logp.Params {
-	return logp.Params{
-		Name:  name,
-		G:     d.G,
-		L:     d.L,
-		O:     d.O,
-		Gcopy: d.Gcopy,
-		Gdma:  d.Gdma,
-		Ochip: d.Ochip,
-		Ocopy: d.Ocopy,
-	}
-}
-
 // ModelCurve returns the Table 1 model predictions at the sample sizes, for
 // overlaying model and "measurement" as in Figure 3.
 func ModelCurve(p logp.Params, path logp.Path, sizes []int) []Sample {
@@ -190,24 +175,6 @@ func ModelCurve(p logp.Params, path logp.Path, sizes []int) []Sample {
 		out = append(out, Sample{Bytes: sz, Time: p.TotalComm(path, sz)})
 	}
 	return out
-}
-
-// CompareCurves summarises the relative error between two sample sets at
-// identical sizes.
-func CompareCurves(model, measured []Sample) (stats.ErrorSummary, error) {
-	if len(model) != len(measured) {
-		return stats.ErrorSummary{}, fmt.Errorf("fitting: mismatched curve lengths %d vs %d", len(model), len(measured))
-	}
-	pred := make([]float64, len(model))
-	act := make([]float64, len(model))
-	for i := range model {
-		if model[i].Bytes != measured[i].Bytes {
-			return stats.ErrorSummary{}, fmt.Errorf("fitting: mismatched sizes at index %d", i)
-		}
-		pred[i] = model[i].Time
-		act[i] = measured[i].Time
-	}
-	return stats.Summarize(pred, act), nil
 }
 
 func split(samples []Sample) (small, large []Sample) {

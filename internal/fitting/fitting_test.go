@@ -69,7 +69,9 @@ func TestDerivedParamsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := d.Params("derived XT4")
+	p := mach.Params
+	p.G, p.L, p.O = d.G, d.L, d.O
+	p.Gcopy, p.Gdma, p.Ochip, p.Ocopy = d.Gcopy, d.Gdma, d.Ochip, d.Ocopy
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -99,19 +101,13 @@ func TestSweepAndCompareCurves(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := ModelCurve(mach.Params, logp.OffNode, sizes)
-	sum, err := CompareCurves(model, meas)
-	if err != nil {
-		t.Fatal(err)
+	if len(model) != len(meas) {
+		t.Fatalf("%d model samples for %d measured", len(model), len(meas))
 	}
-	if sum.MaxAbs > 1e-9 {
-		t.Errorf("model and uncontended simulation differ: %v", sum)
-	}
-	if _, err := CompareCurves(model[:2], meas); err == nil {
-		t.Error("mismatched lengths accepted")
-	}
-	bad := ModelCurve(mach.Params, logp.OffNode, []int{65, 512, 2048, 8192})
-	if _, err := CompareCurves(bad, meas); err == nil {
-		t.Error("mismatched sizes accepted")
+	for i := range model {
+		if model[i].Bytes != meas[i].Bytes || math.Abs(model[i].Time-meas[i].Time) > 1e-9*meas[i].Time {
+			t.Errorf("model and uncontended simulation differ: %+v vs %+v", model[i], meas[i])
+		}
 	}
 }
 

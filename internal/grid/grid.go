@@ -9,10 +9,7 @@
 // is the row, matching the paper's notation.
 package grid
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Grid describes a 3-D discretized data grid.
 type Grid struct {
@@ -157,22 +154,6 @@ func (c Corner) String() string {
 	return cornerNames[c]
 }
 
-// Origin returns the coordinate of the corner processor where a sweep from
-// corner c begins.
-func (d Decomposition) Origin(c Corner) Coord {
-	switch c {
-	case NW:
-		return Coord{1, 1}
-	case NE:
-		return Coord{d.N, 1}
-	case SW:
-		return Coord{1, d.M}
-	case SE:
-		return Coord{d.N, d.M}
-	}
-	panic(fmt.Sprintf("grid: invalid corner %d", int(c)))
-}
-
 // Opposite returns the corner diagonally opposite c; a sweep originating at
 // c fully completes when the processor at Opposite(c) finishes its stack.
 func (c Corner) Opposite() Corner {
@@ -185,24 +166,6 @@ func (c Corner) Opposite() Corner {
 		return NE
 	case SE:
 		return NW
-	}
-	panic(fmt.Sprintf("grid: invalid corner %d", int(c)))
-}
-
-// DiagonalNeighbor returns, for a sweep originating at c, the "second corner
-// processor on the main diagonal of the wavefronts" (paper Section 4.1):
-// the corner adjacent to the origin in the column direction. For the NW
-// origin this is (1, m) per equation (r3a).
-func (c Corner) DiagonalNeighbor() Corner {
-	switch c {
-	case NW:
-		return SW
-	case NE:
-		return SE
-	case SW:
-		return NW
-	case SE:
-		return NE
 	}
 	panic(fmt.Sprintf("grid: invalid corner %d", int(c)))
 }
@@ -223,74 +186,4 @@ func (c Corner) Step() (di, dj int) {
 	panic(fmt.Sprintf("grid: invalid corner %d", int(c)))
 }
 
-// Upstream returns the coordinates of the up-to-two processors that send
-// boundary data to p during a sweep from corner c, in (west-like, north-like)
-// order relative to the sweep direction. Coordinates outside the array are
-// omitted.
-func (d Decomposition) Upstream(c Corner, p Coord) []Coord {
-	di, dj := c.Step()
-	var out []Coord
-	if w := (Coord{p.I - di, p.J}); d.Contains(w) {
-		out = append(out, w)
-	}
-	if n := (Coord{p.I, p.J - dj}); d.Contains(n) {
-		out = append(out, n)
-	}
-	return out
-}
-
-// Downstream returns the coordinates of the up-to-two processors that p
-// sends boundary data to during a sweep from corner c, in (east-like,
-// south-like) order.
-func (d Decomposition) Downstream(c Corner, p Coord) []Coord {
-	di, dj := c.Step()
-	var out []Coord
-	if e := (Coord{p.I + di, p.J}); d.Contains(e) {
-		out = append(out, e)
-	}
-	if s := (Coord{p.I, p.J + dj}); d.Contains(s) {
-		out = append(out, s)
-	}
-	return out
-}
-
-// WavefrontIndex returns the 0-based diagonal index of processor p for a
-// sweep from corner c: processors with equal index compute the same tile
-// position at the same time in an ideal pipeline.
-func (d Decomposition) WavefrontIndex(c Corner, p Coord) int {
-	o := d.Origin(c)
-	return abs(p.I-o.I) + abs(p.J-o.J)
-}
-
-// Diagonals returns the number of distinct wavefront diagonals, n + m - 1.
-func (d Decomposition) Diagonals() int { return d.N + d.M - 1 }
-
-// PipelineDepth returns the number of pipeline stages a full sweep takes:
-// the number of diagonals plus the tiles per stack minus one.
-func (d Decomposition) PipelineDepth(htile int) int {
-	return d.Diagonals() + d.TilesPerStack(htile) - 1
-}
-
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// NearlySquare reports whether the decomposition aspect ratio is within
-// [1/2, 2]; the paper's production configurations are all nearly square.
-func (d Decomposition) NearlySquare() bool {
-	r := float64(d.N) / float64(d.M)
-	return r >= 0.5 && r <= 2.0
-}
-
-// BalanceError returns the relative load imbalance caused by uneven
-// division of Nx by n or Ny by m: 0 means perfectly balanced.
-func (d Decomposition) BalanceError() float64 {
-	ex := float64(d.CellsPerRankX()*d.N-d.Grid.Nx) / float64(d.Grid.Nx)
-	ey := float64(d.CellsPerRankY()*d.M-d.Grid.Ny) / float64(d.Grid.Ny)
-	return math.Max(ex, ey)
-}

@@ -142,27 +142,11 @@ func TestRankCoordRoundTripProperty(t *testing.T) {
 }
 
 func TestCornerOriginAndOpposite(t *testing.T) {
-	d := MustDecompose(Cube(16), 4, 3)
-	cases := []struct {
-		c        Corner
-		origin   Coord
-		opposite Corner
-		diagNb   Corner
-	}{
-		{NW, Coord{1, 1}, SE, SW},
-		{NE, Coord{4, 1}, SW, SE},
-		{SW, Coord{1, 3}, NE, NW},
-		{SE, Coord{4, 3}, NW, NE},
-	}
-	for _, tc := range cases {
-		if got := d.Origin(tc.c); got != tc.origin {
-			t.Errorf("Origin(%v) = %v, want %v", tc.c, got, tc.origin)
-		}
+	for _, tc := range []struct{ c, opposite Corner }{
+		{NW, SE}, {NE, SW}, {SW, NE}, {SE, NW},
+	} {
 		if got := tc.c.Opposite(); got != tc.opposite {
 			t.Errorf("Opposite(%v) = %v, want %v", tc.c, got, tc.opposite)
-		}
-		if got := tc.c.DiagonalNeighbor(); got != tc.diagNb {
-			t.Errorf("DiagonalNeighbor(%v) = %v, want %v", tc.c, got, tc.diagNb)
 		}
 	}
 }
@@ -172,102 +156,6 @@ func TestOppositeIsInvolution(t *testing.T) {
 		if c.Opposite().Opposite() != c {
 			t.Errorf("Opposite is not an involution for %v", c)
 		}
-	}
-}
-
-func TestUpstreamDownstream(t *testing.T) {
-	d := MustDecompose(Cube(16), 3, 3)
-	// Origin has no upstream, two downstream.
-	if got := d.Upstream(NW, Coord{1, 1}); len(got) != 0 {
-		t.Errorf("Upstream at origin = %v, want empty", got)
-	}
-	if got := d.Downstream(NW, Coord{1, 1}); len(got) != 2 {
-		t.Errorf("Downstream at origin = %v, want 2", got)
-	}
-	// Terminal corner has two upstream, no downstream.
-	if got := d.Upstream(NW, Coord{3, 3}); len(got) != 2 {
-		t.Errorf("Upstream at terminal = %v, want 2", got)
-	}
-	if got := d.Downstream(NW, Coord{3, 3}); len(got) != 0 {
-		t.Errorf("Downstream at terminal = %v, want none", got)
-	}
-	// Interior has both.
-	up := d.Upstream(SE, Coord{2, 2})
-	if len(up) != 2 || up[0] != (Coord{3, 2}) || up[1] != (Coord{2, 3}) {
-		t.Errorf("Upstream(SE, 2,2) = %v", up)
-	}
-}
-
-func TestUpstreamDownstreamSymmetry(t *testing.T) {
-	// q is downstream of p iff p is upstream of q, for every corner.
-	d := MustDecompose(Cube(8), 4, 5)
-	for _, c := range []Corner{NW, NE, SW, SE} {
-		for r := 0; r < d.P(); r++ {
-			p := d.CoordOf(r)
-			for _, q := range d.Downstream(c, p) {
-				found := false
-				for _, b := range d.Upstream(c, q) {
-					if b == p {
-						found = true
-					}
-				}
-				if !found {
-					t.Fatalf("corner %v: %v downstream of %v but not symmetric", c, q, p)
-				}
-			}
-		}
-	}
-}
-
-func TestWavefrontIndex(t *testing.T) {
-	d := MustDecompose(Cube(16), 4, 3)
-	if got := d.WavefrontIndex(NW, Coord{1, 1}); got != 0 {
-		t.Errorf("index at origin = %d", got)
-	}
-	if got := d.WavefrontIndex(NW, Coord{4, 3}); got != 5 {
-		t.Errorf("index at terminal = %d, want 5", got)
-	}
-	if got := d.WavefrontIndex(SE, Coord{4, 3}); got != 0 {
-		t.Errorf("SE origin index = %d", got)
-	}
-	if got := d.Diagonals(); got != 6 {
-		t.Errorf("Diagonals = %d, want 6", got)
-	}
-}
-
-func TestWavefrontIndexIncreasesDownstream(t *testing.T) {
-	d := MustDecompose(Cube(8), 5, 4)
-	for _, c := range []Corner{NW, NE, SW, SE} {
-		for r := 0; r < d.P(); r++ {
-			p := d.CoordOf(r)
-			for _, q := range d.Downstream(c, p) {
-				if d.WavefrontIndex(c, q) != d.WavefrontIndex(c, p)+1 {
-					t.Fatalf("corner %v: index not incremented from %v to %v", c, p, q)
-				}
-			}
-		}
-	}
-}
-
-func TestPipelineDepth(t *testing.T) {
-	d := MustDecompose(NewGrid(32, 32, 40), 4, 4)
-	if got := d.PipelineDepth(4); got != (4+4-1)+(10-1) {
-		t.Errorf("PipelineDepth = %d", got)
-	}
-}
-
-func TestNearlySquareAndBalance(t *testing.T) {
-	if !MustDecompose(Cube(64), 8, 8).NearlySquare() {
-		t.Error("8x8 should be nearly square")
-	}
-	if MustDecompose(Cube(64), 64, 1).NearlySquare() {
-		t.Error("64x1 should not be nearly square")
-	}
-	if got := MustDecompose(Cube(64), 8, 8).BalanceError(); got != 0 {
-		t.Errorf("BalanceError = %v for even division", got)
-	}
-	if got := MustDecompose(NewGrid(10, 10, 10), 3, 3).BalanceError(); got <= 0 {
-		t.Errorf("BalanceError = %v for uneven division, want > 0", got)
 	}
 }
 

@@ -71,7 +71,7 @@ type Experiment struct {
 	Hypothesis string
 
 	// Metric names the campaign.RunResult field the effect is measured
-	// on; see MetricValue for the accepted names.
+	// on; see MetricNames for the accepted names.
 	Metric string
 	// Direction is the predicted sign of the treatment effect on Metric:
 	// Increase or Decrease.
@@ -291,15 +291,4 @@ func MetricNames() []string {
 		"link_wait_us", "max_link_util", "events", "messages", "bytes_sent"}
 	sort.Strings(names)
 	return names
-}
-
-// MetricValue extracts the named metric from a run result; it errors only
-// on an unknown name (every known metric is defined on every row — absent
-// omitempty fields read as zero).
-func MetricValue(name string, r campaign.RunResult) (float64, error) {
-	get, err := metricExtractor(name)
-	if err != nil {
-		return 0, err
-	}
-	return get(&r), nil
 }

@@ -160,14 +160,17 @@ func TestWithSeed(t *testing.T) {
 func TestMetricNamesResolve(t *testing.T) {
 	r := campaign.RunResult{SimMicros: 3, ModelMicros: 2, Events: 5}
 	for _, name := range MetricNames() {
-		if _, err := MetricValue(name, r); err != nil {
-			t.Errorf("MetricValue(%q): %v", name, err)
+		get, err := metricExtractor(name)
+		if err != nil {
+			t.Errorf("metricExtractor(%q): %v", name, err)
+			continue
 		}
+		get(&r) // every metric is defined on every row
 	}
-	if v, err := MetricValue("sim_us", r); err != nil || v != 3 {
-		t.Errorf("MetricValue(sim_us) = %v, %v", v, err)
+	if get, err := metricExtractor("sim_us"); err != nil || get(&r) != 3 {
+		t.Errorf("metricExtractor(sim_us): %v", err)
 	}
-	if _, err := MetricValue("nope", r); err == nil {
+	if _, err := metricExtractor("nope"); err == nil {
 		t.Error("unknown metric did not error")
 	}
 }

@@ -96,10 +96,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// InterNodeBandwidth returns the off-node bandwidth 1/G in bytes/µs
-// (Section 3.1 notes 1/G yields 2.5 GB/s on the XT4).
-func (p Params) InterNodeBandwidth() float64 { return 1 / p.G }
-
 // Handshake returns h = L + oh + L + oh, the rendezvous round-trip time
 // (paper Table 1(a)).
 func (p Params) Handshake() float64 { return 2*p.L + 2*p.H }
@@ -179,14 +175,6 @@ const (
 	OffNode Path = iota // between cores on different nodes
 	OnChip              // between cores on the same chip/node
 )
-
-// String implements fmt.Stringer.
-func (p Path) String() string {
-	if p == OnChip {
-		return "on-chip"
-	}
-	return "off-node"
-}
 
 // TotalComm dispatches to TotalCommOffNode or TotalCommOnChip.
 func (p Params) TotalComm(path Path, size int) float64 {

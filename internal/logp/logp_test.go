@@ -27,10 +27,6 @@ func TestXT4Values(t *testing.T) {
 	if got := p.Odma(); !almostEq(got, 3.80-1.98) {
 		t.Errorf("Odma = %v", got)
 	}
-	// 1/G is 2.5 GB/s (Section 3.1).
-	if bw := p.InterNodeBandwidth(); !almostEq(bw, 2500) {
-		t.Errorf("bandwidth = %v bytes/µs, want 2500", bw)
-	}
 }
 
 func TestSP2MuchSlowerThanXT4(t *testing.T) {
@@ -140,9 +136,6 @@ func TestPathDispatch(t *testing.T) {
 		if p.Receive(OffNode, size) != p.ReceiveOffNode(size) || p.Receive(OnChip, size) != p.ReceiveOnChip(size) {
 			t.Errorf("Receive dispatch mismatch at %d", size)
 		}
-	}
-	if OffNode.String() != "off-node" || OnChip.String() != "on-chip" {
-		t.Error("Path.String mismatch")
 	}
 }
 

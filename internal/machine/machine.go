@@ -156,34 +156,6 @@ func (m Machine) Validate() error {
 // CoresPerBus returns the number of cores sharing each bus/NIC group.
 func (m Machine) CoresPerBus() int { return m.CoresPerNode / m.BusGroups }
 
-// Nodes returns the number of nodes needed to host p cores (rounded up).
-func (m Machine) Nodes(p int) int {
-	return (p + m.CoresPerNode - 1) / m.CoresPerNode
-}
-
-// ContentionFactor returns the multiplier on the per-message interference
-// term I = odma + size×Gdma applied to Send and Receive operations in model
-// equation (r4), per paper Table 6. The table stops at four cores per bus;
-// beyond that the factor grows as cores/4, the rule core's contention term
-// applies:
-//
-//	1 core/bus:  0   (no sharing)
-//	2 cores/bus: 0.5 (I added to two of the four operations)
-//	4 cores/bus: 1
-//	8 cores/bus: 2
-//	16 cores/bus: 4  (factor = cores/4 for ≥ 4 cores per bus)
-func (m Machine) ContentionFactor() float64 {
-	c := m.CoresPerBus()
-	switch {
-	case c <= 1:
-		return 0
-	case c == 2:
-		return 0.5
-	default:
-		return float64(c) / 4
-	}
-}
-
 // String implements fmt.Stringer.
 func (m Machine) String() string {
 	s := fmt.Sprintf("%s [%d cores/node as %dx%d, %d bus group(s), %s]",

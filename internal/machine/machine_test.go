@@ -108,39 +108,6 @@ func TestValidateRejectsInconsistent(t *testing.T) {
 	}
 }
 
-func TestContentionFactor(t *testing.T) {
-	// Paper Table 6: 1×2 → I on two of four ops (factor 0.5 on all four),
-	// 2×2 → I each (1), 2×4 → 2I each (2); generalised 4×4 → 4I (4).
-	for _, tc := range []struct {
-		cores, groups int
-		want          float64
-	}{
-		{1, 1, 0}, {2, 1, 0.5}, {4, 1, 1}, {8, 1, 2}, {16, 1, 4},
-		{16, 4, 1},  // four cores per bus → 2×2 behaviour
-		{16, 2, 2},  // eight per bus
-		{16, 16, 0}, // one per bus
-	} {
-		m, err := XT4MultiCoreGrouped(tc.cores, tc.groups)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := m.ContentionFactor(); got != tc.want {
-			t.Errorf("ContentionFactor(%d cores, %d groups) = %v, want %v",
-				tc.cores, tc.groups, got, tc.want)
-		}
-	}
-}
-
-func TestNodes(t *testing.T) {
-	m := XT4()
-	if got := m.Nodes(8192); got != 4096 {
-		t.Errorf("Nodes(8192) = %d", got)
-	}
-	if got := m.Nodes(3); got != 2 {
-		t.Errorf("Nodes(3) = %d, want 2 (rounded up)", got)
-	}
-}
-
 func TestString(t *testing.T) {
 	s := XT4().String()
 	for _, want := range []string{"XT4", "1x2", "2 cores"} {

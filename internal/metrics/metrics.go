@@ -102,14 +102,6 @@ const (
 	MinR2overX
 )
 
-// String implements fmt.Stringer.
-func (c Criterion) String() string {
-	if c == MinR2overX {
-		return "min R²/X"
-	}
-	return "min R/X"
-}
-
 // Optimal returns the partition point minimising the criterion.
 func Optimal(points []PartitionPoint, c Criterion) (PartitionPoint, error) {
 	if len(points) == 0 {

@@ -125,15 +125,6 @@ func TestPartitionPointFields(t *testing.T) {
 	}
 }
 
-func TestCriterionString(t *testing.T) {
-	if MinRoverX.String() == "" || MinR2overX.String() == "" {
-		t.Error("empty criterion names")
-	}
-	if MinRoverX.String() == MinR2overX.String() {
-		t.Error("criteria should have distinct names")
-	}
-}
-
 func TestDiminishingReturns(t *testing.T) {
 	ps := []int{1, 2, 4, 8}
 	times := []float64{100, 55, 40, 38}

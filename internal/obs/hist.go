@@ -97,21 +97,6 @@ func (h *Hist) Quantile(q float64) float64 {
 	return bucketRep(histBuckets - 1)
 }
 
-// Mean returns the bucket-quantised approximate mean, computed from the
-// counts in fixed bucket order (deterministic for any merge order).
-func (h *Hist) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	var sum float64
-	for b := 0; b < histBuckets; b++ {
-		if h.counts[b] > 0 {
-			sum += float64(h.counts[b]) * bucketRep(b)
-		}
-	}
-	return sum / float64(h.n)
-}
-
 // Merge adds another histogram's counts into h.
 func (h *Hist) Merge(o *Hist) {
 	for b := range h.counts {

@@ -87,8 +87,8 @@ func NewWithOptions(topo *simnet.Topology, o Options) (*Sim, error) {
 // size perform near-zero heap allocations after the first. All programs
 // are cleared, and the Sim's configuration afterwards is exactly o: a
 // reset Sim behaves bit-identically to NewWithOptions(topo, o). The
-// topology must itself be fresh or reset (its buses start a new virtual
-// time axis). An invalid o leaves the Sim unchanged.
+// topology must be fresh, so its buses and links start a new virtual time
+// axis. An invalid o leaves the Sim unchanged.
 func (s *Sim) ResetWithOptions(topo *simnet.Topology, o Options) error {
 	if err := o.validateFor(topo); err != nil {
 		return err

@@ -8,6 +8,7 @@ package simmpi_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/apps"
@@ -169,6 +170,34 @@ func TestResetCollectiveBitIdentical(t *testing.T) {
 	}
 }
 
+// allocsPerReuse returns the mean heap allocations of resetting sim onto a
+// fresh topology, setting fresh programs and running, over n re-runs. The
+// topology and programs are built before the count starts, as the campaign
+// engine builds them per run, so the count is the Sim's own reuse.
+func allocsPerReuse(t *testing.T, sim *simmpi.Sim, n int, fresh func() (*simnet.Topology, []*simmpi.SliceProgram)) float64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	var total uint64
+	for i := 0; i < n; i++ {
+		topo, progs := fresh()
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		if err := sim.ResetWithOptions(topo, simmpi.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		for r, p := range progs {
+			sim.SetProgram(r, p)
+		}
+		if _, err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		total += ms.Mallocs - before
+	}
+	return float64(total) / float64(n)
+}
+
 // TestResetCollectiveAllocsNearZero extends the reuse contract to
 // collectives: once a Sim has expanded a collective program, re-running it
 // after a reset must stay within the same ≤8 allocs budget as point-to-point
@@ -176,24 +205,13 @@ func TestResetCollectiveBitIdentical(t *testing.T) {
 func TestResetCollectiveAllocsNearZero(t *testing.T) {
 	const ranks = 16
 	mach := machine.XT4()
-	topo := simnet.NewTopology(mach.Params, ranks, simnet.LinearPlacement(mach))
-	progs := collectiveProgs(ranks)
-	sim := simmpi.New(topo)
-	run := func() {
-		topo.Reset()
-		if err := sim.ResetWithOptions(topo, simmpi.Options{}); err != nil {
-			t.Fatal(err)
-		}
-		for r, p := range progs {
-			p.Rewind()
-			sim.SetProgram(r, p)
-		}
-		if _, err := sim.Run(); err != nil {
-			t.Fatal(err)
-		}
+	fresh := func() (*simnet.Topology, []*simmpi.SliceProgram) {
+		return simnet.NewTopology(mach.Params, ranks, simnet.LinearPlacement(mach)), collectiveProgs(ranks)
 	}
-	run() // first run grows the pools and expansion buffers
-	allocs := testing.AllocsPerRun(10, run)
+	topo, _ := fresh()
+	sim := simmpi.New(topo)
+	allocsPerReuse(t, sim, 1, fresh) // the first run grows the pools and expansion buffers
+	allocs := allocsPerReuse(t, sim, 10, fresh)
 	t.Logf("%.1f allocs per collective re-run", allocs)
 	if allocs > 8 {
 		t.Errorf("collective reset run allocates too much: %.1f allocs/run, want ≤ 8", allocs)
@@ -207,17 +225,15 @@ func TestResetAllocsNearZero(t *testing.T) {
 	const ranks = 16
 	const rounds = 50
 	mach := machine.XT4()
-	topo := simnet.NewTopology(mach.Params, ranks, simnet.LinearPlacement(mach))
 	// A neighbour ring of eager and rendezvous traffic with interleaved
 	// compute, exercising pools, rings and the bus without all-reduce
 	// generations (which allocate by design, once per generation).
-	progs := make([]*simmpi.SliceProgram, ranks)
+	ops := make([][]simmpi.Op, ranks)
 	for r := 0; r < ranks; r++ {
 		next := (r + 1) % ranks
 		prev := (r + ranks - 1) % ranks
-		var ops []simmpi.Op
 		for i := 0; i < rounds; i++ {
-			ops = append(ops,
+			ops[r] = append(ops[r],
 				simmpi.Compute(1.5),
 				simmpi.Send(next, 512),
 				simmpi.Recv(prev),
@@ -225,28 +241,25 @@ func TestResetAllocsNearZero(t *testing.T) {
 				simmpi.Recv(prev),
 			)
 		}
-		progs[r] = simmpi.Ops(ops...)
 	}
+	fresh := func() (*simnet.Topology, []*simmpi.SliceProgram) {
+		progs := make([]*simmpi.SliceProgram, ranks)
+		for r := range progs {
+			progs[r] = simmpi.Ops(ops[r]...)
+		}
+		return simnet.NewTopology(mach.Params, ranks, simnet.LinearPlacement(mach)), progs
+	}
+	topo, progs := fresh()
 	sim := simmpi.New(topo)
-	var events uint64
-	run := func() {
-		topo.Reset()
-		if err := sim.ResetWithOptions(topo, simmpi.Options{}); err != nil {
-			t.Fatal(err)
-		}
-		for r, p := range progs {
-			p.Rewind()
-			sim.SetProgram(r, p)
-		}
-		res, err := sim.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		events = res.Events
+	for r, p := range progs {
+		sim.SetProgram(r, p)
 	}
-	run() // first run grows the pools
-	allocs := testing.AllocsPerRun(10, run)
-	t.Logf("%.1f allocs per re-run over %d events", allocs, events)
+	res, err := sim.Run() // the first run grows the pools
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := allocsPerReuse(t, sim, 10, fresh)
+	t.Logf("%.1f allocs per re-run over %d events", allocs, res.Events)
 	// Result carries two fresh per-rank slices; everything else must reuse.
 	if allocs > 8 {
 		t.Errorf("reset run allocates too much: %.1f allocs/run, want ≤ 8", allocs)

@@ -114,16 +114,6 @@ func (p *SliceProgram) Next() (Op, bool) {
 	return op, true
 }
 
-// Rewind returns the program to its first operation so it can be replayed
-// by a reused simulator (see Sim.ResetWithOptions).
-func (p *SliceProgram) Rewind() { p.pos = 0 }
-
-// FuncProgram adapts a generator function to the Program interface.
-type FuncProgram func() (Op, bool)
-
-// Next implements Program.
-func (f FuncProgram) Next() (Op, bool) { return f() }
-
 // Result summarises a completed simulation.
 type Result struct {
 	// Time is the virtual time at which the last rank finished, in µs.
@@ -151,17 +141,6 @@ type Result struct {
 	// pointer aliases the recorder's accumulator, which keeps accumulating
 	// if the recorder is reused without a Reset.
 	Hists *obs.SimHists
-}
-
-// MaxComputeTime returns the largest per-rank compute time.
-func (r Result) MaxComputeTime() float64 {
-	var m float64
-	for _, c := range r.ComputeTime {
-		if c > m {
-			m = c
-		}
-	}
-	return m
 }
 
 // Sim is a configured simulation instance. A Sim may be run once; call

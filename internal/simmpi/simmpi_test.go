@@ -217,9 +217,6 @@ func TestComputeAccounting(t *testing.T) {
 	if res.ComputeTime[0] != 12 || res.ComputeTime[1] != 1 {
 		t.Errorf("compute = %v", res.ComputeTime)
 	}
-	if res.MaxComputeTime() != 12 {
-		t.Errorf("MaxComputeTime = %v", res.MaxComputeTime())
-	}
 	if res.Time != 12 {
 		t.Errorf("Time = %v", res.Time)
 	}
@@ -331,26 +328,6 @@ func TestBusContentionEmergesOffNode(t *testing.T) {
 	maxExtra := 2 * topo.BusOccupancy(8192)
 	if slower > nominal+maxExtra+1e-9 {
 		t.Errorf("contention %v exceeds bound %v", slower-nominal, nominal+maxExtra)
-	}
-}
-
-func TestFuncProgram(t *testing.T) {
-	topo := offNodePair()
-	s := New(topo)
-	n := 0
-	s.SetProgram(0, FuncProgram(func() (Op, bool) {
-		if n >= 3 {
-			return Op{}, false
-		}
-		n++
-		return Compute(2), true
-	}))
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RankFinish[0] != 6 {
-		t.Errorf("finish = %v", res.RankFinish[0])
 	}
 }
 

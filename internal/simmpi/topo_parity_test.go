@@ -98,15 +98,19 @@ func TestInterconnectChangesMultiNodeTiming(t *testing.T) {
 	}
 }
 
-// TestResetClearsInterconnect: a reused topology+sim pair reproduces the
-// first run bit-for-bit after a reset, link statistics included.
+// TestResetClearsInterconnect: a simulator reset onto a fresh topology, as
+// the campaign engine resets its workers' simulators, reproduces the first
+// run bit-for-bit, link statistics included.
 func TestResetClearsInterconnect(t *testing.T) {
 	g := grid.Cube(24)
 	mach := machine.XT4()
 	dec := grid.MustDecompose(g, 6, 6)
-	tp := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-	if err := tp.AttachInterconnect(topo.Spec{Kind: topo.FatTree}); err != nil {
-		t.Fatal(err)
+	fatTree := func() *simnet.Topology {
+		tp := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
+		if err := tp.AttachInterconnect(topo.Spec{Kind: topo.FatTree}); err != nil {
+			t.Fatal(err)
+		}
+		return tp
 	}
 	run := func(sim *simmpi.Sim) simmpi.Result {
 		sched, err := apps.Sweep3D(g, 2).Schedule(dec, 1)
@@ -122,10 +126,9 @@ func TestResetClearsInterconnect(t *testing.T) {
 		}
 		return res
 	}
-	sim := simmpi.New(tp)
+	sim := simmpi.New(fatTree())
 	first := run(sim)
-	tp.Reset()
-	if err := sim.ResetWithOptions(tp, simmpi.Options{}); err != nil {
+	if err := sim.ResetWithOptions(fatTree(), simmpi.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	second := run(sim)

@@ -148,17 +148,6 @@ func (t *Topology) AttachInterconnect(spec topo.Spec) error {
 // network.
 func (t *Topology) Interconnect() *topo.Interconnect { return t.ic }
 
-// Reset returns every shared-bus resource (and every interconnect link) to
-// the idle, zero-statistics state so the topology can serve a fresh
-// simulation on a new virtual time axis. Placement and parameters are
-// immutable and survive the reset.
-func (t *Topology) Reset() {
-	for i := range t.buses {
-		t.buses[i] = des.Resource{}
-	}
-	t.ic.Reset()
-}
-
 // Ranks returns the number of ranks in the topology.
 func (t *Topology) Ranks() int { return t.ranks }
 
@@ -245,14 +234,5 @@ func (t *Topology) BusStats() (requests, queued uint64, busy, waited float64) {
 // adds delay on top, so the wire latency L is a sound static bound. A zero
 // L offers no lookahead; callers must fall back to serial execution.
 func (t *Topology) Lookahead() float64 { return t.Params.L }
-
-// Nodes returns the number of distinct nodes in use.
-func (t *Topology) Nodes() int {
-	seen := map[int32]struct{}{}
-	for _, n := range t.nodeOf {
-		seen[n] = struct{}{}
-	}
-	return len(seen)
-}
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -33,9 +33,18 @@ func TestGridPlacementRectangles(t *testing.T) {
 	}
 	// All 16 ranks over 4 nodes.
 	topo := NewTopology(mach.Params, dec.P(), place)
-	if got := topo.Nodes(); got != 4 {
-		t.Errorf("Nodes = %d, want 4", got)
+	if got := nodes(topo); got != 4 {
+		t.Errorf("nodes = %d, want 4", got)
 	}
+}
+
+// nodes returns the number of distinct nodes hosting the topology's ranks.
+func nodes(topo *Topology) int {
+	seen := map[int]bool{}
+	for r := 0; r < topo.Ranks(); r++ {
+		seen[topo.NodeOf(r)] = true
+	}
+	return len(seen)
 }
 
 func TestGridPlacementDualCoreXT4(t *testing.T) {
@@ -67,8 +76,8 @@ func TestLinearPlacement(t *testing.T) {
 	if !topo.SameNode(0, 1) || topo.SameNode(1, 2) || !topo.SameNode(4, 5) {
 		t.Error("linear placement pairs wrong")
 	}
-	if topo.Nodes() != 3 {
-		t.Errorf("Nodes = %d", topo.Nodes())
+	if got := nodes(topo); got != 3 {
+		t.Errorf("nodes = %d, want 3", got)
 	}
 }
 

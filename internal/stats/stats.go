@@ -66,28 +66,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Max returns the maximum; negative infinity for an empty slice.
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the minimum; positive infinity for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Stream is a single-pass streaming aggregator: count, sum, extrema and
 // Welford-updated mean/variance. The zero value is an empty stream. It is
 // the building block of campaign per-dimension summaries, where thousands
@@ -121,29 +99,11 @@ func (s *Stream) Add(x float64) {
 // N returns the number of observations.
 func (s *Stream) N() int { return s.n }
 
-// Sum returns the running sum; zero for an empty stream.
-func (s *Stream) Sum() float64 { return s.sum }
-
 // Mean returns the running mean; zero for an empty stream.
 func (s *Stream) Mean() float64 { return s.mean }
 
-// Min returns the smallest observation; zero for an empty stream.
-func (s *Stream) Min() float64 { return s.min }
-
 // Max returns the largest observation; zero for an empty stream.
 func (s *Stream) Max() float64 { return s.max }
-
-// Var returns the population variance; zero with fewer than two
-// observations.
-func (s *Stream) Var() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n)
-}
-
-// Std returns the population standard deviation.
-func (s *Stream) Std() float64 { return math.Sqrt(s.Var()) }
 
 // Percentile returns the p-quantile (0 ≤ p ≤ 1) of xs by linear
 // interpolation between order statistics; xs is not modified. The edge

@@ -1,13 +1,9 @@
 // Wg calibration: the plug-and-play model takes the per-cell computation
-// times Wg and Wg,pre as measured inputs (paper Table 3). These helpers
-// measure them from the real kernels on the host machine. The paper
-// measures Wg with the application running on at least four cores so that
-// the code path matches production; the analogue here is measuring during
-// a parallel run with at least four workers.
+// time Wg as a measured input (paper Table 3). CalibrateTransportWg
+// measures it from the transport kernel on the host machine.
 package sweep
 
 import (
-	"runtime"
 	"time"
 
 	"repro/internal/grid"
@@ -28,63 +24,5 @@ func CalibrateTransportWg(angles int, repeats int) float64 {
 	}
 	elapsed := time.Since(start).Seconds() * 1e6 // µs
 	visits := float64(repeats) * float64(g.Cells()) * float64(len(octs))
-	return elapsed / visits
-}
-
-// CalibrateSSORWg measures the per-cell substitution time (Wg) and the
-// per-cell pre-computation time (Wg,pre) of the SSOR kernel in µs.
-func CalibrateSSORWg(repeats int) (wg, wgPre float64) {
-	g := grid.NewGrid(32, 32, 32)
-	p := NewSSORProblem(g)
-	p.SolveSequential()
-	start := time.Now()
-	for r := 0; r < repeats; r++ {
-		p.SolveSequential()
-	}
-	elapsed := time.Since(start).Seconds() * 1e6
-	visits := float64(repeats) * float64(g.Cells()) * 2 // two sweeps
-	wg = elapsed / visits
-
-	// Pre-computation: the diagonal assembly alone.
-	var sink float64
-	start = time.Now()
-	for r := 0; r < repeats; r++ {
-		for k := 0; k < g.Nz; k++ {
-			for j := 0; j < g.Ny; j++ {
-				for i := 0; i < g.Nx; i++ {
-					sink += p.diag(i, j, k)
-				}
-			}
-		}
-	}
-	elapsed = time.Since(start).Seconds() * 1e6
-	wgPre = elapsed / (float64(repeats) * float64(g.Cells()))
-	runtime.KeepAlive(sink)
-	return wg, wgPre
-}
-
-// CalibrateParallel measures per-cell transport time during a parallel run
-// with at least four workers, matching the paper's measurement protocol
-// (Section 4.3: Wg measured "when the application executes on at least
-// four cores").
-func CalibrateParallel(angles int) float64 {
-	g := grid.NewGrid(32, 32, 32)
-	p := NewTransportProblem(g, angles)
-	dec := grid.MustDecompose(g, 2, 2)
-	octs := Octants([]grid.Corner{grid.NW, grid.SE})
-	if _, err := p.SolveParallel(dec, 4, octs); err != nil {
-		panic(err)
-	}
-	start := time.Now()
-	const repeats = 3
-	for r := 0; r < repeats; r++ {
-		if _, err := p.SolveParallel(dec, 4, octs); err != nil {
-			panic(err)
-		}
-	}
-	elapsed := time.Since(start).Seconds() * 1e6
-	// Four workers run concurrently; per-worker per-cell time is the wall
-	// time divided by the cells each worker visited.
-	visits := float64(repeats) * float64(g.Cells()) / float64(dec.P()) * float64(len(octs))
 	return elapsed / visits
 }

@@ -26,6 +26,18 @@ var benchmarkCorners = map[string][]grid.Corner{
 	"Chimaera": {grid.SE, grid.SE, grid.NE, grid.SW, grid.NE, grid.SW, grid.NW, grid.NW},
 }
 
+// solveParallel runs one transport problem's octant sweeps on the worker
+// grid: a one-group SolveSchedule.
+func solveParallel(t *testing.T, p *TransportProblem, dec grid.Decomposition, htile int, octs []Octant) []float64 {
+	t.Helper()
+	mp := &MultiGroupProblem{Grid: p.Grid, Groups: []*TransportProblem{p}}
+	got, err := mp.SolveSchedule(dec, htile, SequentialGroupSchedule(octs, 1))
+	if err != nil {
+		t.Fatalf("%v h=%d: %v", dec, htile, err)
+	}
+	return got[0]
+}
+
 func TestTransportParallelMatchesSequential(t *testing.T) {
 	g := grid.NewGrid(20, 18, 12)
 	p := NewTransportProblem(g, 6)
@@ -35,10 +47,7 @@ func TestTransportParallelMatchesSequential(t *testing.T) {
 		for _, shape := range [][2]int{{1, 1}, {4, 3}, {2, 5}, {5, 6}} {
 			dec := grid.MustDecompose(g, shape[0], shape[1])
 			for _, h := range []int{1, 2, 3, 5, 12} {
-				got, err := p.SolveParallel(dec, h, octs)
-				if err != nil {
-					t.Fatalf("%s %v h=%d: %v", name, shape, h, err)
-				}
+				got := solveParallel(t, p, dec, h, octs)
 				if d := maxAbsDiff(ref, got); d != 0 {
 					t.Errorf("%s %v h=%d: max diff %g, want exact", name, shape, h, d)
 				}
@@ -68,10 +77,7 @@ func TestTransportRandomizedProperty(t *testing.T) {
 		p := NewTransportProblem(g, angles)
 		octs := Octants([]grid.Corner{grid.NW, grid.SE, grid.NE, grid.SW})
 		ref := p.SolveSequential(octs)
-		got, err := p.SolveParallel(grid.MustDecompose(g, n, m), htile, octs)
-		if err != nil {
-			return false
-		}
+		got := solveParallel(t, p, grid.MustDecompose(g, n, m), htile, octs)
 		return maxAbsDiff(ref, got) == 0
 	}
 	if err := quick.Check(prop, cfg); err != nil {
@@ -97,98 +103,10 @@ func TestTransportFluxIsPositiveAndBounded(t *testing.T) {
 	}
 }
 
-func TestTransportErrors(t *testing.T) {
-	g := grid.NewGrid(8, 8, 8)
-	p := NewTransportProblem(g, 2)
-	octs := Octants(benchmarkCorners["LU"])
-	if _, err := p.SolveParallel(grid.MustDecompose(grid.Cube(4), 2, 2), 1, octs); err == nil {
-		t.Error("mismatched grid accepted")
-	}
-	if _, err := p.SolveParallel(grid.MustDecompose(g, 2, 2), 0, octs); err == nil {
-		t.Error("zero tile height accepted")
-	}
-}
-
 func TestOctantsAlternateZ(t *testing.T) {
 	octs := Octants([]grid.Corner{grid.SE, grid.SE, grid.NE, grid.NE})
 	if !octs[0].ZUp || octs[1].ZUp || !octs[2].ZUp || octs[3].ZUp {
 		t.Errorf("octants = %+v", octs)
-	}
-}
-
-func TestSSORParallelMatchesSequential(t *testing.T) {
-	g := grid.NewGrid(17, 13, 9)
-	p := NewSSORProblem(g)
-	ref := p.SolveSequential()
-	for _, shape := range [][2]int{{1, 1}, {2, 2}, {4, 3}, {3, 5}} {
-		got, err := p.SolveParallel(grid.MustDecompose(g, shape[0], shape[1]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := maxAbsDiff(ref, got); d != 0 {
-			t.Errorf("shape %v: max diff %g", shape, d)
-		}
-	}
-}
-
-func TestSSORGridMismatch(t *testing.T) {
-	p := NewSSORProblem(grid.Cube(8))
-	if _, err := p.SolveParallel(grid.MustDecompose(grid.Cube(4), 2, 2)); err == nil {
-		t.Error("mismatched grid accepted")
-	}
-}
-
-func TestSSORValuesFinite(t *testing.T) {
-	p := NewSSORProblem(grid.Cube(10))
-	v := p.SolveSequential()
-	for c, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			t.Fatalf("v[%d] = %v", c, x)
-		}
-	}
-}
-
-func TestStencilParallelMatchesSequential(t *testing.T) {
-	g := grid.NewGrid(14, 11, 5)
-	p := NewStencilProblem(g)
-	ref := p.ApplySequential()
-	for _, shape := range [][2]int{{1, 1}, {2, 2}, {7, 1}, {2, 5}} {
-		got, err := p.ApplyParallel(grid.MustDecompose(g, shape[0], shape[1]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := maxAbsDiff(ref, got); d != 0 {
-			t.Errorf("shape %v: max diff %g", shape, d)
-		}
-	}
-	if _, err := p.ApplyParallel(grid.MustDecompose(grid.Cube(4), 2, 2)); err == nil {
-		t.Error("mismatched grid accepted")
-	}
-}
-
-func TestStencilRandomizedProperty(t *testing.T) {
-	cfg := &quick.Config{
-		MaxCount: 25,
-		Values: func(vals []reflect.Value, r *rand.Rand) {
-			vals[0] = reflect.ValueOf(r.Intn(10) + 2)
-			vals[1] = reflect.ValueOf(r.Intn(10) + 2)
-			vals[2] = reflect.ValueOf(r.Intn(5) + 1)
-			vals[3] = reflect.ValueOf(r.Intn(3) + 1)
-			vals[4] = reflect.ValueOf(r.Intn(3) + 1)
-		},
-	}
-	prop := func(nx, ny, nz, n, m int) bool {
-		if n > nx || m > ny {
-			return true
-		}
-		g := grid.NewGrid(nx, ny, nz)
-		p := NewStencilProblem(g)
-		ref := p.ApplySequential()
-		got, err := p.ApplyParallel(grid.MustDecompose(g, n, m))
-		return err == nil && maxAbsDiff(ref, got) == 0
-	}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -198,13 +116,6 @@ func TestCalibrationsArePositive(t *testing.T) {
 	}
 	if wg := CalibrateTransportWg(2, 1); wg <= 0 {
 		t.Errorf("transport Wg = %v", wg)
-	}
-	wg, wgPre := CalibrateSSORWg(1)
-	if wg <= 0 || wgPre <= 0 {
-		t.Errorf("ssor calibration = %v, %v", wg, wgPre)
-	}
-	if wg := CalibrateParallel(2); wg <= 0 {
-		t.Errorf("parallel Wg = %v", wg)
 	}
 }
 

@@ -1,23 +1,14 @@
-// Package sweep implements real, executable pipelined wavefront
-// computations on 3-D grids: a discrete-ordinates particle transport
-// kernel (Sweep3D/Chimaera-like), an SSOR forward/backward substitution
-// kernel (LU-like), and a four-point stencil.
-//
-// Each kernel has a sequential reference implementation and a parallel
-// implementation that runs an m × n grid of goroutine workers exchanging
-// boundary planes over channels — the shared-memory analogue of the MPI
-// codes the paper models. The parallel implementations are verified
-// against the references in the tests, and their per-cell computation
-// times calibrate the model's Wg inputs (paper Table 3 lists Wg as
-// "measured").
+// Package sweep implements a real, executable pipelined wavefront
+// computation on 3-D grids: a discrete-ordinates particle transport kernel
+// (Sweep3D/Chimaera-like). Its sequential solve is the reference, and its
+// per-cell time calibrates the model's Wg input (paper Table 3 lists Wg as
+// "measured"). The multi-group schedules of paper Section 5.5 run the same
+// kernel on an m × n grid of goroutine workers exchanging boundary planes
+// over channels — the shared-memory analogue of the MPI codes the paper
+// models — and are verified against the sequential solve in the tests.
 package sweep
 
-import (
-	"fmt"
-	"sync"
-
-	"repro/internal/grid"
-)
+import "repro/internal/grid"
 
 // AngleCoef holds the upwind coefficients and quadrature weight of one
 // discrete ordinate (angle).
@@ -186,100 +177,6 @@ func blocks(dec grid.Decomposition) []block {
 		}
 	}
 	return out
-}
-
-// SolveParallel executes the same octant sweeps with an m × n grid of
-// goroutine workers, each owning a block of columns × rows and the full z
-// extent, exchanging per-tile boundary planes over channels exactly as the
-// MPI codes do: receive west, receive north, compute tile, send east, send
-// south (paper Figure 4). The result is bit-identical to SolveSequential.
-func (p *TransportProblem) SolveParallel(dec grid.Decomposition, htile int, octants []Octant) ([]float64, error) {
-	if dec.Grid != p.Grid {
-		return nil, fmt.Errorf("sweep: decomposition grid %v does not match problem grid %v", dec.Grid, p.Grid)
-	}
-	if htile <= 0 {
-		return nil, fmt.Errorf("sweep: invalid tile height %d", htile)
-	}
-	g := p.Grid
-	nA := len(p.Angles)
-	tiles := (g.Nz + htile - 1) / htile
-	blks := blocks(dec)
-
-	// One buffered channel per directed neighbour edge; sweeps are matched
-	// by program order on both sides. Buffering a full stack keeps senders
-	// from blocking, so no deadlock is possible.
-	type edgeKey struct{ from, to int }
-	chans := make(map[edgeKey]chan []float64)
-	for r := 0; r < dec.P(); r++ {
-		c := dec.CoordOf(r)
-		for _, nb := range []grid.Coord{
-			{I: c.I + 1, J: c.J}, {I: c.I - 1, J: c.J},
-			{I: c.I, J: c.J + 1}, {I: c.I, J: c.J - 1},
-		} {
-			if dec.Contains(nb) {
-				chans[edgeKey{r, dec.Rank(nb)}] = make(chan []float64, tiles+1)
-			}
-		}
-	}
-
-	flux := make([]float64, g.Cells()) // each worker writes only its block
-	var wg sync.WaitGroup
-
-	worker := func(rank int) {
-		defer wg.Done()
-		b := blks[rank]
-		c := dec.CoordOf(rank)
-		nxL, nyL := b.nx(), b.ny()
-		scratch := make([]float64, htile*nyL*nxL) // per-angle tile values
-		zPlane := make([]float64, nA*nyL*nxL)     // per-angle z inflow plane
-
-		for _, oct := range octants {
-			di, dj := oct.Corner.Step()
-			west := grid.Coord{I: c.I - di, J: c.J}
-			north := grid.Coord{I: c.I, J: c.J - dj}
-			east := grid.Coord{I: c.I + di, J: c.J}
-			south := grid.Coord{I: c.I, J: c.J + dj}
-			// Zero z inflow at the grid boundary for each new octant.
-			for i := range zPlane {
-				zPlane[i] = 0
-			}
-			for t := 0; t < tiles; t++ {
-				// Tile t counts from the octant's z entry face.
-				var k0, k1 int
-				if oct.ZUp {
-					k0 = t * htile
-					k1 = min(k0+htile, g.Nz)
-				} else {
-					k1 = g.Nz - t*htile
-					k0 = maxInt(k1-htile, 0)
-				}
-				kh := k1 - k0
-				var inX, inY []float64
-				if dec.Contains(west) {
-					inX = <-chans[edgeKey{dec.Rank(west), rank}]
-				}
-				if dec.Contains(north) {
-					inY = <-chans[edgeKey{dec.Rank(north), rank}]
-				}
-				outX := make([]float64, nA*kh*nyL)
-				outY := make([]float64, nA*kh*nxL)
-				p.computeTile(flux, scratch, zPlane, oct, b, k0, k1, inX, inY, outX, outY)
-				if dec.Contains(east) {
-					chans[edgeKey{rank, dec.Rank(east)}] <- outX
-				}
-				if dec.Contains(south) {
-					chans[edgeKey{rank, dec.Rank(south)}] <- outY
-				}
-			}
-		}
-	}
-
-	for r := 0; r < dec.P(); r++ {
-		wg.Add(1)
-		go worker(r)
-	}
-	wg.Wait()
-	return flux, nil
 }
 
 // computeTile processes one tile of one octant for all angles. Boundary

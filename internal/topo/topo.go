@@ -328,14 +328,6 @@ func (ic *Interconnect) Spec() Spec {
 	return ic.spec
 }
 
-// LinkCount returns the number of directed links in the fabric.
-func (ic *Interconnect) LinkCount() int {
-	if ic == nil {
-		return 0
-	}
-	return len(ic.links)
-}
-
 // Reset returns every link to the idle, zero-statistics state for a fresh
 // simulation on a new virtual time axis.
 func (ic *Interconnect) Reset() {

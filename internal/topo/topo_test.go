@@ -297,9 +297,6 @@ func TestNilInterconnect(t *testing.T) {
 	if d := ic.Acquire(0, 5, 0, 1024); d != 0 {
 		t.Errorf("nil Acquire = %v", d)
 	}
-	if n := ic.LinkCount(); n != 0 {
-		t.Errorf("nil LinkCount = %d", n)
-	}
 	if r := ic.AppendRoute(nil, 0, 5); r != nil {
 		t.Errorf("nil AppendRoute = %v", r)
 	}
@@ -400,7 +397,7 @@ func TestLinkNames(t *testing.T) {
 			t.Fatal(err)
 		}
 		seen := map[string]bool{}
-		for i := 0; i < ic.LinkCount(); i++ {
+		for i := range ic.links {
 			name := ic.LinkName(i)
 			if seen[name] {
 				t.Errorf("%s: duplicate link name %q", spec, name)

@@ -1,8 +1,7 @@
 package trace
 
-// Golden lock-down of the text renderers: the Gantt chart and the activity
-// breakdown for a small LU run are pinned byte-for-byte, so any drift in
-// span recording, profile accounting or the fixed-precision formatting
+// Golden lock-down of the Gantt chart for a small LU run: it is pinned
+// byte-for-byte, so any drift in span recording or the chart's rendering
 // shows up as a diff against testdata/lu_breakdown_golden.txt.
 //
 // To bless an intentional change:
@@ -14,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"testing"
 
 	"repro/internal/apps"
@@ -57,16 +57,21 @@ func runLUTraced(t *testing.T, shards int) ([]obs.Span, int) {
 }
 
 // TestBreakdownGolden renders the serial run and every sharded one against
-// the same golden file: profiles of sharded runs are byte-identical.
+// the same golden chart, and checks that their per-rank profiles are equal.
 func TestBreakdownGolden(t *testing.T) {
 	const path = "testdata/lu_breakdown_golden.txt"
+	var serial []RankProfile
 	for _, shards := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			spans, ranks := runLUTraced(t, shards)
+			profiles := Profile(spans, ranks)
+			if shards == 1 {
+				serial = profiles
+			} else if !reflect.DeepEqual(profiles, serial) {
+				t.Errorf("profiles differ from the serial run's:\n got %+v\nwant %+v", profiles, serial)
+			}
 			var buf bytes.Buffer
 			Gantt(&buf, spans, ranks, 72)
-			buf.WriteByte('\n')
-			WriteBreakdown(&buf, Profile(spans, ranks), 3)
 			got := buf.Bytes()
 			if *update && shards == 1 {
 				if err := os.WriteFile(path, got, 0o644); err != nil {

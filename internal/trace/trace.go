@@ -1,6 +1,6 @@
 // Package trace turns the per-rank activity spans of a flight recording
 // (obs.Recorder.SpanList) into the bottleneck analyses of paper Section
-// 5.4: computation/communication/idle breakdowns per rank, aggregate
+// 5.4: computation/communication breakdowns per rank, aggregate
 // pipeline statistics, identification of the critical (busiest and most
 // comm-bound) ranks, and a plain-text Gantt rendering for inspection.
 //
@@ -31,11 +31,6 @@ type RankProfile struct {
 
 // Comm returns the total communication time (send + recv + collectives).
 func (p RankProfile) Comm() float64 { return p.Send + p.Recv + p.Coll }
-
-// Idle returns Finish − Compute − Comm: time not covered by any span
-// (zero in the current runtime, where ranks are always in exactly one
-// span until their program ends).
-func (p RankProfile) Idle() float64 { return p.Finish - p.Compute - p.Comm() }
 
 // CommShare returns the communication fraction of the rank's lifetime.
 func (p RankProfile) CommShare() float64 {

@@ -103,8 +103,8 @@ func TestTracedSimulationConsistency(t *testing.T) {
 				r, ps[r].Compute, res.ComputeTime[r])
 		}
 		// Spans tile the rank's lifetime: compute + comm = finish.
-		if math.Abs(ps[r].Idle()) > 1e-6*(1+ps[r].Finish) {
-			t.Errorf("rank %d: idle gap %v", r, ps[r].Idle())
+		if idle := ps[r].Finish - ps[r].Compute - ps[r].Comm(); math.Abs(idle) > 1e-6*(1+ps[r].Finish) {
+			t.Errorf("rank %d: idle gap %v", r, idle)
 		}
 		if math.Abs(ps[r].Finish-res.RankFinish[r]) > 1e-9 {
 			t.Errorf("rank %d: finish %v vs %v", r, ps[r].Finish, res.RankFinish[r])

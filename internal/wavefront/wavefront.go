@@ -89,19 +89,6 @@ const (
 	Full
 )
 
-// String implements fmt.Stringer.
-func (t Transition) String() string {
-	switch t {
-	case Pipelined:
-		return "pipelined"
-	case Diagonal:
-		return "diagonal"
-	case Full:
-		return "full"
-	}
-	return fmt.Sprintf("Transition(%d)", int(t))
-}
-
 // ClassifyTransition determines the handoff kind between consecutive sweeps
 // with origin corners cur and next.
 func ClassifyTransition(cur, next grid.Corner) Transition {

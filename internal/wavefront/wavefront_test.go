@@ -46,11 +46,6 @@ func TestClassifyTransitionKinds(t *testing.T) {
 	if got := ClassifyTransition(grid.NW, grid.NE); got != Diagonal {
 		t.Errorf("other adjacent corner = %v", got)
 	}
-	for _, tr := range []Transition{Pipelined, Diagonal, Full} {
-		if tr.String() == "" {
-			t.Error("empty transition name")
-		}
-	}
 }
 
 func TestClassifyEmptyAndCounts(t *testing.T) {

@@ -147,33 +147,6 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// IsUniform reports whether the spec is the exact-identity workload:
-// every multiplier is exactly 1.0 and every noise term exactly 0.0, so
-// attaching it cannot change any schedule bit.
-func (s *Spec) IsUniform() bool {
-	switch s.Dist {
-	case "", DistUniform, DistNormal, DistLognormal:
-		if s.Sigma != 0 {
-			return false
-		}
-	case DistHotspot:
-		if s.HotFrac > 0 && s.HotMul != 1 {
-			return false
-		}
-	default:
-		return false
-	}
-	if s.Noise != nil && s.Noise.Rate > 0 && s.Noise.AmpUS > 0 {
-		return false
-	}
-	for _, b := range s.Blocks {
-		if b.Mul != 1 {
-			return false
-		}
-	}
-	return true
-}
-
 // String returns a compact human-readable label, used as the campaign
 // run dimension value. Distinct specs produce distinct labels.
 func (s *Spec) String() string {
@@ -246,9 +219,6 @@ func New(spec Spec, dec grid.Decomposition) (*Generator, error) {
 	}
 	return g, nil
 }
-
-// Spec returns the generator's spec.
-func (g *Generator) Spec() Spec { return g.spec }
 
 // Lane constants separate the hash streams of independent sampling
 // purposes so that e.g. the multiplier draw and the noise draw of the

@@ -36,9 +36,6 @@ func TestUniformIsExactIdentity(t *testing.T) {
 		{Noise: &NoiseSpec{Rate: 0, AmpUS: 50}},
 		{Blocks: []Block{{X0: 0, Y0: 0, X1: 1, Y1: 1, Mul: 1}}},
 	} {
-		if !spec.IsUniform() {
-			t.Errorf("spec %+v: IsUniform() = false, want true", spec)
-		}
 		g := mustGen(t, spec, dec)
 		for r := 0; r < dec.P(); r++ {
 			for sweep := 0; sweep < 3; sweep++ {
