@@ -16,7 +16,8 @@
 // produces byte-identical files for any -workers value. Filters restrict
 // the sweep, e.g. -filter "app=LU,p=64|256,override=baseline".
 //
-// Serving-layer features (see campaign.Config):
+// The command selects the runs: it expands the spec, applies -filter and
+// -range, and hands the engine that one list to execute, merge or -list.
 //
 //	-cache-dir DIR   memoize results by content address in the store
 //	                 directory DIR (one cache*.jsonl file per writer);
@@ -32,9 +33,9 @@
 // "hists" field per JSONL row), while -chrome-trace and -sample-every
 // flight-record the first filtered run into a Chrome trace-event timeline
 // and a time-series CSV. All three outputs are byte-identical for any
-// -workers or -shards value. When a -range excludes the flight-recorded
-// run, no trace artifacts are written; recorded artifacts from ranged runs
-// get a ".lo-hi" path suffix so ranges never clobber each other.
+// -workers or -shards value. Of a ranged campaign only part 0 holds that
+// run, so only part 0 records, at the paths given; other parts write no
+// trace artifacts.
 package main
 
 import (
@@ -152,9 +153,8 @@ func run(args []string, stdout io.Writer) (err error) {
 		return flag.ErrHelp
 	}
 
-	// The expansion is needed up front for -list, the ticker's total and
-	// flight-recorder targeting; execution re-expands inside ExecuteSpec,
-	// which is cheap and keeps one code path.
+	// The one run selection: the filtered expansion feeds -list and
+	// -merge, and its -range slice is what this process executes.
 	runs, err := spec.Expand()
 	if err != nil {
 		return err
@@ -182,17 +182,10 @@ func run(args []string, stdout io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	cfg := campaign.Config{
-		Workers:    *f.workers,
-		Shards:     *f.shards,
-		Hist:       f.obs.Hist,
-		Filter:     *f.filter,
-		RangePart:  part,
-		RangeParts: parts,
-	}
 	if *f.merge && (*f.cacheDir == "" || *f.out == "") {
 		return fmt.Errorf("-merge needs -cache-dir and -out")
 	}
+	cfg := campaign.Config{Workers: *f.workers, Shards: *f.shards, Hist: f.obs.Hist}
 
 	var store *campaign.DiskStore
 	if *f.cacheDir != "" {
@@ -204,64 +197,74 @@ func run(args []string, stdout io.Writer) (err error) {
 		cfg.Store = store
 	}
 
+	if !*f.merge {
+		// Part I of N; a part past the run count executes nothing and
+		// writes no -out file.
+		rs := campaign.Ranges(len(runs), parts)
+		if part < len(rs) {
+			runs = runs[rs[part].Lo:rs[part].Hi]
+		} else {
+			runs = nil
+		}
+	}
+
+	// Create -out before anything executes or merges: an unwritable path
+	// must fail here, not after minutes of sweeping.
+	var out *os.File
+	if *f.out != "" && len(runs) > 0 {
+		if err := obs.EnsureParent(*f.out); err != nil {
+			return fmt.Errorf("creating output directory: %w", err)
+		}
+		if out, err = os.Create(*f.out); err != nil {
+			return fmt.Errorf("opening output: %w", err)
+		}
+		defer func() { err = errors.Join(err, out.Close()) }()
+	}
+
+	// Only a selection that starts with the campaign's first run holds the
+	// flight-recorded run.
+	if part == 0 {
+		cfg.Obs = f.obs.Recorder()
+	}
+	if !*f.quiet {
+		done := 0
+		cfg.OnResult = func(campaign.RunResult) {
+			done++
+			if done == len(runs) || done%50 == 0 {
+				fmt.Fprintf(os.Stderr, "\r%d/%d runs", done, len(runs))
+			}
+			if done == len(runs) {
+				fmt.Fprintln(os.Stderr)
+			}
+		}
+	}
+	eng, err := campaign.NewEngine(cfg)
+	if err != nil {
+		return err
+	}
+
 	if *f.merge {
-		if err := merge(cfg, spec, *f.out); err != nil {
-			return err
+		if err := eng.Merge(runs, out); err != nil {
+			return fmt.Errorf("%w; -merge must be given the parts' -hist and -shards, which are part of every run key", err)
 		}
 		if !*f.quiet {
 			fmt.Fprintf(stdout, "merged %d runs from %s into %s\n", len(runs), *f.cacheDir, *f.out)
 		}
 		return nil
 	}
-	cfg.Output = *f.out
 
-	rec := f.obs.Recorder()
-	if rec != nil {
-		cfg.Obs = rec
-		cfg.ObsRun = runs[0].Index // flight-record the first filtered run
-	}
-	if !*f.quiet {
-		// The ticker counts this process's slice of the filtered runs.
-		total := len(runs)
-		if rs := campaign.Ranges(len(runs), parts); part < len(rs) {
-			total = rs[part].Len()
-		}
-		done := 0
-		cfg.OnResult = func(campaign.RunResult) {
-			done++
-			if done == total || done%50 == 0 {
-				fmt.Fprintf(os.Stderr, "\r%d/%d runs", done, total)
-			}
-			if done == total {
-				fmt.Fprintln(os.Stderr)
-			}
-		}
-	}
-
-	eng, err := campaign.NewEngine(cfg)
-	if err != nil {
-		return err
-	}
 	start := time.Now()
-	results, err := eng.ExecuteSpec(spec)
+	results, err := eng.Execute(runs)
 	wall := time.Since(start)
+	if out != nil {
+		// Written even when a run failed: the completed rows survive.
+		err = errors.Join(err, campaign.WriteJSONL(out, results))
+	}
 	if err != nil {
 		return err
 	}
-
-	// A range that excludes the flight-recorded run leaves the recorder
-	// empty; only write artifacts when this process executed that run, and
-	// suffix their paths with the range so concurrent parts stay apart.
-	if rec != nil && rangeContains(results, cfg.ObsRun) {
-		pathFn := func(p string) string { return p }
-		if cfg.RangeParts > 1 && len(results) > 0 {
-			lo := results[0].Index
-			hi := results[len(results)-1].Index + 1
-			pathFn = func(p string) string { return obs.RangePath(p, lo, hi) }
-		}
-		if err := f.obs.WriteArtifacts(rec, pathFn); err != nil {
-			return err
-		}
+	if err := f.obs.WriteArtifacts(cfg.Obs); err != nil {
+		return err
 	}
 
 	if !*f.quiet {
@@ -285,26 +288,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	return nil
 }
 
-// merge writes the whole campaign's JSONL from cfg's store to out.
-func merge(cfg campaign.Config, spec campaign.Spec, out string) error {
-	eng, err := campaign.NewEngine(cfg)
-	if err != nil {
-		return err
-	}
-	if err := obs.EnsureParent(out); err != nil {
-		return err
-	}
-	file, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := eng.Merge(spec, file); err != nil {
-		file.Close()
-		return fmt.Errorf("%w; -merge must be given the parts' -hist and -shards, which are part of every run key", err)
-	}
-	return file.Close()
-}
-
 // parseRange parses the -range I/N syntax; empty means the whole list.
 func parseRange(s string) (part, parts int, err error) {
 	if s == "" {
@@ -323,14 +306,4 @@ func parseRange(s string) (part, parts int, err error) {
 		return 0, 0, fmt.Errorf("campaign: -range %q out of bounds", s)
 	}
 	return part, parts, nil
-}
-
-// rangeContains reports whether the executed slice includes the run index.
-func rangeContains(results []campaign.RunResult, index int) bool {
-	for i := range results {
-		if results[i].Index == index {
-			return true
-		}
-	}
-	return false
 }

@@ -108,3 +108,85 @@ func TestRangePartsMerge(t *testing.T) {
 		t.Error("-merge without -cache-dir succeeded")
 	}
 }
+
+// TestRunErrorPaths: an unusable -out, -filter or -range fails before any
+// run executes.
+func TestRunErrorPaths(t *testing.T) {
+	t.Run("unwritable output", func(t *testing.T) {
+		dir := t.TempDir()
+		blocker := filepath.Join(dir, "file")
+		if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store := filepath.Join(dir, "store")
+		err := run([]string{"-builtin", "example", "-workers", "1", "-cache-dir", store,
+			"-out", filepath.Join(blocker, "out.jsonl"), "-quiet"}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "creating output directory") {
+			t.Errorf("unwritable -out: %v, want the output-directory error", err)
+		}
+		if data, err := os.ReadFile(filepath.Join(store, "cache.jsonl")); err != nil || len(data) != 0 {
+			t.Errorf("the store holds %d bytes (%v), want an empty file: a run executed", len(data), err)
+		}
+	})
+
+	t.Run("invalid filter", func(t *testing.T) {
+		for _, expr := range []string{"no-equals-sign", "bogus-key=x"} {
+			if err := run([]string{"-builtin", "example", "-filter", expr, "-quiet"}, io.Discard); err == nil {
+				t.Errorf("-filter %q accepted", expr)
+			}
+		}
+	})
+
+	t.Run("zero-run expansion", func(t *testing.T) {
+		err := run([]string{"-builtin", "example", "-filter", "app=no-such-app", "-quiet"}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "no runs after filtering") {
+			t.Errorf("empty filtered expansion: %v", err)
+		}
+	})
+
+	t.Run("invalid range", func(t *testing.T) {
+		for _, rg := range []string{"4/4", "-1/4"} {
+			err := run([]string{"-builtin", "example", "-range", rg, "-quiet"}, io.Discard)
+			if err == nil || !strings.Contains(err.Error(), "out of bounds") {
+				t.Errorf("-range %s: %v, want an out-of-bounds error", rg, err)
+			}
+		}
+	})
+}
+
+// TestRangedRecording: the flight-recorded run is the campaign's first, so
+// only part 0 of a ranged campaign records, at the paths given and
+// byte-identical to an unranged recording; other parts write no trace,
+// and a part past the run count executes nothing and writes no -out file.
+func TestRangedRecording(t *testing.T) {
+	dir := t.TempDir()
+	path := func(name string) string { return filepath.Join(dir, name) }
+	record := func(trace string, extra ...string) {
+		t.Helper()
+		args := append([]string{"-builtin", "example", "-workers", "2", "-chrome-trace", path(trace), "-quiet"}, extra...)
+		if err := run(args, io.Discard); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+	}
+	record("whole.json")
+	record("r0.json", "-range", "0/4")
+	record("r2.json", "-range", "2/4")
+
+	whole, err := os.ReadFile(path("whole.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r0, err := os.ReadFile(path("r0.json")); err != nil || !bytes.Equal(r0, whole) {
+		t.Errorf("-range 0/4 trace differs from the unranged recording (%v)", err)
+	}
+	if _, err := os.Stat(path("r2.json")); !os.IsNotExist(err) {
+		t.Errorf("-range 2/4 wrote a trace (stat: %v)", err)
+	}
+
+	if err := run([]string{"-builtin", "example", "-range", "30/40", "-out", path("r30.jsonl"), "-quiet"}, io.Discard); err != nil {
+		t.Fatalf("-range 30/40: %v", err)
+	}
+	if _, err := os.Stat(path("r30.jsonl")); !os.IsNotExist(err) {
+		t.Errorf("-range 30/40 of 24 runs wrote -out (stat: %v)", err)
+	}
+}

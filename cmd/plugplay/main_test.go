@@ -87,4 +87,14 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-f", example, "-p", "64,x"}, new(bytes.Buffer)); err == nil {
 		t.Error("processor list 64,x accepted")
 	}
+	// The model evaluates any P, but a processor array wider than the grid
+	// has no simulation: the model row prints, then the error returns.
+	var out bytes.Buffer
+	err := run([]string{"-f", example, "-p", "65536", "-simulate"}, &out)
+	if want := "256x256 processor array exceeds the 240x240x240 grid"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("-p 65536 -simulate on the 240³ grid: %v, want an error containing %q", err, want)
+	}
+	if !strings.Contains(out.String(), "     65536 ") || strings.Contains(out.String(), "# simulation") {
+		t.Errorf("-p 65536 -simulate printed:\n%s", out.Bytes())
+	}
 }

@@ -86,9 +86,6 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	if dec.N > g.Nx || dec.M > g.Ny {
-		return fmt.Errorf("%dx%d processor array exceeds the %v grid — reduce -p or enlarge -cube", dec.N, dec.M, g)
-	}
 
 	rep, err := core.New(bm.App, mach).Evaluate(dec)
 	if err != nil {
@@ -162,7 +159,7 @@ func run(args []string, out io.Writer) (err error) {
 		fmt.Fprintln(out, "histograms (µs):")
 		res.Hists.Write(out)
 	}
-	if err := obsFlags.WriteArtifacts(rec, nil); err != nil {
+	if err := obsFlags.WriteArtifacts(rec); err != nil {
 		return err
 	}
 	if obsFlags.ChromeTrace != "" {

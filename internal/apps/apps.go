@@ -277,6 +277,9 @@ func (b Benchmark) Schedule(dec grid.Decomposition, iterations int) (*wavefront.
 		return nil, fmt.Errorf("apps: decomposition grid %v does not match app grid %v",
 			dec.Grid, b.App.Grid)
 	}
+	if dec.N > dec.Grid.Nx || dec.M > dec.Grid.Ny {
+		return nil, fmt.Errorf("apps: %dx%d processor array exceeds the %v grid", dec.N, dec.M, dec.Grid)
+	}
 	var inter func(int) []simmpi.Op
 	if b.InterOps != nil {
 		inter = b.InterOps(dec)

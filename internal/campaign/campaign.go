@@ -481,11 +481,6 @@ func (s Spec) Expand() ([]Run, error) {
 					if err != nil {
 						return nil, fmt.Errorf("campaign: run %s: %w", run.Key(), err)
 					}
-					if dec.N > bm.App.Grid.Nx || dec.M > bm.App.Grid.Ny {
-						return nil, fmt.Errorf(
-							"campaign: run %s: %dx%d processor array exceeds the %s grid — reduce ranks or enlarge the grid",
-							run.Key(), dec.N, dec.M, run.Grid)
-					}
 					if _, err := bm.WithIterations(iters).Schedule(dec, iters); err != nil {
 						return nil, fmt.Errorf("campaign: run %s: %w", run.Key(), err)
 					}

@@ -22,6 +22,16 @@ func newEngine(t testing.TB, cfg Config) *Engine {
 	return eng
 }
 
+// mustExpand expands s, failing the test on a spec error.
+func mustExpand(t testing.TB, s Spec) []Run {
+	t.Helper()
+	runs, err := s.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runs
+}
+
 // specJSON is a small, fully explicit spec exercising every dimension.
 const specJSON = `{
   "name": "unit",
@@ -278,7 +288,7 @@ func TestSummarize(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := NewMemoryStore(0)
-	res, err := newEngine(t, Config{Workers: 4, Store: store}).ExecuteSpec(s)
+	res, err := newEngine(t, Config{Workers: 4, Store: store}).Execute(mustExpand(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +327,7 @@ func TestSummarize(t *testing.T) {
 
 	// Warm: every row is served from the store, so the footer has no
 	// simulator time to divide by.
-	warm, err := newEngine(t, Config{Workers: 4, Store: store}).ExecuteSpec(s)
+	warm, err := newEngine(t, Config{Workers: 4, Store: store}).Execute(mustExpand(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +429,7 @@ func TestHtileSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := newEngine(t, Config{Workers: 2}).ExecuteSpec(s)
+	res, err := newEngine(t, Config{Workers: 2}).Execute(mustExpand(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +461,7 @@ func TestConvergenceSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := newEngine(t, Config{Workers: 2}).ExecuteSpec(s)
+	res, err := newEngine(t, Config{Workers: 2}).Execute(mustExpand(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +549,7 @@ func TestRecordedLinkTracksNamed(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &obs.Recorder{Links: true}
-	if _, err := newEngine(t, Config{Workers: 1, Obs: rec}).ExecuteSpec(s); err != nil {
+	if _, err := newEngine(t, Config{Workers: 1, Obs: rec}).Execute(mustExpand(t, s)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

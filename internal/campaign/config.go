@@ -17,13 +17,13 @@ import (
 // one version.
 const SchemaVersion = 1
 
-// Config is the complete configuration of a campaign Engine.
-// It consolidates the knobs the engine accreted over time (worker pool,
-// shard override, histograms, flight recorder, result hook) with the
-// serving-layer features (result store, run-range partitioning, output
-// path), so the CLI and the campaignd server are
-// thin frontends over one validated struct. Build one as a literal and hand
-// it to NewEngine — the single place configurations are validated.
+// Config is the complete configuration of a campaign Engine: how the runs
+// it is handed execute (worker pool, shard override, histograms, flight
+// recorder, result hook, result store). Which runs execute is the
+// caller's choice — cmd/campaign expands, filters and ranges a spec, the
+// campaignd server expands each submission — and the engine sees only the
+// resulting list. Build one as a literal and hand it to NewEngine, the
+// single place configurations are validated.
 type Config struct {
 	// Workers is the worker-pool size; non-positive means GOMAXPROCS.
 	Workers int
@@ -33,27 +33,15 @@ type Config struct {
 	// Hist collects per-run duration histograms into RunResult.Hists.
 	Hist bool
 
-	// Obs, if non-nil, is attached as the flight recorder of the single
-	// run whose expansion Index equals ObsRun. That run always executes
-	// in the simulator — the store is not asked for it, though its result
-	// is stored — so its artifacts are produced even on a fully warm
-	// cache.
-	Obs    *obs.Recorder
-	ObsRun int
+	// Obs, if non-nil, is attached as the flight recorder of the first run
+	// of the list Execute is handed. That run always executes in the
+	// simulator — the store is not asked for it, though its result is
+	// stored — so its artifacts are produced even on a fully warm cache.
+	Obs *obs.Recorder
 
 	// OnResult, if non-nil, is called with each finished result in
 	// completion order (not index order). Calls are serialised.
 	OnResult func(RunResult)
-
-	// Filter restricts ExecuteSpec's expansion, using the same
-	// "app=LU,p=64|256" syntax as the CLI -filter flag (see ParseFilter).
-	Filter string
-
-	// RangePart/RangeParts select one deterministic slice of the filtered
-	// run list for this process: ExecuteSpec executes Ranges(n,
-	// RangeParts)[RangePart]. Zero RangeParts (or 1) means the whole list.
-	RangePart  int
-	RangeParts int
 
 	// Store, if non-nil, memoizes results by content address (RunKey):
 	// runs whose key hits the store are served from it instead of the
@@ -61,46 +49,27 @@ type Config struct {
 	// DiskStore) is also how a killed campaign resumes — its finished
 	// runs are hits — and what Engine.Merge reads.
 	Store ResultStore
-
-	// Output, if non-empty, is the JSONL path ExecuteSpec writes. The file
-	// is created before any run executes, so an unwritable path fails
-	// fast. On a run failure the completed prefix is still written.
-	Output string
 }
 
-// Validate checks the config's invariants: a parseable filter, a coherent
-// range selection and a non-negative shard override.
+// Validate checks the config's one invariant: a non-negative shard
+// override.
 func (c Config) Validate() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("campaign: negative shard override %d", c.Shards)
-	}
-	if c.RangeParts < 0 {
-		return fmt.Errorf("campaign: negative range parts %d", c.RangeParts)
-	}
-	if c.RangeParts > 0 && (c.RangePart < 0 || c.RangePart >= c.RangeParts) {
-		return fmt.Errorf("campaign: range part %d outside [0, %d)", c.RangePart, c.RangeParts)
-	}
-	if c.Filter != "" {
-		if _, err := ParseFilter(c.Filter); err != nil {
-			return err
-		}
 	}
 	return nil
 }
 
 // Range is a half-open [Lo, Hi) slice of a campaign's expanded run indices.
 // Campaigns shard across processes by range: each process executes one
-// range into a shared store directory, and Engine.Merge reassembles the
-// full JSONL from the store. Rows are addressed by content and written in
-// global index order, so the merged file is byte-identical however the
-// index space was partitioned.
+// range into a shared store directory, and Engine.Merge, handed the whole
+// run list, reassembles the full JSONL from the store. Rows are addressed
+// by content and written in list order, so the merged file is
+// byte-identical however the index space was partitioned.
 type Range struct {
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
 }
-
-// Len is the number of runs in the range.
-func (r Range) Len() int { return r.Hi - r.Lo }
 
 // Ranges partitions [0, n) into k contiguous ranges whose sizes differ by
 // at most one (the first n%k ranges get the extra run). k is clamped to
@@ -129,9 +98,10 @@ func Ranges(n, k int) []Range {
 	return out
 }
 
-// recorderFor resolves the flight recorder for a run, or nil.
-func (c Config) recorderFor(index int) *obs.Recorder {
-	if c.Obs != nil && index == c.ObsRun {
+// recorderFor resolves the flight recorder for the run at position i of
+// the list Execute was handed, or nil.
+func (c Config) recorderFor(i int) *obs.Recorder {
+	if c.Obs != nil && i == 0 {
 		if c.Hist {
 			c.Obs.Hist = true
 		}
@@ -143,9 +113,9 @@ func (c Config) recorderFor(index int) *obs.Recorder {
 	return nil
 }
 
-// ExecStats count what the engine did across its Execute/ExecuteSpec
-// calls: how many runs it was asked for, and how each was satisfied. Runs
-// = Simulated + CacheHits for campaigns that completed without error.
+// ExecStats count what the engine did across its Execute calls: how many
+// runs it was asked for, and how each was satisfied. Runs = Simulated +
+// CacheHits for campaigns that completed without error.
 type ExecStats struct {
 	Schema int `json:"schema_version"`
 	// Runs is the number of runs dispatched.

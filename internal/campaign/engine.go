@@ -3,7 +3,6 @@ package campaign
 import (
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -137,7 +136,7 @@ type Engine struct {
 	stats execCounters
 }
 
-// Stats reports what the engine did across its Execute/ExecuteSpec calls.
+// Stats reports what the engine did across its Execute calls.
 func (e *Engine) Stats() ExecStats { return e.stats.snapshot() }
 
 // workers resolves the effective pool size for n runs.
@@ -211,7 +210,7 @@ func (e *Engine) Execute(runs []Run) ([]RunResult, error) {
 					// The flight-recorded run always simulates: its purpose
 					// is the recorder's streams, which a store cannot serve.
 					// Its row is a plain run's, so it is still put below.
-					if cfg.Obs == nil || r.Index != cfg.ObsRun {
+					if cfg.Obs == nil || i != 0 {
 						if res, ok := cfg.Store.Get(key); ok {
 							res.rehydrate(r)
 							results[i] = res
@@ -220,7 +219,7 @@ func (e *Engine) Execute(runs []Run) ([]RunResult, error) {
 						}
 					}
 				}
-				res := executeRun(r, cfg, &sim)
+				res := executeRun(r, cfg.recorderFor(i), cfg, &sim)
 				results[i] = res
 				if cfg.Store != nil && res.Error == "" {
 					cfg.Store.Put(key, res)
@@ -243,97 +242,17 @@ func (e *Engine) Execute(runs []Run) ([]RunResult, error) {
 	return results, nil
 }
 
-// expand returns the spec's runs restricted by the engine's Filter. An
-// expansion left empty by the filter is an error — a silently empty
-// campaign is always a typo in the filter or the spec.
-func (e *Engine) expand(s Spec) ([]Run, error) {
-	runs, err := s.Expand()
-	if err != nil {
-		return nil, err
-	}
-	if e.cfg.Filter != "" {
-		f, err := ParseFilter(e.cfg.Filter)
-		if err != nil {
-			return nil, err
-		}
-		runs = f.Apply(runs)
-	}
-	if len(runs) == 0 {
-		return nil, fmt.Errorf("campaign: %q has no runs after filtering", s.Name)
-	}
-	return runs, nil
-}
-
-// ExecuteSpec expands the spec and executes it under the engine's full
-// configuration: the Filter restricts the expansion, RangePart/RangeParts
-// select this process's slice of it, and Output — if set — is created
-// before anything executes and receives the results as JSONL (the
-// completed prefix is written even when a run fails).
-//
-// The returned results cover only this process's range; Merge assembles
-// every range's rows from a shared store.
-func (e *Engine) ExecuteSpec(s Spec) ([]RunResult, error) {
-	cfg := e.cfg
-	runs, err := e.expand(s)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.RangeParts > 1 {
-		parts := Ranges(len(runs), cfg.RangeParts)
-		if cfg.RangePart >= len(parts) {
-			// More parts than runs: trailing parts are legitimately empty.
-			return []RunResult{}, nil
-		}
-		rg := parts[cfg.RangePart]
-		runs = runs[rg.Lo:rg.Hi]
-	}
-
-	// Open the output before executing: an unwritable path must fail here,
-	// not after minutes of sweeping. Parent directories are created.
-	var outFile *os.File
-	if cfg.Output != "" {
-		if err := obs.EnsureParent(cfg.Output); err != nil {
-			return nil, fmt.Errorf("campaign: creating output directory: %w", err)
-		}
-		f, err := os.Create(cfg.Output)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: opening output: %w", err)
-		}
-		outFile = f
-	}
-
-	results, execErr := e.Execute(runs)
-	if outFile != nil {
-		if err := WriteJSONL(outFile, results); err != nil {
-			outFile.Close()
-			if execErr == nil {
-				execErr = err
-			}
-			return results, execErr
-		}
-		if err := outFile.Close(); err != nil && execErr == nil {
-			execErr = err
-		}
-	}
-	return results, execErr
-}
-
-// Merge writes the spec's complete JSONL to w from the engine's store,
-// without simulating anything: it expands and filters the spec as
-// ExecuteSpec does (every range, whatever RangePart selects), looks up
-// each run under the engine's key mode, and writes the rows in index
-// order — byte-identical to a single-process run. If any run is missing,
+// Merge writes the JSONL of runs to w from the engine's store, without
+// simulating anything: it looks up each run under the engine's key mode
+// and writes the rows in the order given — for a whole campaign's run
+// list, byte-identical to a single-process run. If any run is missing,
 // Merge writes nothing and returns an error naming the first missing
 // indices. The key mode (Hist, and Shards through the event order) is
 // part of every key, so the engine must be configured like the ranges
 // that filled the store.
-func (e *Engine) Merge(s Spec, w io.Writer) error {
+func (e *Engine) Merge(runs []Run, w io.Writer) error {
 	if e.cfg.Store == nil {
 		return fmt.Errorf("campaign: merge needs a result store")
-	}
-	runs, err := e.expand(s)
-	if err != nil {
-		return err
 	}
 	results := make([]RunResult, len(runs))
 	var missing []int
@@ -358,10 +277,11 @@ func (e *Engine) Merge(s Spec, w io.Writer) error {
 }
 
 // executeRun evaluates the analytic model and the simulator for one run.
-// cfg supplies the shard override and observability options. simp points
-// at the worker's simulator slot: nil on the worker's first run, Reset and
-// reused afterwards.
-func executeRun(r Run, cfg Config, simp **simmpi.Sim) RunResult {
+// rec is the run's recorder (see Config.recorderFor); cfg supplies the
+// shard override and the histogram switch. simp points at the worker's
+// simulator slot: nil on the worker's first run, Reset and reused
+// afterwards.
+func executeRun(r Run, rec *obs.Recorder, cfg Config, simp **simmpi.Sim) RunResult {
 	start := time.Now()
 	var out RunResult
 	out.rehydrate(r)
@@ -385,7 +305,7 @@ func executeRun(r Run, cfg Config, simp **simmpi.Sim) RunResult {
 		return fail(err)
 	}
 	shards, _ := cfg.execMode(r)
-	opt := simmpi.Options{Shards: shards, Obs: cfg.recorderFor(r.Index)}
+	opt := simmpi.Options{Shards: shards, Obs: rec}
 	if *simp == nil {
 		s, err := simmpi.NewWithOptions(topo, opt)
 		if err != nil {

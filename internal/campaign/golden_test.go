@@ -30,7 +30,7 @@ func TestExampleGoldenJSONL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := newEngine(t, Config{Workers: 4}).ExecuteSpec(Example())
+	res, err := newEngine(t, Config{Workers: 4}).Execute(mustExpand(t, Example()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestBuiltinJSONLPinned(t *testing.T) {
 			continue
 		}
 		spec, _ := Builtin(c.builtin)
-		res, err := newEngine(t, Config{Shards: c.shards}).ExecuteSpec(spec)
+		res, err := newEngine(t, Config{Shards: c.shards}).Execute(mustExpand(t, spec))
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -192,7 +192,7 @@ func TestNoCollectiveRowsUnchanged(t *testing.T) {
 		}
 	}
 	encode := func(s Spec) []byte {
-		res, err := newEngine(t, Config{Workers: 1}).ExecuteSpec(s)
+		res, err := newEngine(t, Config{Workers: 1}).Execute(mustExpand(t, s))
 		if err != nil {
 			t.Fatal(err)
 		}

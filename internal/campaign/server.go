@@ -52,16 +52,15 @@ type servedCampaign struct {
 // NewServer validates the base configuration and returns a server.
 // cfg supplies the per-campaign execution knobs (Workers, Shards, Hist)
 // and the shared Store (an in-memory LRU is installed when nil). The
-// per-process knobs that don't survive multiplexing — Output, Obs,
-// OnResult, Filter, ranges — must be unset: each campaign gets its own
-// engine and the server owns the result hook.
+// per-process knobs that don't survive multiplexing — Obs and OnResult —
+// must be unset: each campaign gets its own engine and the server owns
+// the result hook.
 func NewServer(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Output != "" || cfg.Obs != nil ||
-		cfg.OnResult != nil || cfg.Filter != "" || cfg.RangeParts != 0 {
-		return nil, fmt.Errorf("campaign: server config must leave per-process knobs (output, obs, result hook, filter, ranges) unset")
+	if cfg.Obs != nil || cfg.OnResult != nil {
+		return nil, fmt.Errorf("campaign: server config must leave per-process knobs (obs, result hook) unset")
 	}
 	if cfg.Store == nil {
 		cfg.Store = NewMemoryStore(0)

@@ -104,7 +104,7 @@ func TestServerServesCampaign(t *testing.T) {
 	}
 
 	eng := newEngine(t, Config{Workers: 4})
-	direct, err := eng.ExecuteSpec(spec)
+	direct, err := eng.Execute(mustExpand(t, spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,14 +193,12 @@ func TestServerErrors(t *testing.T) {
 	})
 }
 
-// TestServerRejectsPerProcessConfig: the server owns output, hooks and
-// flight recording; a config carrying them is a construction-time error.
+// TestServerRejectsPerProcessConfig: the server owns the result hook and
+// has no flight recording; a config carrying them is a construction-time
+// error.
 func TestServerRejectsPerProcessConfig(t *testing.T) {
 	for _, cfg := range []Config{
-		{Output: "x.jsonl"},
 		{Obs: &obs.Recorder{}},
-		{Filter: "app=LU"},
-		{RangeParts: 2, RangePart: 0},
 		{OnResult: func(RunResult) {}},
 	} {
 		if _, err := NewServer(cfg); err == nil {

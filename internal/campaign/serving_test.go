@@ -289,7 +289,9 @@ func exampleGolden(t *testing.T) []byte {
 func executePart(t *testing.T, dir string, part, parts, workers int) []RunResult {
 	t.Helper()
 	store := openStore(t, dir, StoreFile(part, parts))
-	res, err := newEngine(t, Config{Workers: workers, RangePart: part, RangeParts: parts, Store: store}).ExecuteSpec(Example())
+	runs := mustExpand(t, Example())
+	rg := Ranges(len(runs), parts)[part]
+	res, err := newEngine(t, Config{Workers: workers, Store: store}).Execute(runs[rg.Lo:rg.Hi])
 	if err != nil {
 		t.Fatalf("part %d/%d: %v", part, parts, err)
 	}
@@ -308,7 +310,7 @@ func mergeStore(t *testing.T, dir string, cfg Config) ([]byte, error) {
 	cfg.Store = store
 	eng := newEngine(t, cfg)
 	var buf bytes.Buffer
-	err := eng.Merge(Example(), &buf)
+	err := eng.Merge(mustExpand(t, Example()), &buf)
 	if st := eng.Stats(); st.Runs != 0 || store.Stats().Puts != 0 {
 		t.Errorf("merge executed runs: %+v, %d puts", st, store.Stats().Puts)
 	}
@@ -323,7 +325,7 @@ func TestWarmStoresMatchGolden(t *testing.T) {
 	check := func(name string, store ResultStore, hits int) {
 		t.Helper()
 		eng := newEngine(t, Config{Workers: 4, Store: store})
-		res, err := eng.ExecuteSpec(Example())
+		res, err := eng.Execute(mustExpand(t, Example()))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -351,16 +353,17 @@ func TestWarmStoresMatchGolden(t *testing.T) {
 	}
 }
 
-// TestFlightRecordedRunIsStored: the flight-recorded run always simulates,
-// so its recorder fills even on a warm store, and its result is stored —
-// a merge after a traced range part must find it.
+// TestFlightRecordedRunIsStored: the flight-recorded run (the first of
+// the list) always simulates, so its recorder fills even on a warm store,
+// and its result is stored — a merge after a traced range part must find
+// it.
 func TestFlightRecordedRunIsStored(t *testing.T) {
 	want := exampleGolden(t)
 	store := NewMemoryStore(0)
 	for pass, hits := range []int{0, 23} {
 		rec := &obs.Recorder{Spans: true}
-		eng := newEngine(t, Config{Workers: 2, Store: store, Obs: rec, ObsRun: 5})
-		res, err := eng.ExecuteSpec(Example())
+		eng := newEngine(t, Config{Workers: 2, Store: store, Obs: rec})
+		res, err := eng.Execute(mustExpand(t, Example()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,12 +397,8 @@ func TestRanges(t *testing.T) {
 				t.Errorf("Ranges(%d,%d): gap before %+v", tc.n, tc.k, r)
 			}
 			next = r.Hi
-			if r.Len() < minLen {
-				minLen = r.Len()
-			}
-			if r.Len() > maxLen {
-				maxLen = r.Len()
-			}
+			minLen = min(minLen, r.Hi-r.Lo)
+			maxLen = max(maxLen, r.Hi-r.Lo)
 		}
 		if len(rs) > 0 && next != tc.n {
 			t.Errorf("Ranges(%d,%d) covers [0,%d), want [0,%d)", tc.n, tc.k, next, tc.n)
@@ -463,7 +462,7 @@ func TestMergeRefusesMissingRange(t *testing.T) {
 	if _, err := mergeStore(t, dir, Config{Hist: true}); err == nil || !strings.Contains(err.Error(), "24 of 24 runs") {
 		t.Errorf("merge under another key mode: %v", err)
 	}
-	if err := newEngine(t, Config{}).Merge(Example(), io.Discard); err == nil {
+	if err := newEngine(t, Config{}).Merge(mustExpand(t, Example()), io.Discard); err == nil {
 		t.Error("merge without a store succeeded")
 	}
 }
@@ -478,7 +477,7 @@ func TestResumeSkipsCompleted(t *testing.T) {
 	store := openStore(t, dir, StoreFile(0, 1))
 	defer store.Close()
 	resumed := newEngine(t, Config{Workers: 2, Store: store})
-	full, err := resumed.ExecuteSpec(Example())
+	full, err := resumed.Execute(mustExpand(t, Example()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +504,7 @@ func TestEditedSpecMissesStore(t *testing.T) {
 	store := openStore(t, dir, StoreFile(0, 1))
 	defer store.Close()
 	engB := newEngine(t, Config{Workers: 4, Store: store})
-	resB, err := engB.ExecuteSpec(specB)
+	resB, err := engB.Execute(mustExpand(t, specB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,56 +513,10 @@ func TestEditedSpecMissesStore(t *testing.T) {
 	}
 }
 
-func TestExecuteSpecErrorPaths(t *testing.T) {
-	spec := Example()
-
-	t.Run("unwritable output", func(t *testing.T) {
-		blocker := filepath.Join(t.TempDir(), "file")
-		if err := os.WriteFile(blocker, nil, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		eng, err := NewEngine(Config{Workers: 1, Output: filepath.Join(blocker, "out.jsonl")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.ExecuteSpec(spec); err == nil {
-			t.Error("unwritable output path did not fail")
-		}
-	})
-
-	t.Run("invalid filter", func(t *testing.T) {
-		if _, err := NewEngine(Config{Filter: "no-equals-sign"}); err == nil {
-			t.Error("NewEngine accepted an unparseable filter")
-		}
-		if _, err := NewEngine(Config{Filter: "bogus-key=x"}); err == nil {
-			t.Error("NewEngine accepted an unknown filter key")
-		}
-	})
-
-	t.Run("zero-run expansion", func(t *testing.T) {
-		eng, err := NewEngine(Config{Filter: "app=no-such-app"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.ExecuteSpec(spec); err == nil {
-			t.Error("empty filtered expansion did not fail")
-		}
-	})
-
-	t.Run("invalid range", func(t *testing.T) {
-		if _, err := NewEngine(Config{RangePart: 4, RangeParts: 4}); err == nil {
-			t.Error("NewEngine accepted range part ≥ parts")
-		}
-		if _, err := NewEngine(Config{RangeParts: -1}); err == nil {
-			t.Error("NewEngine accepted negative range parts")
-		}
-	})
-}
-
 // TestSchemaVersionInRows: every JSONL row leads with schema_version 1.
 func TestSchemaVersionInRows(t *testing.T) {
 	eng := newEngine(t, Config{Workers: 4})
-	res, err := eng.ExecuteSpec(Example())
+	res, err := eng.Execute(mustExpand(t, Example()))
 	if err != nil {
 		t.Fatal(err)
 	}

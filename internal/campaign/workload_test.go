@@ -146,7 +146,7 @@ func TestUniformWorkloadMatchesNone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := newEngine(t, Config{Workers: 1}).ExecuteSpec(s)
+	res, err := newEngine(t, Config{Workers: 1}).Execute(mustExpand(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,24 +70,20 @@ func (o *ObsFlags) Recorder() *obs.Recorder {
 }
 
 // WriteArtifacts writes the timeline and sample artifacts the flags
-// requested from rec, with paths transformed by pathFn (the identity when
-// nil — campaign ranges use it to keep per-range artifacts apart).
-func (o *ObsFlags) WriteArtifacts(rec *obs.Recorder, pathFn func(string) string) error {
+// requested from rec; a nil rec writes nothing.
+func (o *ObsFlags) WriteArtifacts(rec *obs.Recorder) error {
 	if rec == nil {
 		return nil
 	}
-	if pathFn == nil {
-		pathFn = func(p string) string { return p }
-	}
 	if o.ChromeTrace != "" {
-		if err := WriteArtifact(pathFn(o.ChromeTrace), func(f *os.File) error {
+		if err := WriteArtifact(o.ChromeTrace, func(f *os.File) error {
 			return obs.WriteTimeline(f, rec)
 		}); err != nil {
 			return err
 		}
 	}
 	if o.SampleEvery > 0 {
-		if err := WriteArtifact(pathFn(o.SampleOut), func(f *os.File) error {
+		if err := WriteArtifact(o.SampleOut, func(f *os.File) error {
 			return obs.WriteSamples(f, rec, o.SampleEvery)
 		}); err != nil {
 			return err

@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 // TestSharedFlagSurface: every command registering through this package
@@ -69,21 +67,5 @@ func TestWriteArtifactCreatesParents(t *testing.T) {
 	b, err := os.ReadFile(path)
 	if err != nil || string(b) != "x" {
 		t.Errorf("artifact content %q, err %v", b, err)
-	}
-}
-
-func TestRangePath(t *testing.T) {
-	for _, tc := range []struct {
-		in       string
-		lo, hi   int
-		expected string
-	}{
-		{"trace.json", 60, 120, "trace.60-120.json"},
-		{"out/samples.csv", 0, 6, "out/samples.0-6.csv"},
-		{"noext", 1, 2, "noext.1-2"},
-	} {
-		if got := obs.RangePath(tc.in, tc.lo, tc.hi); got != tc.expected {
-			t.Errorf("RangePath(%q,%d,%d) = %q, want %q", tc.in, tc.lo, tc.hi, got, tc.expected)
-		}
 	}
 }

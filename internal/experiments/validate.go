@@ -157,11 +157,15 @@ func ValidateData(cfg ValidationConfig) ([]ValidationPoint, error) {
 			"experiments: machine %q uses a non-standard %dx%d core rectangle (campaign specs derive %dx%d from %d cores); use CompareOne directly",
 			cfg.Machine.Name, cfg.Machine.Cx, cfg.Machine.Cy, cx, cy, cfg.Machine.CoresPerNode)
 	}
+	runs, err := ValidationSpec(cfg).Expand()
+	if err != nil {
+		return nil, err
+	}
 	eng, err := campaign.NewEngine(campaign.Config{})
 	if err != nil {
 		return nil, err
 	}
-	results, err := eng.ExecuteSpec(ValidationSpec(cfg))
+	results, err := eng.Execute(runs)
 	if err != nil {
 		return nil, err
 	}

@@ -91,10 +91,6 @@ type Experiment struct {
 	// component — the declared delta.
 	Baseline  campaign.Spec
 	Treatment campaign.Spec
-
-	// Invariants are the standing checks run over every arm; nil means
-	// DefaultInvariants().
-	Invariants []Invariant
 }
 
 // Delta describes the single dimension the two arms differ in, as

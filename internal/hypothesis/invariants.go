@@ -34,41 +34,34 @@ type Arm struct {
 // label renders the arm's coordinates for violation messages.
 func (a Arm) label() string { return fmt.Sprintf("%s arm, seed %d", a.Name, a.Seed) }
 
-// Invariant is a standing property checked over every executed arm. A
+// invariant is a standing property checked over every executed arm. A
 // check returns violation descriptions (empty means the arm satisfies the
 // property), so every hypothesis run doubles as a property sweep over the
 // simulator — the bug-hunting net the ROADMAP asks for.
-type Invariant interface {
-	Name() string
-	Check(arm Arm) []string
+type invariant struct {
+	name  string
+	check func(Arm) []string
 }
 
-// DefaultInvariants returns the standing suite every experiment runs
-// unless it declares its own: cross-execution determinism, byte and event
-// conservation, runtime monotonicity in rank count and in link bandwidth
-// (via the conventional fast-net/baseline/slow-net override ordering), and
+// invariants is the standing suite every experiment runs, in report
+// order: cross-execution determinism, byte and event conservation,
+// runtime monotonicity in rank count and in link bandwidth (via the
+// conventional fast-net/baseline/slow-net override ordering), and
 // model-error sanity.
-func DefaultInvariants() []Invariant {
-	return []Invariant{
-		Determinism{},
-		ByteConservation{},
-		EventConservation{},
-		MonotoneInP{},
-		MonotoneInOverride{Slowing: []string{"fast-net", "baseline", "slow-net"}},
-		ErrorBandSanity{},
-	}
+var invariants = []invariant{
+	{"cross-worker-determinism", checkDeterminism},
+	{"byte-conservation", checkByteConservation},
+	{"event-conservation", checkEventConservation},
+	{"runtime-monotone-in-p", checkMonotoneInP},
+	{"runtime-monotone-in-link-bw", checkMonotoneInOverride},
+	{"model-error-band-sanity", checkErrorBand},
 }
 
-// Determinism requires the two executions of an arm — run at different
-// worker and shard counts — to produce byte-identical JSONL. This is the
-// campaign layer's core guarantee, re-verified on every hypothesis run.
-type Determinism struct{}
-
-// Name implements Invariant.
-func (Determinism) Name() string { return "cross-worker-determinism" }
-
-// Check implements Invariant.
-func (Determinism) Check(arm Arm) []string {
+// checkDeterminism requires the two executions of an arm — run at
+// different worker and shard counts — to produce byte-identical JSONL.
+// This is the campaign layer's core guarantee, re-verified on every
+// hypothesis run.
+func checkDeterminism(arm Arm) []string {
 	if bytes.Equal(arm.JSONL, arm.AltJSONL) {
 		return nil
 	}
@@ -83,17 +76,11 @@ func (Determinism) Check(arm Arm) []string {
 		arm.label(), n)}
 }
 
-// ByteConservation checks traffic accounting: every multi-rank run moves a
-// positive number of bytes over a positive number of messages, single-rank
-// runs move none, and the byte counters agree between the arm's two
-// executions row for row.
-type ByteConservation struct{}
-
-// Name implements Invariant.
-func (ByteConservation) Name() string { return "byte-conservation" }
-
-// Check implements Invariant.
-func (ByteConservation) Check(arm Arm) []string {
+// checkByteConservation checks traffic accounting: every multi-rank run
+// moves a positive number of bytes over a positive number of messages,
+// single-rank runs move none, and the byte counters agree between the
+// arm's two executions row for row.
+func checkByteConservation(arm Arm) []string {
 	var v []string
 	for i, r := range arm.Rows {
 		if r.P > 1 && (r.BytesSent == 0 || r.Messages == 0) {
@@ -115,16 +102,10 @@ func (ByteConservation) Check(arm Arm) []string {
 	return v
 }
 
-// EventConservation checks event accounting: every run processes at least
-// one event, at least one per message, and the counters agree between the
-// arm's two executions row for row.
-type EventConservation struct{}
-
-// Name implements Invariant.
-func (EventConservation) Name() string { return "event-conservation" }
-
-// Check implements Invariant.
-func (EventConservation) Check(arm Arm) []string {
+// checkEventConservation checks event accounting: every run processes at
+// least one event, at least one per message, and the counters agree
+// between the arm's two executions row for row.
+func checkEventConservation(arm Arm) []string {
 	var v []string
 	for i, r := range arm.Rows {
 		if r.Events == 0 {
@@ -155,19 +136,13 @@ func groupKey(r campaign.RunResult, maskP, maskOverride bool) string {
 	return fmt.Sprintf("%s|%s|%d|%s|%s|%s|%s|%s", r.App, r.Grid, r.Htile, r.Machine, ov, r.Collective, r.Workload, p)
 }
 
-// MonotoneInP requires simulated runtime to be non-increasing in rank
-// count within every group of rows that agree on everything else: at a
-// fixed problem size, more processors must never slow the simulated
+// checkMonotoneInP requires simulated runtime to be non-increasing in
+// rank count within every group of rows that agree on everything else: at
+// a fixed problem size, more processors must never slow the simulated
 // application down. (Real codes can invert past the scaling knee; when a
 // sweep reaches that regime the violation is the finding, documented in
 // the report.)
-type MonotoneInP struct{}
-
-// Name implements Invariant.
-func (MonotoneInP) Name() string { return "runtime-monotone-in-p" }
-
-// Check implements Invariant.
-func (MonotoneInP) Check(arm Arm) []string {
+func checkMonotoneInP(arm Arm) []string {
 	groups := map[string][]campaign.RunResult{}
 	var order []string
 	for _, r := range arm.Rows {
@@ -195,29 +170,20 @@ func (MonotoneInP) Check(arm Arm) []string {
 	return v
 }
 
-// MonotoneInOverride requires simulated runtime to be non-decreasing along
-// a declared slowing order of LogGP override names (conventionally
-// fast-net → baseline → slow-net): degrading link bandwidth and latency
-// must never speed the simulation up. Groups that carry fewer than two of
-// the ordered overrides pass vacuously.
-type MonotoneInOverride struct {
-	// Slowing lists override names from fastest network to slowest.
-	Slowing []string
-}
+// slowing ranks the LogGP override names checkMonotoneInOverride orders,
+// from fastest network to slowest.
+var slowing = map[string]int{"fast-net": 0, "baseline": 1, "slow-net": 2}
 
-// Name implements Invariant.
-func (MonotoneInOverride) Name() string { return "runtime-monotone-in-link-bw" }
-
-// Check implements Invariant.
-func (m MonotoneInOverride) Check(arm Arm) []string {
-	rank := map[string]int{}
-	for i, name := range m.Slowing {
-		rank[name] = i
-	}
+// checkMonotoneInOverride requires simulated runtime to be non-decreasing
+// along the slowing order fast-net → baseline → slow-net: degrading link
+// bandwidth and latency must never speed the simulation up. Rows under
+// other overrides are not compared, and groups that carry fewer than two
+// of the ordered overrides pass vacuously.
+func checkMonotoneInOverride(arm Arm) []string {
 	groups := map[string][]campaign.RunResult{}
 	var order []string
 	for _, r := range arm.Rows {
-		if _, ok := rank[r.Override]; !ok {
+		if _, ok := slowing[r.Override]; !ok {
 			continue
 		}
 		k := groupKey(r, false, true)
@@ -232,7 +198,7 @@ func (m MonotoneInOverride) Check(arm Arm) []string {
 		if len(rows) < 2 {
 			continue
 		}
-		sort.Slice(rows, func(i, j int) bool { return rank[rows[i].Override] < rank[rows[j].Override] })
+		sort.Slice(rows, func(i, j int) bool { return slowing[rows[i].Override] < slowing[rows[j].Override] })
 		for i := 1; i < len(rows); i++ {
 			if rows[i].SimMicros < rows[i-1].SimMicros {
 				v = append(v, fmt.Sprintf("%s: %s/%s P=%d: slower network is faster — %.1fµs under %q vs %.1fµs under %q",
@@ -244,20 +210,14 @@ func (m MonotoneInOverride) Check(arm Arm) []string {
 	return v
 }
 
-// ErrorBandSanity checks the model-vs-simulator bookkeeping of every row:
-// positive times, abs_err consistent with rel_err, the accuracy band
-// consistent with abs_err, and the error itself inside a sanity ceiling
-// (1000% — beyond that the comparison is measuring a bug, not a model).
-type ErrorBandSanity struct{}
-
-// Name implements Invariant.
-func (ErrorBandSanity) Name() string { return "model-error-band-sanity" }
-
 // errCeiling is the |rel err| beyond which a row is insane.
 const errCeiling = 10.0
 
-// Check implements Invariant.
-func (ErrorBandSanity) Check(arm Arm) []string {
+// checkErrorBand checks the model-vs-simulator bookkeeping of every row:
+// positive times, abs_err consistent with rel_err, the accuracy band
+// consistent with abs_err, and the error itself inside a sanity ceiling
+// (1000% — beyond that the comparison is measuring a bug, not a model).
+func checkErrorBand(arm Arm) []string {
 	var v []string
 	for _, r := range arm.Rows {
 		if !(r.SimMicros > 0) || !(r.ModelMicros > 0) {

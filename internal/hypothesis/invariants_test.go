@@ -1,6 +1,7 @@
 package hypothesis
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -31,21 +32,21 @@ func armOf(rows ...campaign.RunResult) Arm {
 
 func TestDeterminismInvariant(t *testing.T) {
 	ok := armOf(saneRow(nil))
-	if v := (Determinism{}).Check(ok); len(v) != 0 {
+	if v := checkDeterminism(ok); len(v) != 0 {
 		t.Errorf("identical executions flagged: %v", v)
 	}
 	bad := ok
 	bad.AltJSONL = []byte("other")
 	bad.AltRows = []campaign.RunResult{saneRow(func(r *campaign.RunResult) { r.SimMicros = 999 })}
-	v := (Determinism{}).Check(bad)
+	v := checkDeterminism(bad)
 	if len(v) != 1 || !strings.Contains(v[0], "diverge") {
 		t.Errorf("divergent executions not flagged: %v", v)
 	}
 }
 
 func TestByteConservationInvariant(t *testing.T) {
-	inv := ByteConservation{}
-	if v := inv.Check(armOf(saneRow(nil))); len(v) != 0 {
+	inv := checkByteConservation
+	if v := inv(armOf(saneRow(nil))); len(v) != 0 {
 		t.Errorf("sane row flagged: %v", v)
 	}
 	cases := []struct {
@@ -59,7 +60,7 @@ func TestByteConservationInvariant(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			v := inv.Check(armOf(saneRow(tc.mutate)))
+			v := inv(armOf(saneRow(tc.mutate)))
 			if len(v) == 0 || !strings.Contains(strings.Join(v, "\n"), tc.want) {
 				t.Errorf("violations = %v, want one mentioning %q", v, tc.want)
 			}
@@ -68,71 +69,71 @@ func TestByteConservationInvariant(t *testing.T) {
 	// Cross-execution drift in the byte counter.
 	a := armOf(saneRow(nil))
 	a.AltRows = []campaign.RunResult{saneRow(func(r *campaign.RunResult) { r.BytesSent = 1 })}
-	if v := inv.Check(a); len(v) == 0 || !strings.Contains(v[0], "not conserved") {
+	if v := inv(a); len(v) == 0 || !strings.Contains(v[0], "not conserved") {
 		t.Errorf("cross-execution byte drift not flagged: %v", v)
 	}
 }
 
 func TestEventConservationInvariant(t *testing.T) {
-	inv := EventConservation{}
-	if v := inv.Check(armOf(saneRow(nil))); len(v) != 0 {
+	inv := checkEventConservation
+	if v := inv(armOf(saneRow(nil))); len(v) != 0 {
 		t.Errorf("sane row flagged: %v", v)
 	}
-	if v := inv.Check(armOf(saneRow(func(r *campaign.RunResult) { r.Events = 0 }))); len(v) == 0 {
+	if v := inv(armOf(saneRow(func(r *campaign.RunResult) { r.Events = 0 }))); len(v) == 0 {
 		t.Error("zero-event run not flagged")
 	}
-	if v := inv.Check(armOf(saneRow(func(r *campaign.RunResult) { r.Events = 5 }))); len(v) == 0 {
+	if v := inv(armOf(saneRow(func(r *campaign.RunResult) { r.Events = 5 }))); len(v) == 0 {
 		t.Error("events < messages not flagged")
 	}
 	a := armOf(saneRow(nil))
 	a.AltRows = []campaign.RunResult{saneRow(func(r *campaign.RunResult) { r.Events = 51 })}
-	if v := inv.Check(a); len(v) == 0 {
+	if v := inv(a); len(v) == 0 {
 		t.Error("cross-execution event drift not flagged")
 	}
 }
 
 func TestMonotoneInPInvariant(t *testing.T) {
-	inv := MonotoneInP{}
+	inv := checkMonotoneInP
 	p16 := saneRow(nil)
 	p64 := saneRow(func(r *campaign.RunResult) { r.P = 64; r.SimMicros = 40 })
-	if v := inv.Check(armOf(p16, p64)); len(v) != 0 {
+	if v := inv(armOf(p16, p64)); len(v) != 0 {
 		t.Errorf("proper scaling flagged: %v", v)
 	}
 	slow64 := saneRow(func(r *campaign.RunResult) { r.P = 64; r.SimMicros = 200 })
-	v := inv.Check(armOf(p16, slow64))
+	v := inv(armOf(p16, slow64))
 	if len(v) != 1 || !strings.Contains(v[0], "grows with ranks") {
 		t.Errorf("inverted scaling not flagged: %v", v)
 	}
 	// Rows in different groups (different machines) never compare.
 	other := saneRow(func(r *campaign.RunResult) { r.P = 64; r.SimMicros = 200; r.Machine = "other" })
-	if v := inv.Check(armOf(p16, other)); len(v) != 0 {
+	if v := inv(armOf(p16, other)); len(v) != 0 {
 		t.Errorf("cross-group comparison: %v", v)
 	}
 }
 
 func TestMonotoneInOverrideInvariant(t *testing.T) {
-	inv := MonotoneInOverride{Slowing: []string{"fast-net", "baseline", "slow-net"}}
+	inv := checkMonotoneInOverride
 	fast := saneRow(func(r *campaign.RunResult) { r.Override = "fast-net"; r.SimMicros = 80 })
 	base := saneRow(func(r *campaign.RunResult) { r.Override = "baseline" })
 	slow := saneRow(func(r *campaign.RunResult) { r.Override = "slow-net"; r.SimMicros = 300 })
-	if v := inv.Check(armOf(fast, base, slow)); len(v) != 0 {
+	if v := inv(armOf(fast, base, slow)); len(v) != 0 {
 		t.Errorf("proper slowdown flagged: %v", v)
 	}
 	tooFast := saneRow(func(r *campaign.RunResult) { r.Override = "slow-net"; r.SimMicros = 50 })
-	v := inv.Check(armOf(fast, base, tooFast))
+	v := inv(armOf(fast, base, tooFast))
 	if len(v) == 0 || !strings.Contains(v[0], "slower network is faster") {
 		t.Errorf("inverted override ordering not flagged: %v", v)
 	}
 	// Overrides outside the declared order are ignored, not compared.
 	odd := saneRow(func(r *campaign.RunResult) { r.Override = "half-overhead"; r.SimMicros = 1 })
-	if v := inv.Check(armOf(base, odd)); len(v) != 0 {
+	if v := inv(armOf(base, odd)); len(v) != 0 {
 		t.Errorf("undeclared override compared: %v", v)
 	}
 }
 
 func TestErrorBandSanityInvariant(t *testing.T) {
-	inv := ErrorBandSanity{}
-	if v := inv.Check(armOf(saneRow(nil))); len(v) != 0 {
+	inv := checkErrorBand
+	if v := inv(armOf(saneRow(nil))); len(v) != 0 {
 		t.Errorf("sane row flagged: %v", v)
 	}
 	cases := []struct {
@@ -151,7 +152,7 @@ func TestErrorBandSanityInvariant(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			v := inv.Check(armOf(saneRow(tc.mutate)))
+			v := inv(armOf(saneRow(tc.mutate)))
 			if len(v) == 0 || !strings.Contains(strings.Join(v, "\n"), tc.want) {
 				t.Errorf("violations = %v, want one mentioning %q", v, tc.want)
 			}
@@ -159,20 +160,16 @@ func TestErrorBandSanityInvariant(t *testing.T) {
 	}
 }
 
-// TestDefaultInvariantsNames: the default suite is the documented sextet,
-// each with a distinct name.
+// TestDefaultInvariantsNames: the standing suite is the documented
+// sextet, in report order.
 func TestDefaultInvariantsNames(t *testing.T) {
-	names := map[string]bool{}
-	for _, inv := range DefaultInvariants() {
-		if inv.Name() == "" || names[inv.Name()] {
-			t.Errorf("bad or duplicate invariant name %q", inv.Name())
-		}
-		names[inv.Name()] = true
+	var got []string
+	for _, inv := range invariants {
+		got = append(got, inv.name)
 	}
-	for _, want := range []string{"cross-worker-determinism", "byte-conservation", "event-conservation",
-		"runtime-monotone-in-p", "runtime-monotone-in-link-bw", "model-error-band-sanity"} {
-		if !names[want] {
-			t.Errorf("default suite missing %q", want)
-		}
+	want := []string{"cross-worker-determinism", "byte-conservation", "event-conservation",
+		"runtime-monotone-in-p", "runtime-monotone-in-link-bw", "model-error-band-sanity"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("standing invariants %v, want %v", got, want)
 	}
 }

@@ -59,11 +59,6 @@ func Run(e Experiment, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hypothesis: %s: %w", e.ID, err)
 	}
-	invariants := e.Invariants
-	if invariants == nil {
-		invariants = DefaultInvariants()
-	}
-
 	rep := &Report{
 		Schema:     SchemaVersion,
 		ID:         e.ID,
@@ -102,7 +97,7 @@ func Run(e Experiment, cfg Config) (*Report, error) {
 		for _, arm := range []Arm{base, treat} {
 			rep.Arms = append(rep.Arms, summarizeArm(arm))
 			for _, inv := range invariants {
-				violations[inv.Name()] = append(violations[inv.Name()], inv.Check(arm)...)
+				violations[inv.name] = append(violations[inv.name], inv.check(arm)...)
 			}
 		}
 
@@ -128,9 +123,9 @@ func Run(e Experiment, cfg Config) (*Report, error) {
 
 	for _, inv := range invariants {
 		rep.Invariants = append(rep.Invariants, InvariantResult{
-			Name:       inv.Name(),
-			Status:     statusOf(violations[inv.Name()]),
-			Violations: violations[inv.Name()],
+			Name:       inv.name,
+			Status:     statusOf(violations[inv.name]),
+			Violations: violations[inv.name],
 		})
 	}
 
@@ -160,11 +155,15 @@ func executeArm(name string, seed uint64, spec campaign.Spec, primary, alt campa
 // executeOnce runs the spec under one execution profile and serializes the
 // results the same way the campaign CLI does.
 func executeOnce(spec campaign.Spec, cfg campaign.Config) ([]campaign.RunResult, []byte, error) {
+	runs, err := spec.Expand()
+	if err != nil {
+		return nil, nil, err
+	}
 	eng, err := campaign.NewEngine(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	rows, err := eng.ExecuteSpec(spec)
+	rows, err := eng.Execute(runs)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -44,8 +44,8 @@ func TestRunEndToEnd(t *testing.T) {
 	if !rep.InvariantsPass() {
 		t.Errorf("invariants violated: %+v", rep.Invariants)
 	}
-	if len(rep.Invariants) != len(DefaultInvariants()) {
-		t.Errorf("%d invariant results, want %d", len(rep.Invariants), len(DefaultInvariants()))
+	if len(rep.Invariants) != len(invariants) {
+		t.Errorf("%d invariant results, want %d", len(rep.Invariants), len(invariants))
 	}
 }
 

@@ -28,7 +28,6 @@
 package obs
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -321,14 +320,4 @@ func EnsureParent(path string) error {
 		return nil
 	}
 	return os.MkdirAll(dir, 0o755)
-}
-
-// RangePath derives a per-range artifact path by inserting ".lo-hi" before
-// the extension (or appending it when there is none), e.g.
-// RangePath("out/trace.json", 60, 120) = "out/trace.60-120.json". Range-
-// partitioned campaigns use it so concurrent ranges writing the same
-// configured artifact path never clobber each other.
-func RangePath(path string, lo, hi int) string {
-	ext := filepath.Ext(path)
-	return fmt.Sprintf("%s.%d-%d%s", path[:len(path)-len(ext)], lo, hi, ext)
 }

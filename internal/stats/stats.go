@@ -66,34 +66,22 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Stream is a single-pass streaming aggregator: count, sum, extrema and
-// Welford-updated mean/variance. The zero value is an empty stream. It is
-// the building block of campaign per-dimension summaries, where thousands
-// of run results are folded without retaining them.
+// Stream is a single-pass streaming aggregator: count, running mean and
+// maximum. The zero value is an empty stream. It is the building block of
+// campaign per-dimension summaries, where thousands of run results are
+// folded without retaining them.
 type Stream struct {
-	n        int
-	mean, m2 float64
-	sum      float64
-	min, max float64
+	n         int
+	mean, max float64
 }
 
 // Add folds one observation into the stream.
 func (s *Stream) Add(x float64) {
-	if s.n == 0 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
+	if s.n == 0 || x > s.max {
+		s.max = x
 	}
 	s.n++
-	s.sum += x
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	s.mean += (x - s.mean) / float64(s.n)
 }
 
 // N returns the number of observations.
