@@ -187,25 +187,25 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 	cfg := campaign.Config{Workers: *f.workers, Shards: *f.shards, Hist: f.obs.Hist}
 
-	var store *campaign.DiskStore
-	if *f.cacheDir != "" {
-		store, err = campaign.OpenDiskStore(*f.cacheDir, campaign.StoreFile(part, parts))
-		if err != nil {
-			return err
-		}
-		defer func() { err = errors.Join(err, store.Close()) }()
-		cfg.Store = store
-	}
-
 	if !*f.merge {
 		// Part I of N; a part past the run count executes nothing and
-		// writes no -out file.
+		// writes no -out file or store file.
 		rs := campaign.Ranges(len(runs), parts)
 		if part < len(rs) {
 			runs = runs[rs[part].Lo:rs[part].Hi]
 		} else {
 			runs = nil
 		}
+	}
+
+	var store *campaign.DiskStore
+	if *f.cacheDir != "" && len(runs) > 0 {
+		store, err = campaign.OpenDiskStore(*f.cacheDir, campaign.StoreFile(part, parts))
+		if err != nil {
+			return err
+		}
+		defer func() { err = errors.Join(err, store.Close()) }()
+		cfg.Store = store
 	}
 
 	// Create -out before anything executes or merges: an unwritable path

@@ -157,7 +157,8 @@ func TestRunErrorPaths(t *testing.T) {
 // TestRangedRecording: the flight-recorded run is the campaign's first, so
 // only part 0 of a ranged campaign records, at the paths given and
 // byte-identical to an unranged recording; other parts write no trace,
-// and a part past the run count executes nothing and writes no -out file.
+// and a part past the run count executes nothing and writes no -out file
+// and no store file.
 func TestRangedRecording(t *testing.T) {
 	dir := t.TempDir()
 	path := func(name string) string { return filepath.Join(dir, name) }
@@ -183,10 +184,13 @@ func TestRangedRecording(t *testing.T) {
 		t.Errorf("-range 2/4 wrote a trace (stat: %v)", err)
 	}
 
-	if err := run([]string{"-builtin", "example", "-range", "30/40", "-out", path("r30.jsonl"), "-quiet"}, io.Discard); err != nil {
+	if err := run([]string{"-builtin", "example", "-range", "30/40", "-out", path("r30.jsonl"), "-cache-dir", path("store"), "-quiet"}, io.Discard); err != nil {
 		t.Fatalf("-range 30/40: %v", err)
 	}
 	if _, err := os.Stat(path("r30.jsonl")); !os.IsNotExist(err) {
 		t.Errorf("-range 30/40 of 24 runs wrote -out (stat: %v)", err)
+	}
+	if _, err := os.Stat(filepath.Join(path("store"), "cache-30-of-40.jsonl")); !os.IsNotExist(err) {
+		t.Errorf("-range 30/40 of 24 runs left a store file, which every later open of the directory loads (stat: %v)", err)
 	}
 }

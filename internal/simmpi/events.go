@@ -199,7 +199,7 @@ func (sh *shard) handle(ev des.Event) {
 				Send: m.sendAt, Ready: ready, Src: m.src, Dst: m.dst, Bytes: m.bytes, Rdv: true,
 			})
 		}
-		sh.unlink(&sh.channels[m.ch], ev.Arg0)
+		sh.unlink(ev.Arg0)
 		sh.freeReq(req)
 		sh.freeMsg(ev.Arg0)
 
@@ -224,14 +224,9 @@ func (sh *shard) execSend(r *rankState, peer, bytes int) {
 	ci := sh.chanIndex(r.id, int32(peer))
 	mi := sh.allocMsg()
 	m := &sh.msgs[mi]
-	m.src, m.dst, m.bytes, m.ch = r.id, int32(peer), int32(bytes), ci
+	m.src, m.dst, m.bytes = r.id, int32(peer), int32(bytes)
 	m.sendAt = ts
-	ch := &sh.channels[ci]
-	ch.msgs.pushBack(mi)
-	// Match a posted receive, if one is waiting.
-	if ch.recvs.n > 0 {
-		m.recv = ch.recvs.popFront()
-	}
+	sh.enqueue(ci, mi)
 
 	switch {
 	case path == logp.OnChip && bytes <= logp.EagerThreshold:
@@ -309,7 +304,7 @@ func (sh *shard) completeRecv(mi int32) {
 			Send: m.sendAt, Ready: m.readyAt, Src: m.src, Dst: m.dst, Bytes: m.bytes,
 		})
 	}
-	sh.unlink(&sh.channels[m.ch], mi)
+	sh.unlink(mi)
 	sh.freeReq(ri)
 	sh.freeMsg(mi)
 }
@@ -340,18 +335,14 @@ func (sh *shard) execRecv(r *rankState, peer int) {
 	}
 	ri := sh.allocReq()
 	sh.reqs[ri] = recvReq{rank: r.id, postAt: r.t}
-	ch := &sh.channels[ci]
 	// Match the first message not already claimed by an earlier receive
 	// (MPI non-overtaking ordering between a pair of ranks).
-	mi := none
-	for k := int32(0); k < ch.msgs.n; k++ {
-		if idx := ch.msgs.at(k); sh.msgs[idx].recv == none {
-			mi = idx
-			break
-		}
+	mi := sh.channels[ci].head
+	for mi != none && sh.msgs[mi].recv != none {
+		mi = sh.msgs[mi].next
 	}
 	if mi == none {
-		ch.recvs.pushBack(ri)
+		sh.channels[ci].recv = ri
 		return
 	}
 	m := &sh.msgs[mi]

@@ -1,6 +1,6 @@
 package simmpi_test
 
-// Golden-equivalence tests: the typed-event, pooled, ring-buffered
+// Golden-equivalence tests: the typed-event, pooled
 // simulator must produce bit-identical results to the original
 // closure-based implementation. The constants below were recorded by
 // running the seed implementation (commit e3c8b9b, container/heap closure
@@ -10,6 +10,7 @@ package simmpi_test
 // (time, seq) tiebreak shows up here as a hard failure.
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/apps"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/simmpi"
 	"repro/internal/simnet"
+	"repro/internal/workload"
 )
 
 type goldenResult struct {
@@ -144,7 +146,7 @@ func TestGoldenRepeatable(t *testing.T) {
 // TestAllocsPerEvent enforces the allocation budget of the hot path:
 // below 0.5 heap allocations per executed event, setup included. The seed
 // implementation sat at ~3.5 allocs/event; the pooled typed-event engine
-// runs at ~0.01.
+// runs at ~0.002.
 func TestAllocsPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation")
@@ -175,5 +177,43 @@ func TestAllocsPerEvent(t *testing.T) {
 	t.Logf("%.0f allocs / %d events = %.4f allocs/event", allocs, events, perEvent)
 	if perEvent >= 0.5 {
 		t.Errorf("allocation budget blown: %.4f allocs/event, want < 0.5", perEvent)
+	}
+}
+
+// TestLiveBytesPerRank is the per-rank memory budget: once a 1,024-rank
+// Sweep3D run has finished, everything it keeps reachable — schedule,
+// topology, simulator and wavefront cursors — stays within 600 live heap
+// bytes per rank. The run keeps 484 on amd64; the rest is headroom for
+// allocator rounding, not for a per-rank structure to grow back.
+func TestLiveBytesPerRank(t *testing.T) {
+	const budget = 600
+	g := grid.NewGrid(32, 32, 32)
+	dec := grid.MustDecompose(g, 32, 32)
+	bm := apps.Sweep3D(g, 2).WithWorkload(workload.Spec{Dist: workload.DistLognormal, Sigma: 0.1, Seed: 1})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sched, err := bm.Schedule(dec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := simnet.NewMachineTopology(machine.XT4(), dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := simmpi.New(topo)
+	for r, p := range sched.Programs() {
+		sim.SetProgram(r, p)
+	}
+	if _, err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(sim)
+	perRank := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(dec.P())
+	t.Logf("%.0f live bytes per rank after a %d-rank run", perRank, dec.P())
+	if perRank > budget {
+		t.Errorf("live heap %.0f bytes per rank, want at most %d", perRank, budget)
 	}
 }

@@ -82,7 +82,7 @@ func NewWithOptions(topo *simnet.Topology, o Options) (*Sim, error) {
 // ResetWithOptions prepares the Sim for another run over a (possibly
 // different) topology with the option set o, retaining the capacity of
 // every internal pool — the event heap, the message and receive-request
-// free lists, the channel rings, the per-rank tables and every shard built
+// free lists, the channel slice, the per-rank tables and every shard built
 // for earlier parallel runs — so that back-to-back simulations of similar
 // size perform near-zero heap allocations after the first. All programs
 // are cleared, and the Sim's configuration afterwards is exactly o: a
@@ -105,13 +105,13 @@ func (s *Sim) ResetWithOptions(topo *simnet.Topology, o Options) error {
 	}
 	for i := range s.ranks {
 		out := s.ranks[i].out
-		in := s.ranks[i].in
 		coll := s.ranks[i].coll
-		s.ranks[i] = rankState{id: int32(i), out: out[:0], in: in[:0], coll: coll[:0]}
+		s.ranks[i] = rankState{id: int32(i), out: out[:0], coll: coll[:0]}
 	}
-	// Truncating (not clearing) keeps backing arrays; chanIndex re-claims
-	// channel slots ring buffers included, and AllocSlot repopulates the
-	// pools in the same order a fresh Sim would.
+	// Truncating (not clearing) keeps backing arrays; claimChannel appends
+	// into the channel slice's old array, and AllocSlot repopulates the
+	// pools in the same order a fresh Sim would. Run resizes and empties
+	// the spans and in-port side tables itself.
 	s.arGens = s.arGens[:0]
 	for _, sh := range s.shards {
 		sh.clear()

@@ -257,6 +257,13 @@ func (s *Sim) runParallel(k int) (Result, error) {
 	for len(s.shards) < k {
 		s.shards = append(s.shards, s.newShard(int32(len(s.shards))))
 	}
+	// Size and empty the in-port table here, single-threaded: inside the
+	// run each entry grows only from its rank's shard or the barrier.
+	n := len(s.ranks)
+	s.in = slices.Grow(s.in[:0], n)[:n]
+	for i := range s.in {
+		s.in[i] = s.in[i][:0]
+	}
 	xlinks := s.topo.Interconnect() != nil
 	for i := 0; i < k; i++ {
 		sh := s.shards[i]
@@ -521,16 +528,12 @@ func (s *Sim) applyMsg(p *parRun, rec *crossRec) {
 	ci := dsh.chanIndexIn(rec.src, rec.dst)
 	mi := dsh.allocMsg()
 	m := &dsh.msgs[mi]
-	m.src, m.dst, m.bytes, m.ch = rec.src, rec.dst, rec.bytes, ci
+	m.src, m.dst, m.bytes = rec.src, rec.dst, rec.bytes
 	m.sendAt = rec.t
 	m.cross = true
 	m.proxy = rec.smsg
 	ssh.msgs[rec.smsg].proxy = mi
-	ch := &dsh.channels[ci]
-	ch.msgs.pushBack(mi)
-	if ch.recvs.n > 0 {
-		m.recv = ch.recvs.popFront()
-	}
+	dsh.enqueue(ci, mi)
 	if rec.rdv {
 		m.rendezvous = true
 		pp := &dsh.par

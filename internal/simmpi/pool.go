@@ -1,18 +1,23 @@
 package simmpi
 
-import "repro/internal/des"
+import (
+	"fmt"
+
+	"repro/internal/des"
+)
 
 // This file holds the allocation-free bookkeeping of the simulator's hot
 // path: free-list pools of message and receive-request records addressed
-// by index, per-rank flat channel tables, and ring-buffer channel queues.
+// by index, per-rank flat channel tables, and channel queues linked
+// through the message records themselves.
 //
 // Messages and receive requests are referenced everywhere by int32 pool
 // index (and carried through the event heap in Event.Arg0), never by
 // pointer, so scheduling and matching perform zero heap allocations once
-// the pools and rings reach steady-state size. Pools are per-shard: a
-// parallel run's shards never share a pool, and a message crossing shards
-// exists as two records — the sender-shard original and a receiver-shard
-// proxy — tied together by their proxy fields (parallel.go).
+// the pools reach steady-state size. Pools are per-shard: a parallel run's
+// shards never share a pool, and a message crossing shards exists as two
+// records — the sender-shard original and a receiver-shard proxy — tied
+// together by their proxy fields (parallel.go).
 
 // none marks an empty index reference (no matched receive, no message).
 const none int32 = -1
@@ -23,9 +28,10 @@ type message struct {
 	sendAt     float64 // sender's op start; set unconditionally (no branch)
 	src, dst   int32
 	bytes      int32
-	ch         int32 // owning channel index (satellite: unlink takes no map lookup)
+	ch         int32 // owning channel index
 	recv       int32 // matched recvReq pool index, or none
 	proxy      int32 // cross-shard: the peer shard's record for this message
+	next       int32 // the next message queued on the same channel, or none
 	rendezvous bool
 	ready      bool // data fully available at the receiver
 	rtsArrived bool // rendezvous: request-to-send reached the receiver
@@ -79,114 +85,67 @@ func (sh *shard) chanIndex(src, dst int32) int32 {
 // chanIndexIn is chanIndex for a cross-shard (src, dst) pair, resolved and
 // created in the *receiver's* shard: the sender's out-table belongs to the
 // sender's shard and its indices address that shard's channel slice, so
-// cross traffic is keyed off a separate per-receiver in-table instead. Only
-// the receiving shard (during windows) and the barrier coordinator (between
-// windows) touch it.
+// cross traffic is keyed off the Sim's per-receiver in-table instead
+// (Sim.in, sized before the shards start). Only the receiving shard (during
+// windows) and the barrier coordinator (between windows) touch an entry.
 func (sh *shard) chanIndexIn(src, dst int32) int32 {
-	in := sh.ranks[dst].in
+	in := sh.sim.in[dst]
 	for i := range in {
 		if in[i].peer == src {
 			return in[i].ch
 		}
 	}
 	ci := sh.claimChannel()
-	sh.ranks[dst].in = append(in, port{peer: src, ch: ci})
+	sh.sim.in[dst] = append(in, port{peer: src, ch: ci})
 	return ci
 }
 
-// claimChannel returns a fresh channel slot, re-claiming one left behind by
-// Sim.ResetWithOptions (keeping its ring buffers) when possible.
+// claimChannel returns a fresh, empty channel slot. Sim.ResetWithOptions
+// truncates the channel slice, so the append reuses its backing array.
 func (sh *shard) claimChannel() int32 {
-	ci := int32(len(sh.channels))
-	if int(ci) < cap(sh.channels) {
-		sh.channels = sh.channels[:ci+1]
-		sh.channels[ci].msgs.clear()
-		sh.channels[ci].recvs.clear()
-	} else {
-		sh.channels = append(sh.channels, channel{})
-	}
-	return ci
+	sh.channels = append(sh.channels, channel{head: none, tail: none, recv: none})
+	return int32(len(sh.channels) - 1)
 }
 
-// channel is the per-(src, dst) pair of FIFO queues: unmatched or
-// in-flight messages in sent order, and posted unmatched receives in post
-// order.
+// channel is the per-(src, dst) FIFO of unmatched or in-flight messages in
+// sent order, linked through message.next from head to tail, plus the one
+// posted receive no message has matched yet. Receives block, so a rank
+// never has two posted at once and one slot suffices.
 type channel struct {
-	msgs  ring // message pool indices
-	recvs ring // recvReq pool indices
+	head, tail int32 // message pool indices, or none when the queue is empty
+	recv       int32 // posted unmatched recvReq pool index, or none
+}
+
+// enqueue appends message mi to channel ci's queue and matches it with the
+// posted receive, if one is waiting. Local sends (execSend) and cross-shard
+// proxies (applyMsg) both enter a channel here.
+func (sh *shard) enqueue(ci, mi int32) {
+	ch := &sh.channels[ci]
+	m := &sh.msgs[mi]
+	m.ch, m.next = ci, none
+	if ch.tail == none {
+		ch.head = mi
+	} else {
+		sh.msgs[ch.tail].next = mi
+	}
+	ch.tail = mi
+	if ch.recv != none {
+		m.recv, ch.recv = ch.recv, none
+	}
 }
 
 // unlink removes a completed message from its channel's queue. Because a
 // rank's receives are blocking, matches claim messages in FIFO order and
-// at most one claimed message is in flight per channel, so the completed
-// message is the queue head and removal is O(1); the ordered-remove
-// fallback is defensive only.
-func (sh *shard) unlink(ch *channel, mi int32) {
-	if ch.msgs.n > 0 && ch.msgs.at(0) == mi {
-		ch.msgs.popFront()
-		return
+// a receive completes before its rank posts the next, so the completed
+// message is always the queue head.
+func (sh *shard) unlink(mi int32) {
+	m := &sh.msgs[mi]
+	ch := &sh.channels[m.ch]
+	if ch.head != mi {
+		panic(fmt.Sprintf("simmpi: completed message %d is not the head of its channel", mi))
 	}
-	ch.msgs.remove(mi)
-}
-
-// ring is a growable circular FIFO of pool indices. The backing array's
-// length is always a power of two so position wrap-around is a mask.
-type ring struct {
-	buf  []int32
-	head int32
-	n    int32
-}
-
-// clear empties the ring, keeping its backing array.
-func (q *ring) clear() { q.head, q.n = 0, 0 }
-
-// at returns the k-th element from the front, 0 ≤ k < n.
-func (q *ring) at(k int32) int32 {
-	return q.buf[int(q.head+k)&(len(q.buf)-1)]
-}
-
-func (q *ring) set(k, v int32) {
-	q.buf[int(q.head+k)&(len(q.buf)-1)] = v
-}
-
-func (q *ring) pushBack(v int32) {
-	if int(q.n) == len(q.buf) {
-		q.grow()
+	ch.head = m.next
+	if ch.head == none {
+		ch.tail = none
 	}
-	q.buf[int(q.head+q.n)&(len(q.buf)-1)] = v
-	q.n++
-}
-
-func (q *ring) popFront() int32 {
-	v := q.buf[q.head]
-	q.head = int32(int(q.head+1) & (len(q.buf) - 1))
-	q.n--
-	return v
-}
-
-// remove deletes the first occurrence of v, preserving FIFO order.
-func (q *ring) remove(v int32) {
-	for k := int32(0); k < q.n; k++ {
-		if q.at(k) != v {
-			continue
-		}
-		for j := k; j+1 < q.n; j++ {
-			q.set(j, q.at(j+1))
-		}
-		q.n--
-		return
-	}
-}
-
-func (q *ring) grow() {
-	capNew := len(q.buf) * 2
-	if capNew == 0 {
-		capNew = 4
-	}
-	buf := make([]int32, capNew)
-	for k := int32(0); k < q.n; k++ {
-		buf[k] = q.at(k)
-	}
-	q.buf = buf
-	q.head = 0
 }

@@ -9,11 +9,13 @@ package simmpi_test
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/grid"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/simmpi"
 	"repro/internal/simnet"
 )
@@ -110,6 +112,73 @@ func TestResetBitIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		sameResult(t, tc.name, freshRun(t, tc.bm, tc.p), resetRun(t, sim, tc.bm, tc.p))
+	}
+}
+
+// TestResetSideTables reuses one Sim through a serial run, a sharded run
+// over more ranks, which grows the cross-shard in-port table, and a
+// serial run that records spans, which allocates the span table only
+// then. Each result, and the recorded spans, must equal a fresh Sim's.
+func TestResetSideTables(t *testing.T) {
+	g := grid.Cube(32)
+	bm := apps.LU(g)
+	mach := machine.XT4()
+	// run simulates bm at p ranks with options o, on sim after a reset, or
+	// on a fresh Sim when sim is nil.
+	run := func(sim *simmpi.Sim, p int, o simmpi.Options) (simmpi.Result, *simmpi.Sim) {
+		t.Helper()
+		dec, err := grid.SquareDecomposition(g, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched, err := bm.Schedule(dec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
+		if sim == nil {
+			sim, err = simmpi.NewWithOptions(topo, o)
+		} else {
+			err = sim.ResetWithOptions(topo, o)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, pr := range sched.Programs() {
+			sim.SetProgram(r, pr)
+		}
+		res, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k, _, _ := sim.ParallelStats(); k != max(o.Shards, 1) {
+			t.Fatalf("%d ranks, %d shards requested: the run used %d", p, o.Shards, k)
+		}
+		return res, sim
+	}
+	var reused *simmpi.Sim
+	for _, tc := range []struct {
+		name   string
+		p      int
+		shards int
+		spans  bool
+	}{
+		{"serial-64", 64, 0, false},
+		{"sharded-256", 256, 2, false},
+		{"spans-64", 64, 0, true},
+	} {
+		fresh, again := &obs.Recorder{Spans: tc.spans}, &obs.Recorder{Spans: tc.spans}
+		want, _ := run(nil, tc.p, simmpi.Options{Shards: tc.shards, Obs: fresh})
+		var got simmpi.Result
+		got, reused = run(reused, tc.p, simmpi.Options{Shards: tc.shards, Obs: again})
+		sameFull(t, tc.name, want, got)
+		a, b := fresh.SpanList(), again.SpanList()
+		if tc.spans && len(a) == 0 {
+			t.Fatalf("%s: no spans recorded", tc.name)
+		}
+		if !slices.Equal(a, b) {
+			t.Errorf("%s: the reset Sim recorded %d spans, a fresh one %d, and they differ", tc.name, len(b), len(a))
+		}
 	}
 }
 

@@ -18,9 +18,9 @@
 // The hot path is allocation-free: message lifetimes are an explicit
 // state machine of typed des events (events.go), message and receive
 // records live in index-addressed pools, and channels are flat per-rank
-// neighbour tables with ring-buffer queues (pool.go). Event ordering is
-// bit-identical to the original closure-based implementation
-// (golden_test.go).
+// neighbour tables whose queues are linked through the message records
+// (pool.go). Event ordering is bit-identical to the original
+// closure-based implementation (golden_test.go).
 //
 // # Parallel execution
 //
@@ -39,6 +39,7 @@ package simmpi
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/des"
@@ -153,6 +154,14 @@ type Sim struct {
 	obs    *obs.Recorder
 	arGens []arGen
 
+	// Per-rank side tables, kept out of rankState because most runs never
+	// touch them. spans holds each rank's open communication op while the
+	// recorder records spans, and is empty otherwise. in holds each rank's
+	// cross-shard in-ports (chanIndexIn), and is sized only for a sharded
+	// run.
+	spans []commSpan
+	in    [][]port
+
 	// shards hold all hot-path state (engines, pools, channel tables,
 	// counters). A serial run is shards[0] executing alone; a sharded run
 	// grows the slice and partitions the ranks (parallel.go). Shards are
@@ -163,18 +172,18 @@ type Sim struct {
 	prun    *parRun
 }
 
+// rankState is one rank's hot-path record: 128 bytes, two cache lines.
 type rankState struct {
 	id      int32
 	prog    Program
 	t       float64 // local time of last completed operation
 	compute float64
-	arGen   int
+	arGen   int32 // next all-reduce generation this rank enters
 	done    bool
 
 	pending Op // comm op waiting for its evComm event
 
 	out []port // flat channel table: peers this rank sends to
-	in  []port // parallel only: channels of cross-shard senders into this rank
 
 	// Collective sub-schedule in progress: the point-to-point constituent
 	// ops of an expanded collective (collops.go) and the next one to run.
@@ -182,11 +191,14 @@ type rankState struct {
 	// across resets, so steady-state collective execution is allocation-free.
 	coll   []Op
 	collIx int32
+}
 
-	// Tracing state: the communication op in progress and its start time.
-	inComm  bool
-	curOp   Op
-	opStart float64
+// commSpan is a rank's communication op in progress and its start time, for
+// the recorder's spans. The zero value, a Compute op, means none is open:
+// only Send, Recv and AllReduce ops open one (execComm).
+type commSpan struct {
+	op    Op
+	start float64
 }
 
 type arGen struct {
@@ -331,6 +343,10 @@ func (s *Sim) SetProgram(r int, p Program) { s.ranks[r].prog = p }
 func (s *Sim) Run() (Result, error) {
 	if o := s.obs; o != nil {
 		o.PrepareRanks(len(s.ranks))
+		if o.Spans {
+			s.spans = slices.Grow(s.spans[:0], len(s.ranks))[:len(s.ranks)]
+			clear(s.spans)
+		}
 		if o.Links || o.Hist {
 			s.topo.SetLinkTracer(o.Link)
 			defer s.topo.SetLinkTracer(nil)
@@ -418,14 +434,14 @@ func (s *Sim) assemble(end float64) (Result, error) {
 // blocks on a communication operation or finishes. Precondition: the
 // engine's clock does not exceed r.t.
 func (sh *shard) advance(r *rankState) {
-	if r.inComm {
-		r.inComm = false
-		if sh.obsSpans {
-			peer := r.curOp.Peer
-			if r.curOp.Kind == OpAllReduce {
+	if sh.obsSpans {
+		if c := &sh.sim.spans[r.id]; c.op.Kind != OpCompute {
+			peer := c.op.Peer
+			if c.op.Kind == OpAllReduce {
 				peer = -1
 			}
-			sh.obs.RankSpan(r.id, uint8(r.curOp.Kind), peer, r.curOp.Bytes, r.opStart, r.t)
+			sh.obs.RankSpan(r.id, uint8(c.op.Kind), peer, c.op.Bytes, c.start, r.t)
+			*c = commSpan{}
 		}
 	}
 	for {
@@ -497,9 +513,9 @@ func (sh *shard) resumeAtCtx(r *rankState, t, ctx float64) {
 
 // execComm performs a communication op at engine time == r.t.
 func (sh *shard) execComm(r *rankState, op Op) {
-	r.inComm = true
-	r.curOp = op
-	r.opStart = r.t
+	if sh.obsSpans {
+		sh.sim.spans[r.id] = commSpan{op: op, start: r.t}
+	}
 	switch op.Kind {
 	case OpSend:
 		sh.execSend(r, int(op.Peer), int(op.Bytes))
@@ -515,12 +531,12 @@ func (sh *shard) execAllReduce(r *rankState, bytes int) {
 		// Parallel run: the closed-form all-reduce is a global operation —
 		// record the entry and let the barrier coordinator complete the
 		// generation once every rank has entered (parallel.go).
-		sh.arEnter = append(sh.arEnter, arEntry{t: r.t, pt: sh.eng.Now(), gen: int32(r.arGen), rank: r.id, bytes: int32(bytes)})
+		sh.arEnter = append(sh.arEnter, arEntry{t: r.t, pt: sh.eng.Now(), gen: r.arGen, rank: r.id, bytes: int32(bytes)})
 		r.arGen++
 		return
 	}
 	s := sh.sim
-	key := r.arGen
+	key := int(r.arGen)
 	for len(s.arGens) <= key {
 		s.arGens = append(s.arGens, arGen{})
 	}

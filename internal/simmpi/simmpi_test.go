@@ -147,6 +147,54 @@ func TestMessageOrderingFIFO(t *testing.T) {
 	}
 }
 
+// TestQueuedMessagesCompleteInOrder: three eager messages and then a
+// rendezvous message wait in one channel's queue until the receiver, busy
+// computing, posts its receives. Each receive takes the queue head, so
+// the eager ones complete o after each post (Table 1(a) eq (3)) and the
+// fourth post starts the rendezvous handshake (eq (4b)). Serially the
+// sender's channel holds the queue; at two shards the receiver's in-port
+// channel does, fed by the barrier's proxies.
+func TestQueuedMessagesCompleteInOrder(t *testing.T) {
+	p := logp.XT4()
+	p.H = 1.5 // a nonzero handshake overhead, so its two terms show
+	const busy = 1000.0
+	sizes := []int{100, 200, 300, 4096}
+	post4 := busy + 3*p.O
+	inject := post4 + p.H + p.L + p.H + p.O // CTS back at the sender, then data
+	wantSend := inject
+	wantRecv := inject + 4096*p.G + p.L + p.O
+	for _, shards := range []int{1, 2} {
+		s, err := NewWithOptions(simnet.NewTopology(p, 2, simnet.SpreadPlacement()), Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		send := []Op{}
+		recv := []Op{Compute(busy)}
+		for _, b := range sizes {
+			send = append(send, Send(1, b))
+			recv = append(recv, Recv(0))
+		}
+		s.SetProgram(0, Ops(send...))
+		s.SetProgram(1, Ops(recv...))
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k, _, _ := s.ParallelStats(); k != shards {
+			t.Fatalf("shards=%d: the run used %d shards", shards, k)
+		}
+		if res.Sends != 4 || res.Recvs != 4 || res.BytesSent != 4696 {
+			t.Errorf("shards=%d: traffic counters = %d/%d/%d, want 4/4/4696", shards, res.Sends, res.Recvs, res.BytesSent)
+		}
+		if !almostEq(res.RankFinish[0], wantSend) {
+			t.Errorf("shards=%d: sender finish = %v, want %v", shards, res.RankFinish[0], wantSend)
+		}
+		if !almostEq(res.RankFinish[1], wantRecv) || res.Time != res.RankFinish[1] {
+			t.Errorf("shards=%d: receiver finish = %v, time = %v, want %v", shards, res.RankFinish[1], res.Time, wantRecv)
+		}
+	}
+}
+
 func TestManyRoundTripsAccumulate(t *testing.T) {
 	p := logp.XT4()
 	topo := offNodePair()

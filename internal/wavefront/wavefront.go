@@ -15,6 +15,7 @@ package wavefront
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/grid"
 	"repro/internal/simmpi"
@@ -205,197 +206,221 @@ func (s *Schedule) Validate() error {
 // TilesPerStack returns the number of tiles per sweep per rank, Nz/Htile.
 func (s *Schedule) TilesPerStack() int { return s.Dec.TilesPerStack(s.Htile) }
 
-// sweepOps builds the per-tile operation template of one rank for one
-// sweep: [Wpre] [RecvW] [RecvN] [Compute W] [SendE] [SendS], where the
-// west/north/east/south roles are relative to the sweep direction
-// (paper Figure 4: LU pre-computes before the receives).
-func (s *Schedule) sweepOps(rank int, corner grid.Corner) []simmpi.Op {
-	c := s.Dec.CoordOf(rank)
-	di, dj := corner.Step()
-	ops := make([]simmpi.Op, 0, 6)
-	if s.WPre > 0 {
-		ops = append(ops, simmpi.Compute(s.WPre))
-	}
-	if w := (grid.Coord{I: c.I - di, J: c.J}); s.Dec.Contains(w) {
-		ops = append(ops, simmpi.Recv(s.Dec.Rank(w)))
-	}
-	if n := (grid.Coord{I: c.I, J: c.J - dj}); s.Dec.Contains(n) {
-		ops = append(ops, simmpi.Recv(s.Dec.Rank(n)))
-	}
-	ops = append(ops, simmpi.Compute(s.W))
-	if e := (grid.Coord{I: c.I + di, J: c.J}); s.Dec.Contains(e) {
-		ops = append(ops, simmpi.Send(s.Dec.Rank(e), s.BytesEW))
-	}
-	if so := (grid.Coord{I: c.I, J: c.J + dj}); s.Dec.Contains(so) {
-		ops = append(ops, simmpi.Send(s.Dec.Rank(so), s.BytesNS))
-	}
-	return ops
-}
-
 // Program returns rank's lazily-generated MPI program for the whole run:
 // Iterations × (sweeps × tiles + inter-iteration operations).
 func (s *Schedule) Program(rank int) simmpi.Program {
-	p := &rankProgram{sched: s, rank: rank}
-	p.loadSweep()
+	p := &rankProgram{}
+	p.init(s, rank)
 	return p
 }
 
+// Programs returns the programs of all ranks, indexed by rank. The cursors
+// share one allocation.
+func (s *Schedule) Programs() []simmpi.Program {
+	cur := make([]rankProgram, s.Dec.P())
+	ps := make([]simmpi.Program, len(cur))
+	for r := range cur {
+		cur[r].init(s, r)
+		ps[r] = &cur[r]
+	}
+	return ps
+}
+
+// The slots of one tile's operations, in program order: [Wpre] [RecvW]
+// [RecvN] [Compute W] [SendE] [SendS], where the west/north/east/south
+// roles are relative to the sweep direction (paper Figure 4: LU
+// pre-computes before the receives). A rank on the decomposition's edge
+// lacks the slots of its missing neighbours; Wpre is present only when
+// the schedule has pre-receive work.
+const (
+	slotPre = iota
+	slotRecvW
+	slotRecvN
+	slotW
+	slotSendE
+	slotSendS
+)
+
+// Indices of rankProgram.nbr.
+const (
+	nbrW = iota
+	nbrN
+	nbrE
+	nbrS
+)
+
 // rankProgram is the lazy program iterator for one rank. Programs for large
-// runs have millions of operations; only the current sweep's 6-op template
-// is materialised.
+// runs have millions of operations, so none is stored: Next builds each
+// tile operation from the current sweep's neighbour ranks and the current
+// tile's two compute durations.
 type rankProgram struct {
 	sched *Schedule
-	rank  int
+	inter []simmpi.Op // the inter-iteration operations in progress; nil outside them
 
-	iter  int // current iteration
-	sweep int // current sweep within the iteration
-	tile  int // current tile within the sweep
-	stage int // index into tileOps
+	wpre, w float64 // the current tile's pre- and post-receive compute durations
 
-	tileOps  []simmpi.Op
-	inter    []simmpi.Op
-	interIx  int
+	rank    int32
+	iter    int32 // current iteration
+	sweep   int32 // current sweep within the iteration
+	tile    int32 // current tile within the sweep
+	interIx int32
+	nbr     [4]int32 // the current sweep's W/N/E/S neighbour ranks
+
+	mask uint8 // the slots present in every tile of the current sweep
+	rest uint8 // the current tile's slots not yet emitted; zero outside sweeps
+
 	inInter  bool
 	convDone bool // convergence all-reduce emitted for this iteration
 	done     bool
-
-	// preIx and wIx locate the pre-receive and post-receive compute ops
-	// inside tileOps when a Tile cost function is attached; -1 when
-	// absent. sweepOps allocates the template fresh per sweep, so
-	// patching durations in place is safe.
-	preIx, wIx int
 }
 
+func (p *rankProgram) init(s *Schedule, rank int) {
+	*p = rankProgram{sched: s, rank: int32(rank)}
+	p.loadSweep()
+}
+
+// loadSweep positions the cursor at the first tile of the current sweep:
+// it finds the sweep's neighbours, marks the slots present, and loads the
+// tile.
 func (p *rankProgram) loadSweep() {
-	p.tileOps = p.sched.sweepOps(p.rank, p.sched.Corners[p.sweep])
-	p.tile = 0
-	p.stage = 0
-	if p.sched.Tile != nil {
-		p.preIx, p.wIx = -1, -1
-		for i := range p.tileOps {
-			if p.tileOps[i].Kind == simmpi.OpCompute {
-				if p.wIx >= 0 { // second compute: the first was the pre-compute
-					p.preIx, p.wIx = p.wIx, i
-				} else {
-					p.wIx = i
-				}
-			}
-		}
-		p.patchTile()
+	s := p.sched
+	c := s.Dec.CoordOf(int(p.rank))
+	di, dj := s.Corners[p.sweep].Step()
+	p.mask = 1 << slotW
+	if s.WPre > 0 {
+		p.mask |= 1 << slotPre
 	}
+	for _, nb := range [...]struct {
+		at   grid.Coord
+		i    int
+		slot uint8
+	}{
+		{grid.Coord{I: c.I - di, J: c.J}, nbrW, slotRecvW},
+		{grid.Coord{I: c.I, J: c.J - dj}, nbrN, slotRecvN},
+		{grid.Coord{I: c.I + di, J: c.J}, nbrE, slotSendE},
+		{grid.Coord{I: c.I, J: c.J + dj}, nbrS, slotSendS},
+	} {
+		if s.Dec.Contains(nb.at) {
+			p.nbr[nb.i] = int32(s.Dec.Rank(nb.at))
+			p.mask |= 1 << nb.slot
+		}
+	}
+	p.tile = 0
+	p.loadTile()
 }
 
-// patchTile rewrites the current tile's compute durations from the
-// schedule's Tile cost function.
-func (p *rankProgram) patchTile() {
-	mul, extra := p.sched.Tile(p.rank, p.sweep, p.tile)
+// loadTile starts the current tile: every slot of the sweep is pending,
+// and the compute durations are the schedule's constants, or their product
+// with the Tile cost function's multiplier, plus its additive term on the
+// post-receive compute.
+func (p *rankProgram) loadTile() {
+	s := p.sched
+	p.rest = p.mask
+	if s.Tile == nil {
+		p.wpre, p.w = s.WPre, s.W
+		return
+	}
+	mul, extra := s.Tile(int(p.rank), int(p.sweep), int(p.tile))
 	if mul < 0 {
 		mul = 0
 	}
 	if extra < 0 {
 		extra = 0
 	}
-	if p.preIx >= 0 {
-		p.tileOps[p.preIx].Dur = p.sched.WPre * mul
-	}
-	p.tileOps[p.wIx].Dur = p.sched.W*mul + extra
+	p.wpre = s.WPre * mul
+	p.w = s.W*mul + extra
 }
 
 // Next implements simmpi.Program. The within-tile case is the hot path —
 // the simulator calls Next once per operation — so it is split from the
 // tile/sweep/iteration bookkeeping.
 func (p *rankProgram) Next() (simmpi.Op, bool) {
-	if p.stage < len(p.tileOps) && !p.inInter && !p.done {
-		op := p.tileOps[p.stage]
-		p.stage++
-		return op, true
+	if p.rest == 0 {
+		return p.nextSlow()
+	}
+	slot := bits.TrailingZeros8(p.rest)
+	p.rest &= p.rest - 1
+	switch slot {
+	case slotPre:
+		return simmpi.Compute(p.wpre), true
+	case slotRecvW:
+		return simmpi.Recv(int(p.nbr[nbrW])), true
+	case slotRecvN:
+		return simmpi.Recv(int(p.nbr[nbrN])), true
+	case slotW:
+		return simmpi.Compute(p.w), true
+	case slotSendE:
+		return simmpi.Send(int(p.nbr[nbrE]), p.sched.BytesEW), true
+	default:
+		return simmpi.Send(int(p.nbr[nbrS]), p.sched.BytesNS), true
+	}
+}
+
+// nextSlow advances tile, sweep and iteration bookkeeping and emits the
+// inter-iteration operations.
+func (p *rankProgram) nextSlow() (simmpi.Op, bool) {
+	s := p.sched
+	if p.done {
+		return simmpi.Op{}, false
+	}
+	if p.inInter {
+		if int(p.interIx) < len(p.inter) {
+			op := p.inter[p.interIx]
+			p.interIx++
+			return op, true
+		}
+		// The convergence all-reduce is synthesized from iterator state
+		// rather than appended to the InterOps slice: the slice is
+		// callee-owned, and appending would allocate once per rank per
+		// iteration.
+		if s.ConvBytes > 0 && !p.convDone {
+			p.convDone = true
+			return simmpi.AllReduceAlg(s.ConvBytes, s.ConvAlg), true
+		}
+		p.inInter = false
+		p.inter = nil
+		p.iter++
+		if int(p.iter) >= s.Iterations {
+			p.done = true
+			return simmpi.Op{}, false
+		}
+		p.sweep = 0
+		p.loadSweep()
+		return p.Next()
+	}
+	// Tile finished.
+	p.tile++
+	if int(p.tile) < s.TilesPerStack() {
+		p.loadTile()
+		return p.Next()
+	}
+	// Sweep finished.
+	p.sweep++
+	if int(p.sweep) < len(s.Corners) {
+		p.loadSweep()
+		return p.Next()
+	}
+	// Iteration finished: run inter-iteration operations (possibly none),
+	// then the convergence all-reduce if one is configured.
+	p.inInter = true
+	p.interIx = 0
+	p.convDone = false
+	if s.InterOps != nil {
+		p.inter = s.InterOps(int(p.rank))
 	}
 	return p.nextSlow()
 }
 
-// nextSlow advances tile, sweep and iteration bookkeeping.
-func (p *rankProgram) nextSlow() (simmpi.Op, bool) {
-	s := p.sched
-	for {
-		if p.done {
-			return simmpi.Op{}, false
-		}
-		if p.inInter {
-			if p.interIx < len(p.inter) {
-				op := p.inter[p.interIx]
-				p.interIx++
-				return op, true
-			}
-			// The convergence all-reduce is synthesized from iterator state
-			// rather than appended to the InterOps slice: the slice is
-			// callee-owned, and appending would allocate once per rank per
-			// iteration.
-			if s.ConvBytes > 0 && !p.convDone {
-				p.convDone = true
-				return simmpi.AllReduceAlg(s.ConvBytes, s.ConvAlg), true
-			}
-			p.inInter = false
-			p.iter++
-			if p.iter >= s.Iterations {
-				p.done = true
-				return simmpi.Op{}, false
-			}
-			p.sweep = 0
-			p.loadSweep()
-		}
-		if p.stage < len(p.tileOps) {
-			op := p.tileOps[p.stage]
-			p.stage++
-			return op, true
-		}
-		// Tile finished.
-		p.tile++
-		p.stage = 0
-		if p.tile < s.TilesPerStack() {
-			if s.Tile != nil {
-				p.patchTile()
-			}
-			continue
-		}
-		// Sweep finished.
-		p.sweep++
-		if p.sweep < len(s.Corners) {
-			p.loadSweep()
-			continue
-		}
-		// Iteration finished: run inter-iteration operations (possibly none),
-		// then the convergence all-reduce if one is configured.
-		p.inInter = true
-		p.interIx = 0
-		p.convDone = false
-		if s.InterOps != nil {
-			p.inter = s.InterOps(p.rank)
-		} else {
-			p.inter = nil
-		}
-	}
-}
-
-// Programs returns the programs of all ranks, indexed by rank.
-func (s *Schedule) Programs() []simmpi.Program {
-	ps := make([]simmpi.Program, s.Dec.P())
-	for r := range ps {
-		ps[r] = s.Program(r)
-	}
-	return ps
-}
-
 // AllReduceInter returns an InterOps function performing count 8-byte
 // all-reduces, the Tnonwavefront of Sweep3D (count = 2) and Chimaera
-// (count = 1), per paper Table 3.
+// (count = 1), per paper Table 3. Every rank gets the same slice, built
+// once; programs only read it.
 func AllReduceInter(count int) func(rank int) []simmpi.Op {
-	return func(int) []simmpi.Op {
-		ops := make([]simmpi.Op, count)
-		for i := range ops {
-			ops[i] = simmpi.AllReduce(8)
-		}
-		return ops
+	ops := make([]simmpi.Op, count)
+	for i := range ops {
+		ops[i] = simmpi.AllReduce(8)
 	}
+	return func(int) []simmpi.Op { return ops }
 }
 
 // StencilInter returns an InterOps function modelling LU's four-point
