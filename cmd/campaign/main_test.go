@@ -144,6 +144,29 @@ func TestRunErrorPaths(t *testing.T) {
 		}
 	})
 
+	t.Run("panicking run", func(t *testing.T) {
+		// A latency of 1e308 µs overflows the simulated clock, and the
+		// event engine panics. The run fails alone: the command reports
+		// it by name and still writes every row.
+		dir := t.TempDir()
+		spec := filepath.Join(dir, "spec.json")
+		if err := os.WriteFile(spec, []byte(`{"name": "overflow",
+		  "apps": [{"preset": "sweep3d", "grid": {"nx": 24, "ny": 24, "nz": 24}}],
+		  "machines": [{"preset": "xt4", "cores_per_node": 1}],
+		  "ranks": [4, 16],
+		  "loggp": [{"name": "baseline"}, {"name": "x", "scale": {"L": 1e308}}]}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out := filepath.Join(dir, "out.jsonl")
+		err := run([]string{"-spec", spec, "-workers", "1", "-out", out, "-quiet"}, io.Discard)
+		if err == nil || err.Error() != "campaign: run Sweep3D/24x24x24/h2 × Cray XT4 (1 cores/node) × x × P=4: panic: des: non-finite event time +Inf" {
+			t.Errorf("run = %v, want the first panicking run named", err)
+		}
+		if data, err := os.ReadFile(out); err != nil || bytes.Count(data, []byte("\n")) != 4 {
+			t.Errorf("-out holds %q (%v), want all 4 rows", data, err)
+		}
+	})
+
 	t.Run("invalid range", func(t *testing.T) {
 		for _, rg := range []string{"4/4", "-1/4"} {
 			err := run([]string{"-builtin", "example", "-range", rg, "-quiet"}, io.Discard)

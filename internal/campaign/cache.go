@@ -16,12 +16,17 @@ import (
 // allocate on the miss path — a million-run sweep probes the store once
 // per run, and the common case on a fresh campaign is a miss.
 //
-// Stored results hold only content-determined fields; the engine
-// rehydrates per-sweep coordinates (index, campaign and override names,
-// machine labels) from the run being served, so a hit is byte-identical
-// to a cold simulation of the same run.
+// A store needs to keep only the content fields of a result: the model
+// and simulated times, the traffic and contention counters and the
+// histogram summaries, which the key determines. The engine builds the
+// row served for a hit from those fields and the run at hand — its
+// coordinates, labels and fabric name, and the error metrics derived from
+// the two times — so a hit is byte-identical to a cold simulation of the
+// same run, whatever run first put the result. The two stores here keep
+// exactly those fields, an 80-byte record per result.
 type ResultStore interface {
-	// Get returns the memoized result for a key, if present.
+	// Get returns the memoized result for a key, if present. Only its
+	// content fields are meaningful.
 	Get(key RunKey) (RunResult, bool)
 	// Put memoizes a result. Implementations may evict older entries.
 	Put(key RunKey, res RunResult)
@@ -39,8 +44,10 @@ type CacheStats struct {
 	Entries int    `json:"entries"`
 }
 
-// MemoryStore is an in-memory LRU ResultStore. The zero value is not
-// usable; construct with NewMemoryStore.
+// MemoryStore is an in-memory LRU ResultStore. Each result costs one
+// 128-byte entry (key, outcome and recency links) plus its map slot: 210
+// live bytes per result in a store of 600 (TestMemoryStoreBytesPerResult).
+// The zero value is not usable; construct with NewMemoryStore.
 type MemoryStore struct {
 	mu       sync.Mutex
 	capacity int
@@ -53,13 +60,12 @@ type MemoryStore struct {
 
 type lruEntry struct {
 	key        RunKey
-	res        RunResult
+	out        outcome
 	prev, next *lruEntry
 }
 
-// DefaultMemoryEntries bounds a NewMemoryStore(0). A RunResult is a few
-// hundred bytes, so the default holds a flagship-scale sweep many times
-// over in tens of MB.
+// DefaultMemoryEntries bounds a NewMemoryStore(0): about 13 MB when full,
+// a flagship-scale sweep many times over.
 const DefaultMemoryEntries = 1 << 16
 
 // NewMemoryStore returns an LRU store holding at most capacity results
@@ -114,7 +120,7 @@ func (m *MemoryStore) Get(key RunKey) (RunResult, bool) {
 	m.hits++
 	m.unlink(e)
 	m.pushFront(e)
-	res := e.res
+	res := e.out.result()
 	m.mu.Unlock()
 	return res, true
 }
@@ -126,7 +132,7 @@ func (m *MemoryStore) Put(key RunKey, res RunResult) {
 	defer m.mu.Unlock()
 	m.puts++
 	if e, ok := m.entries[key]; ok {
-		e.res = res
+		e.out = outcomeOf(&res)
 		m.unlink(e)
 		m.pushFront(e)
 		return
@@ -136,7 +142,7 @@ func (m *MemoryStore) Put(key RunKey, res RunResult) {
 		m.unlink(evict)
 		delete(m.entries, evict.key)
 	}
-	e := &lruEntry{key: key, res: res}
+	e := &lruEntry{key: key, out: outcomeOf(&res)}
 	m.entries[key] = e
 	m.pushFront(e)
 }
@@ -175,10 +181,12 @@ func StoreFile(part, parts int) string {
 
 // DiskStore is a ResultStore backed by a directory of append-only JSONL
 // files: one {"schema_version", "key", "row"} object per memoized result,
-// all of them indexed in memory at open. Each process sharing the
-// directory appends to a file of its own (see StoreFile), so concurrent
-// writers never share a file, and the next open loads every writer's
-// records.
+// the row as the engine put it. At open every record is loaded into
+// memory as its key and outcome, one 112-byte map slot: 205 live bytes per
+// record of a 600-record store (TestDiskStoreBytesPerRecord). Each process
+// sharing the directory appends to a file of its own (see StoreFile), so
+// concurrent writers never share a file, and the next open loads every
+// writer's records.
 //
 // Puts append and flush immediately, so a killed process loses at most
 // the line being written: the loader skips that torn tail, and the next
@@ -189,7 +197,7 @@ func StoreFile(part, parts int) string {
 type DiskStore struct {
 	mu  sync.Mutex
 	f   *os.File
-	m   map[RunKey]RunResult
+	m   map[RunKey]outcome
 	err error // the first failed append, returned by Close
 
 	hits, misses, puts uint64
@@ -210,7 +218,7 @@ func OpenDiskStore(dir, name string) (*DiskStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: cache: %w", err)
 	}
-	d := &DiskStore{f: f, m: make(map[RunKey]RunResult)}
+	d := &DiskStore{f: f, m: make(map[RunKey]outcome)}
 	err = terminateLine(f)
 	if err == nil {
 		err = d.load(dir)
@@ -281,7 +289,7 @@ func (d *DiskStore) loadFile(path string) error {
 		if json.Unmarshal(rec.Row, &res) != nil {
 			continue
 		}
-		d.m[key] = res
+		d.m[key] = outcomeOf(&res)
 	}
 	return sc.Err()
 }
@@ -289,14 +297,17 @@ func (d *DiskStore) loadFile(path string) error {
 // Get implements ResultStore.
 func (d *DiskStore) Get(key RunKey) (RunResult, bool) {
 	d.mu.Lock()
-	res, ok := d.m[key]
+	o, ok := d.m[key]
 	if ok {
 		d.hits++
 	} else {
 		d.misses++
 	}
 	d.mu.Unlock()
-	return res, ok
+	if !ok {
+		return RunResult{}, false
+	}
+	return o.result(), true
 }
 
 // Put implements ResultStore. It appends the record before indexing it,
@@ -325,7 +336,7 @@ func (d *DiskStore) Put(key RunKey, res RunResult) {
 		}
 		return
 	}
-	d.m[key] = res
+	d.m[key] = outcomeOf(&res)
 }
 
 // Stats implements ResultStore.

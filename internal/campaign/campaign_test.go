@@ -3,6 +3,8 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"regexp"
 	"strings"
 	"testing"
@@ -279,6 +281,72 @@ func TestDeterministicAcrossShardCounts(t *testing.T) {
 	}
 	if got := encode(s, 2); !bytes.Equal(base, got) {
 		t.Error("engine shards=2 produced different JSONL bytes than spec shards=2")
+	}
+}
+
+// overflowSpec is the example campaign with a second LogGP override that
+// scales the latency to 1e308 µs. Its runs overflow the simulated clock,
+// which the event engine refuses with a panic; two LU runs finish instead
+// with a non-finite model time.
+func overflowSpec() Spec {
+	s := Example()
+	s.Name = "overflow"
+	s.LogGP = []ParamOverride{{Name: "baseline"}, {Name: "x", Scale: map[string]float64{"L": 1e308}}}
+	return s
+}
+
+// TestPanickingRunFailsAlone: a run that panics fails alone. Its row
+// carries the panic value, Execute's error names the first failed run, no
+// failed run is stored, and the worker that ran it carries on with a fresh
+// simulator: every baseline row equals the example campaign's row of the
+// same run, serial and sharded.
+func TestPanickingRunFailsAlone(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			// One worker, so the runs after a panic go to the worker that
+			// dropped its simulator.
+			ref, err := newEngine(t, Config{Workers: 1, Shards: shards}).Execute(mustExpand(t, Example()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]RunResult{}
+			for _, r := range ref {
+				want[fmt.Sprintf("%s|%s|%s|%d", r.App, r.Machine, r.Override, r.P)] = r
+			}
+
+			store := NewMemoryStore(0)
+			runs := mustExpand(t, overflowSpec())
+			res, err := newEngine(t, Config{Workers: 1, Shards: shards, Store: store}).Execute(runs)
+			if err == nil || !strings.HasPrefix(err.Error(), "campaign: run "+runs[3].Key()+": panic: des: ") {
+				t.Fatalf("Execute error %v, want run 3 (%s) named with its panic", err, runs[3].Key())
+			}
+			ok := 0
+			for i, r := range res {
+				switch {
+				case r.Override == "baseline":
+					w := want[fmt.Sprintf("%s|%s|%s|%d", r.App, r.Machine, r.Override, r.P)]
+					w.Index, w.Campaign = r.Index, r.Campaign
+					if got, want := marshalRows(t, []RunResult{r}), marshalRows(t, []RunResult{w}); !bytes.Equal(got, want) {
+						t.Errorf("row %d:\n%s\nwant the example's\n%s", i, got, want)
+					}
+					ok++
+				case r.App == "LU" && r.P == 4:
+					if !strings.HasPrefix(r.Error, "campaign: non-finite result: model +Inf µs") {
+						t.Errorf("row %d error %q, want the non-finite model time", i, r.Error)
+					}
+				case !strings.HasPrefix(r.Error, "panic: des: ") || !strings.HasSuffix(r.Error, "des: non-finite event time +Inf"):
+					// A shard run on a helper goroutine panics wrapped in
+					// a message that names the shard.
+					t.Errorf("row %d error %q, want the panic value's first line", i, r.Error)
+				}
+			}
+			if st := store.Stats(); st.Entries != ok || st.Puts != uint64(ok) {
+				t.Errorf("store %+v, want the %d runs that succeeded and no other", st, ok)
+			}
+			if err := WriteJSONL(io.Discard, res); err != nil {
+				t.Errorf("failed rows do not encode: %v", err)
+			}
+		})
 	}
 }
 

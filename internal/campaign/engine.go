@@ -3,7 +3,9 @@ package campaign
 import (
 	"fmt"
 	"io"
+	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"repro/internal/simmpi"
 	"repro/internal/simnet"
 	"repro/internal/stats"
+	"repro/internal/topo"
 )
 
 // RunResult is the record a campaign emits for one run: the schema version,
@@ -84,26 +87,82 @@ type RunResult struct {
 	WallSeconds float64 `json:"-"`
 }
 
-// rehydrate overwrites the result's identity fields from the run it is
-// being served for. Cached results are shared between runs whose content
-// key matches even when their sweep coordinates differ (a relabeled
-// machine, a different expansion index), so the physics comes from the
-// cache and the coordinates always come from the run at hand — making a
-// warm-cache row byte-identical to a cold one.
-func (res *RunResult) rehydrate(r Run) {
-	res.Schema = SchemaVersion
-	res.Index = r.Index
-	res.Campaign = r.Campaign
-	res.App = r.App
-	res.Grid = r.Grid
-	res.Htile = r.Htile
-	res.Machine = r.Machine
-	res.Override = r.Override
-	res.P = r.P
-	res.Iterations = r.Iterations
-	res.Collective = r.Collective
-	res.Workload = r.Workload
-	res.WallSeconds = 0
+// outcome is what a run's content key determines: the model's prediction
+// and the simulator's counters, without the run's coordinates or anything
+// derived from them. It is the one record per run that the result stores
+// and the campaign server keep (80 bytes); Run.row turns it back into the
+// run's JSONL row.
+type outcome struct {
+	model, sim              float64 // µs
+	events, messages, bytes uint64
+	busWait, linkWait       float64 // µs
+	linkQueued              uint64
+	maxLinkUtil             float64
+	hists                   *RunHists
+}
+
+// outcomeOf takes the outcome back out of a row.
+func outcomeOf(res *RunResult) outcome {
+	return outcome{
+		model: res.ModelMicros, sim: res.SimMicros,
+		events: res.Events, messages: res.Messages, bytes: res.BytesSent,
+		busWait: res.BusWait, linkWait: res.LinkWait,
+		linkQueued: res.LinkQueued, maxLinkUtil: res.MaxLinkUtil,
+		hists: res.Hists,
+	}
+}
+
+// result renders the outcome as a row that holds only its content fields,
+// the form in which a ResultStore hands it back.
+func (o *outcome) result() RunResult {
+	return RunResult{
+		Schema:      SchemaVersion,
+		ModelMicros: o.model, SimMicros: o.sim,
+		Events: o.events, Messages: o.messages, BytesSent: o.bytes,
+		BusWait: o.busWait, LinkWait: o.linkWait,
+		LinkQueued: o.linkQueued, MaxLinkUtil: o.maxLinkUtil,
+		Hists: o.hists,
+	}
+}
+
+// identity is the part of the run's row that comes from its coordinates.
+func (r Run) identity() RunResult {
+	return RunResult{
+		Schema:     SchemaVersion,
+		Index:      r.Index,
+		Campaign:   r.Campaign,
+		App:        r.App,
+		Grid:       r.Grid,
+		Htile:      r.Htile,
+		Machine:    r.Machine,
+		Override:   r.Override,
+		P:          r.P,
+		Iterations: r.Iterations,
+		Collective: r.Collective,
+		Workload:   r.Workload,
+	}
+}
+
+// row builds the run's JSONL row from its outcome. It is the one place rows
+// are made — for a simulated run, a store hit, a merge and the server's
+// results — so every path writes the same bytes: the coordinates and the
+// fabric name come from the run, the numbers from the outcome, and the
+// error metrics, accuracy band and runs per month are derived here.
+func (r Run) row(o outcome) RunResult {
+	res := r.identity()
+	res.ModelMicros, res.SimMicros = o.model, o.sim
+	res.RelErr = stats.SignedRelErr(o.model, o.sim)
+	res.AbsErr = stats.RelErr(o.model, o.sim)
+	res.Band = metrics.ErrorBand(res.AbsErr)
+	res.RunsPerMon = metrics.TimeStepsPerMonth(o.sim)
+	res.Events, res.Messages, res.BytesSent = o.events, o.messages, o.bytes
+	res.BusWait = o.busWait
+	if ic := r.mach.Interconnect; ic.Kind != topo.Bus {
+		res.Topology = ic.String()
+	}
+	res.LinkWait, res.LinkQueued, res.MaxLinkUtil = o.linkWait, o.linkQueued, o.maxLinkUtil
+	res.Hists = o.hists
+	return res
 }
 
 // HistSummary is the JSONL rendering of one duration histogram: the
@@ -167,10 +226,11 @@ func (c Config) execMode(r Run) (shards int, mode KeyMode) {
 
 // Execute runs every run and returns results indexed like the input. The
 // result slice is complete even on error; the returned error is the
-// lowest-indexed run failure. Output is independent of Workers and of the
-// cache state: a run served from the configured ResultStore is
-// byte-identical to a simulated one, and every simulated run that
-// succeeds is put into the store.
+// lowest-indexed run failure. A run that panics fails alone (see
+// executeRun): the other runs, and the process, carry on. Output is
+// independent of Workers and of the cache state: a run served from the
+// configured ResultStore is byte-identical to a simulated one, and every
+// simulated run that succeeds is put into the store.
 func (e *Engine) Execute(runs []Run) ([]RunResult, error) {
 	cfg := e.cfg
 	results := make([]RunResult, len(runs))
@@ -212,8 +272,7 @@ func (e *Engine) Execute(runs []Run) ([]RunResult, error) {
 					// Its row is a plain run's, so it is still put below.
 					if cfg.Obs == nil || i != 0 {
 						if res, ok := cfg.Store.Get(key); ok {
-							res.rehydrate(r)
-							results[i] = res
+							results[i] = r.row(outcomeOf(&res))
 							finish(i, false)
 							continue
 						}
@@ -266,8 +325,7 @@ func (e *Engine) Merge(runs []Run, w io.Writer) error {
 			missing = append(missing, r.Index)
 			continue
 		}
-		res.rehydrate(r)
-		results[i] = res
+		results[i] = r.row(outcomeOf(&res))
 	}
 	if len(missing) > 0 {
 		return fmt.Errorf("campaign: merge: %d of %d runs are not in the store; first missing indices %v (execute their ranges first, with the same key mode)",
@@ -276,44 +334,63 @@ func (e *Engine) Merge(runs []Run, w io.Writer) error {
 	return WriteJSONL(w, results)
 }
 
-// executeRun evaluates the analytic model and the simulator for one run.
-// rec is the run's recorder (see Config.recorderFor); cfg supplies the
-// shard override and the histogram switch. simp points at the worker's
-// simulator slot: nil on the worker's first run, Reset and reused
-// afterwards.
-func executeRun(r Run, rec *obs.Recorder, cfg Config, simp **simmpi.Sim) RunResult {
+// executeRun evaluates the analytic model and the simulator for one run
+// and returns its row. rec is the run's recorder (see Config.recorderFor);
+// cfg supplies the shard override and the histogram switch. simp points at
+// the worker's simulator slot: nil on the worker's first run, Reset and
+// reused afterwards.
+//
+// A panic in the run — parameters that overflow the simulated clock, say —
+// fails only this run: its row's Error carries the panic value's first
+// line (a sharded run's panic goes on with the helper's stack), and the
+// worker's simulator, whose state is unknown after a panic, is dropped, so
+// the worker's next run builds a fresh one.
+func executeRun(r Run, rec *obs.Recorder, cfg Config, simp **simmpi.Sim) (out RunResult) {
 	start := time.Now()
-	var out RunResult
-	out.rehydrate(r)
-	fail := func(err error) RunResult {
-		out.Error = err.Error()
+	defer func() {
+		if v := recover(); v != nil {
+			*simp = nil
+			msg, _, _ := strings.Cut(fmt.Sprint(v), "\n")
+			out = r.identity()
+			out.Error = "panic: " + msg
+		}
 		out.WallSeconds = time.Since(start).Seconds()
+	}()
+	o, err := simulate(r, rec, cfg, simp)
+	if err != nil {
+		out = r.identity()
+		out.Error = err.Error()
 		return out
 	}
+	return r.row(o)
+}
 
+// simulate computes the run's outcome: the model's prediction and the
+// simulator's counters.
+func simulate(r Run, rec *obs.Recorder, cfg Config, simp **simmpi.Sim) (outcome, error) {
 	bm := r.bm.WithIterations(r.Iterations)
 	rep, err := core.New(bm.App, r.mach).Evaluate(r.dec)
 	if err != nil {
-		return fail(err)
+		return outcome{}, err
 	}
 	sched, err := bm.Schedule(r.dec, r.Iterations)
 	if err != nil {
-		return fail(err)
+		return outcome{}, err
 	}
-	topo, err := simnet.NewMachineTopology(r.mach, r.dec)
+	tp, err := simnet.NewMachineTopology(r.mach, r.dec)
 	if err != nil {
-		return fail(err)
+		return outcome{}, err
 	}
 	shards, _ := cfg.execMode(r)
 	opt := simmpi.Options{Shards: shards, Obs: rec}
 	if *simp == nil {
-		s, err := simmpi.NewWithOptions(topo, opt)
+		s, err := simmpi.NewWithOptions(tp, opt)
 		if err != nil {
-			return fail(err)
+			return outcome{}, err
 		}
 		*simp = s
-	} else if err := (*simp).ResetWithOptions(topo, opt); err != nil {
-		return fail(err)
+	} else if err := (*simp).ResetWithOptions(tp, opt); err != nil {
+		return outcome{}, err
 	}
 	sim := *simp
 	for rank, prog := range sched.Programs() {
@@ -321,25 +398,23 @@ func executeRun(r Run, rec *obs.Recorder, cfg Config, simp **simmpi.Sim) RunResu
 	}
 	res, err := sim.Run()
 	if err != nil {
-		return fail(err)
+		return outcome{}, err
 	}
 
-	out.ModelMicros = rep.Total
-	out.SimMicros = res.Time
-	out.RelErr = stats.SignedRelErr(rep.Total, res.Time)
-	out.AbsErr = stats.RelErr(rep.Total, res.Time)
-	out.Band = metrics.ErrorBand(out.AbsErr)
-	out.RunsPerMon = metrics.TimeStepsPerMonth(res.Time)
-	out.Events = res.Events
-	out.Messages = res.Sends
-	out.BytesSent = res.BytesSent
-	out.BusWait = res.BusWait
-	if ic := topo.Interconnect(); ic != nil {
-		out.Topology = ic.Spec().String()
-		out.LinkWait = res.LinkWait
-		out.LinkQueued = res.LinkQueued
+	if math.IsInf(rep.Total, 0) || math.IsNaN(rep.Total) || math.IsInf(res.Time, 0) || math.IsNaN(res.Time) {
+		// JSON has no spelling for either, so the row could not be written.
+		return outcome{}, fmt.Errorf("campaign: non-finite result: model %v µs, simulated %v µs", rep.Total, res.Time)
+	}
+	o := outcome{
+		model: rep.Total, sim: res.Time,
+		events: res.Events, messages: res.Sends, bytes: res.BytesSent,
+		busWait: res.BusWait,
+	}
+	if ic := tp.Interconnect(); ic != nil {
+		o.linkWait = res.LinkWait
+		o.linkQueued = res.LinkQueued
 		if res.Time > 0 {
-			out.MaxLinkUtil = ic.MaxLinkBusy() / res.Time
+			o.maxLinkUtil = ic.MaxLinkBusy() / res.Time
 		}
 	}
 	if cfg.Hist && res.Hists != nil {
@@ -351,8 +426,7 @@ func executeRun(r Run, rec *obs.Recorder, cfg Config, simp **simmpi.Sim) RunResu
 			ld := summarizeHist(&res.Hists.LinkDelay)
 			rh.LinkDelay = &ld
 		}
-		out.Hists = rh
+		o.hists = rh
 	}
-	out.WallSeconds = time.Since(start).Seconds()
-	return out
+	return o, nil
 }

@@ -1,12 +1,12 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -16,6 +16,12 @@ import (
 // server's content-addressed ResultStore — so overlapping sweeps from
 // different clients hit each other's cached runs. cmd/campaignd wraps this
 // in a binary; the type lives here so tests drive it with httptest.
+//
+// The server keeps every campaign it was given, and of each one only the
+// submitted spec's bytes and one outcome per run: about 112 live bytes per
+// run of a finished campaign (TestServedCampaignBytesPerRun). A results
+// request expands the spec again and builds each row from its run and
+// outcome, as the engine does for a cache hit.
 //
 // Endpoints (all responses carry "schema_version"):
 //
@@ -36,17 +42,17 @@ type Server struct {
 	idle      chan struct{} // closed when running drops to zero
 }
 
-// servedCampaign is one submitted campaign's mutable state.
+// servedCampaign is one submitted campaign's state.
 type servedCampaign struct {
-	mu      sync.Mutex
-	id      string
-	name    string
-	total   int
-	done    int
-	state   string // "running", "done", "failed"
-	errMsg  string
-	results []RunResult // completion order; sorted by index when served
-	stats   ExecStats
+	mu       sync.Mutex
+	id       string
+	name     string
+	body     []byte    // the submitted spec, expanded again for its results
+	outcomes []outcome // by run index; complete once state is "done"
+	done     int
+	state    string // "running", "done", "failed"
+	errMsg   string
+	stats    ExecStats
 }
 
 // NewServer validates the base configuration and returns a server.
@@ -135,7 +141,7 @@ func (c *servedCampaign) status() statusResponse {
 	return statusResponse{
 		Schema: SchemaVersion,
 		ID:     c.id, Name: c.name, State: c.state,
-		Done: c.done, Total: c.total, Error: c.errMsg,
+		Done: c.done, Total: len(c.outcomes), Error: c.errMsg,
 		Stats: c.stats,
 	}
 }
@@ -163,10 +169,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.seq++
 	c := &servedCampaign{
-		id:    fmt.Sprintf("c%d", s.seq),
-		name:  spec.Name,
-		total: len(runs),
-		state: "running",
+		id:   fmt.Sprintf("c%d", s.seq),
+		name: spec.Name,
+		// A copy: the read buffer has spare capacity.
+		body:     bytes.Clone(body),
+		outcomes: make([]outcome, len(runs)),
+		state:    "running",
 	}
 	s.campaigns[c.id] = c
 	s.order = append(s.order, c.id)
@@ -176,7 +184,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	cfg.OnResult = func(res RunResult) {
 		c.mu.Lock()
 		c.done++
-		c.results = append(c.results, res)
+		c.outcomes[res.Index] = outcomeOf(&res)
 		c.mu.Unlock()
 	}
 	eng, err := NewEngine(cfg)
@@ -215,7 +223,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	writeJSON(w, http.StatusAccepted, submitResponse{
 		Schema: SchemaVersion,
-		ID:     c.id, Name: c.name, Runs: c.total, State: "running",
+		ID:     c.id, Name: c.name, Runs: len(runs), State: "running",
 		StatusURL:  "/v1/campaigns/" + c.id,
 		ResultsURL: "/v1/campaigns/" + c.id + "/results",
 	})
@@ -306,13 +314,26 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Lock()
 	state := c.state
-	results := append([]RunResult(nil), c.results...)
 	c.mu.Unlock()
 	if state != "done" {
 		writeError(w, http.StatusConflict, fmt.Errorf("campaign: %s is %s; results are served when done", c.id, state))
 		return
 	}
-	sort.Slice(results, func(i, j int) bool { return results[i].Index < results[j].Index })
+	// Once done, the body and outcomes are no longer written.
+	spec, err := ParseSpec(c.body)
+	var runs []Run
+	if err == nil {
+		runs, err = spec.Expand()
+	}
+	if err != nil {
+		// The spec expanded when it was submitted; unreachable.
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	results := make([]RunResult, len(runs))
+	for i, run := range runs {
+		results[i] = run.row(c.outcomes[i])
+	}
 	w.Header().Set("Content-Type", "application/jsonl")
 	if err := WriteJSONL(w, results); err != nil {
 		// Headers are gone; nothing to do but drop the connection.

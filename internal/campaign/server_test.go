@@ -135,6 +135,48 @@ func TestServerServesCampaign(t *testing.T) {
 	}
 }
 
+// TestServerSurvivesPanickingRun: a campaign whose runs panic fails, its
+// status naming the first failed run, and its results are refused; the
+// server stays up, and the next campaign completes with the golden rows.
+func TestServerSurvivesPanickingRun(t *testing.T) {
+	_, ts := startServer(t)
+	sub := postSpec(t, ts, overflowSpec())
+	st := waitDone(t, ts, sub.ID)
+	if st.State != "failed" || st.Done != st.Total ||
+		!strings.Contains(st.Error, " × x × P=4: panic: des: ") {
+		t.Fatalf("status %+v, want failed with every run done and a panic named", st)
+	}
+	if resp, err := http.Get(ts.URL + sub.ResultsURL); err != nil {
+		t.Fatal(err)
+	} else if resp.Body.Close(); resp.StatusCode != http.StatusConflict {
+		t.Errorf("results of a failed campaign: status %d, want 409", resp.StatusCode)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Body.Close(); resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after a panicking run: status %d", resp.StatusCode)
+	}
+
+	next := postSpec(t, ts, Example())
+	if st := waitDone(t, ts, next.ID); st.State != "done" {
+		t.Fatalf("next campaign: %+v", st)
+	}
+	resp, err = http.Get(ts.URL + next.ResultsURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served, exampleGolden(t)) {
+		t.Error("the campaign after a panicking one served rows other than the golden")
+	}
+}
+
 func TestServerErrors(t *testing.T) {
 	_, ts := startServer(t)
 

@@ -7,11 +7,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/obs"
+	"repro/internal/topo"
 )
 
 // marshalRows renders results exactly as the JSONL output would.
@@ -197,13 +199,33 @@ func TestMemoryStoreLRU(t *testing.T) {
 // TestDiskStoreReload round-trips results through a store directory: a
 // torn tail from a killed writer is skipped, every cache*.jsonl file in the
 // directory is loaded whichever file the reopened store appends to, and
-// other files are not.
+// other files are not. The reloaded result keeps every content field, and
+// the row built from it is the row that was put, byte for byte; the run's
+// coordinates are not the store's to keep.
 func TestDiskStoreReload(t *testing.T) {
+	var r Run
+	for _, run := range mustExpand(t, Topologies()) {
+		if run.mach.Interconnect.Kind != topo.Bus {
+			r = run
+			break
+		}
+	}
+	o := outcome{
+		model: 101.25, sim: 99.5,
+		events: 1234, messages: 56, bytes: 7890,
+		busWait: 1.5, linkWait: 2.25, linkQueued: 3, maxLinkUtil: 0.75,
+		hists: &RunHists{
+			RecvWait:   HistSummary{N: 4, P50: 1, P90: 2, P99: 3},
+			MsgLatency: HistSummary{N: 5, P50: 1.5, P90: 2.5, P99: 3.5},
+			LinkDelay:  &HistSummary{N: 6, P50: 0.5, P90: 0.75, P99: 1},
+		},
+	}
+	want := r.row(o)
+
 	dir := filepath.Join(t.TempDir(), "sub")
 	store := openStore(t, dir, StoreFile(0, 1))
 	var k RunKey
 	k[0] = 7
-	want := RunResult{Schema: SchemaVersion, Index: 3, App: "LU", SimMicros: 12.5}
 	store.Put(k, want)
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
@@ -230,8 +252,11 @@ func TestDiskStoreReload(t *testing.T) {
 	if !ok {
 		t.Fatal("entry lost across reopen")
 	}
-	if got.Index != want.Index || got.App != want.App || got.SimMicros != want.SimMicros {
-		t.Errorf("reloaded %+v, want %+v", got, want)
+	if back := outcomeOf(&got); !reflect.DeepEqual(back, o) {
+		t.Errorf("reloaded content %+v, want %+v", back, o)
+	}
+	if rebuilt, put := marshalRows(t, []RunResult{r.row(outcomeOf(&got))}), marshalRows(t, []RunResult{want}); !bytes.Equal(rebuilt, put) {
+		t.Errorf("row rebuilt from the reloaded result:\n%s\nwant the row put:\n%s", rebuilt, put)
 	}
 	if st := reopened.Stats(); st.Entries != 1 {
 		t.Errorf("reopened store has %d entries, want 1 (torn tail and foreign files must be skipped)", st.Entries)

@@ -206,7 +206,6 @@ func (s Spec) String() string {
 // A nil *Interconnect is the bus-only network: every method degrades to the
 // flat-wire behaviour (Acquire returns 0, stats are zero).
 type Interconnect struct {
-	spec  Spec
 	kind  Kind
 	nodes int // nodes addressed by callers (≤ fabric capacity)
 
@@ -247,7 +246,7 @@ func New(spec Spec, nodes int, g float64) (*Interconnect, error) {
 	if nodes <= 0 {
 		return nil, fmt.Errorf("topo: invalid node count %d", nodes)
 	}
-	ic := &Interconnect{spec: spec, kind: spec.Kind, nodes: nodes}
+	ic := &Interconnect{kind: spec.Kind, nodes: nodes}
 	ic.linkG = spec.LinkG
 	if ic.linkG == 0 {
 		ic.linkG = g
@@ -319,14 +318,6 @@ func torusDims(explicit []int, ndims, nodes int) ([3]int, error) {
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// Spec returns the spec the fabric was instantiated from.
-func (ic *Interconnect) Spec() Spec {
-	if ic == nil {
-		return Spec{}
-	}
-	return ic.spec
-}
 
 // Reset returns every link to the idle, zero-statistics state for a fresh
 // simulation on a new virtual time axis.
