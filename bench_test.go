@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/campaign"
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fitting"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/simmpi"
 	"repro/internal/simnet"
+	"repro/internal/stats"
 	"repro/internal/sweep"
 )
 
@@ -51,25 +53,36 @@ func BenchmarkAllReduce(b *testing.B) { benchDriver(b, "allreduce", true) }
 
 // --- Section 4: model validation (model vs discrete-event simulator) ---
 
-func benchValidate(b *testing.B, bm apps.Benchmark, p int) {
+// benchValidate simulates one preset on the 96³ grid at P=256 on the
+// dual-core XT4, a one-run campaign spec, on a fresh simulator each time.
+func benchValidate(b *testing.B, preset string) {
 	b.Helper()
-	mach := machine.XT4()
+	g := config.GridSpec{Nx: 96, Ny: 96, Nz: 96}
+	runs, err := campaign.Spec{
+		Name:     "validate",
+		Apps:     []campaign.AppDim{{Preset: preset, Grid: &g}},
+		Machines: []campaign.MachineDim{{MachineSpec: config.MachineSpec{Preset: "xt4", CoresPerNode: 2}}},
+		Ranks:    []int{256},
+	}.Expand()
+	if err != nil {
+		b.Fatal(err)
+	}
 	var lastErr float64
 	for i := 0; i < b.N; i++ {
-		pt, err := experiments.CompareOne(bm, mach, p, 1)
+		s, err := runs[0].Simulate(nil, simmpi.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		lastErr = pt.RelErr
+		lastErr = stats.SignedRelErr(s.Report.Total, s.Result.Time)
 	}
 	b.ReportMetric(lastErr*100, "model-err-%")
 }
 
-func BenchmarkValidateLU(b *testing.B) { benchValidate(b, apps.LU(grid.Cube(96)), 256) }
+func BenchmarkValidateLU(b *testing.B) { benchValidate(b, "lu") }
 
-func BenchmarkValidateSweep3D(b *testing.B) { benchValidate(b, apps.Sweep3D(grid.Cube(96), 2), 256) }
+func BenchmarkValidateSweep3D(b *testing.B) { benchValidate(b, "sweep3d") }
 
-func BenchmarkValidateChimaera(b *testing.B) { benchValidate(b, apps.Chimaera(grid.Cube(96), 1), 256) }
+func BenchmarkValidateChimaera(b *testing.B) { benchValidate(b, "chimaera") }
 
 // --- Section 5: application and platform design figures ---
 

@@ -8,7 +8,8 @@
 //
 // The headline metric reproduces BenchmarkSimulatorEventRate: one full
 // Sweep3D iteration (64³ grid, 16×16 decomposition, 256 ranks on the XT4
-// model) per op, reporting discrete-event throughput and the per-event
+// model) per op, simulated through campaign.Run.Simulate on a fresh
+// simulator, reporting discrete-event throughput and the per-event
 // allocation rate. The same workload is repeated at 4 conservative-parallel
 // shards (parallel_events_per_sec, barrier_stalls_per_window) so the serial
 // and sharded trajectories are directly comparable. Batch throughput is
@@ -26,13 +27,10 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/apps"
 	"repro/internal/campaign"
+	"repro/internal/config"
 	"repro/internal/experiments"
-	"repro/internal/grid"
-	"repro/internal/machine"
 	"repro/internal/simmpi"
-	"repro/internal/simnet"
 )
 
 type driverTiming struct {
@@ -103,43 +101,35 @@ func campaignRate(repeats int) (runs, workers int, seconds float64) {
 	return len(expanded) * repeats, workers, time.Since(start).Seconds()
 }
 
-// eventRate runs the event-rate workload iters times (after one warm-up)
-// and measures wall time and heap allocations per op. obsDisabled runs the
-// workload with the observability recorder explicitly configured nil
-// (simmpi.Options) — semantically identical to never attaching one, measured
-// separately so the nil-guarded hook cost is tracked as its own metric.
-func eventRate(iters int, obsDisabled bool) (nsPerOp float64, events uint64, allocsPerOp, bytesPerOp int64) {
-	g := grid.Cube(64)
-	bm := apps.Sweep3D(g, 2)
-	mach := machine.XT4()
-	dec := grid.MustDecompose(g, 16, 16)
+// eventWorkload is the event-rate workload as a one-run campaign: one
+// Sweep3D iteration on the 64³ grid (Htile 2), 256 ranks (16×16) on the
+// dual-core XT4.
+func eventWorkload() campaign.Run {
+	g := config.GridSpec{Nx: 64, Ny: 64, Nz: 64}
+	runs, err := campaign.Spec{
+		Name:       "benchjson",
+		Iterations: 1,
+		Apps:       []campaign.AppDim{{Preset: "sweep3d", Grid: &g}},
+		Machines:   []campaign.MachineDim{{MachineSpec: config.MachineSpec{Preset: "xt4", CoresPerNode: 2}}},
+		Ranks:      []int{256},
+	}.Expand()
+	if err != nil {
+		panic(err)
+	}
+	return runs[0]
+}
+
+// eventRate simulates the event-rate workload iters times (after one
+// warm-up), each on a fresh simulator built with opt, and measures wall
+// time and heap allocations per op.
+func eventRate(iters int, opt simmpi.Options) (nsPerOp float64, events uint64, allocsPerOp, bytesPerOp int64) {
+	r := eventWorkload()
 	run := func() uint64 {
-		sched, err := bm.Schedule(dec, 1)
+		s, err := r.Simulate(nil, opt)
 		if err != nil {
 			panic(err)
 		}
-		topo := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-		var sim *simmpi.Sim
-		if obsDisabled {
-			// Explicitly configure a nil recorder — semantically identical
-			// to never attaching one — so the nil-guarded hook cost is
-			// measured as its own metric.
-			s, err := simmpi.NewWithOptions(topo, simmpi.Options{Obs: nil})
-			if err != nil {
-				panic(err)
-			}
-			sim = s
-		} else {
-			sim = simmpi.New(topo)
-		}
-		for r, p := range sched.Programs() {
-			sim.SetProgram(r, p)
-		}
-		res, err := sim.Run()
-		if err != nil {
-			panic(err)
-		}
-		return res.Events
+		return s.Result.Events
 	}
 	events = run() // warm-up
 	var before, after runtime.MemStats
@@ -157,33 +147,18 @@ func eventRate(iters int, obsDisabled bool) (nsPerOp float64, events uint64, all
 	return nsPerOp, events, allocsPerOp, bytesPerOp
 }
 
-// parallelRate runs the event-rate workload at the given shard count
+// parallelRate simulates the event-rate workload at the given shard count
 // (after one warm-up) and reports wall time per op plus the scheduler's
 // window statistics.
 func parallelRate(iters, shards int) (nsPerOp float64, events, windows, stalls uint64) {
-	g := grid.Cube(64)
-	bm := apps.Sweep3D(g, 2)
-	mach := machine.XT4()
-	dec := grid.MustDecompose(g, 16, 16)
+	r := eventWorkload()
 	run := func() {
-		sched, err := bm.Schedule(dec, 1)
+		s, err := r.Simulate(nil, simmpi.Options{Shards: shards})
 		if err != nil {
 			panic(err)
 		}
-		topo := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-		sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Shards: shards})
-		if err != nil {
-			panic(err)
-		}
-		for r, p := range sched.Programs() {
-			sim.SetProgram(r, p)
-		}
-		res, err := sim.Run()
-		if err != nil {
-			panic(err)
-		}
-		events = res.Events
-		_, windows, stalls = sim.ParallelStats()
+		events = s.Result.Events
+		_, windows, stalls = s.Sim.ParallelStats()
 	}
 	run() // warm-up
 	start := time.Now()
@@ -199,8 +174,10 @@ func main() {
 	iters := flag.Int("benchtime", 10, "iteration count for the event-rate benchmark")
 	flag.Parse()
 
-	nsPerOp, events, allocsPerOp, bytesPerOp := eventRate(*iters, false)
-	obsNsPerOp, obsEvents, _, _ := eventRate(*iters, true)
+	nsPerOp, events, allocsPerOp, bytesPerOp := eventRate(*iters, simmpi.Options{})
+	// The recorder named and nil, measured as its own metric: the
+	// nil-guarded hooks must cost nothing when disabled.
+	obsNsPerOp, obsEvents, _, _ := eventRate(*iters, simmpi.Options{Obs: nil})
 	parNsPerOp, parEvents, parWindows, parStalls := parallelRate(*iters, 4)
 	campRuns, campWorkers, campSeconds := campaignRate(*iters)
 

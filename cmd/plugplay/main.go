@@ -20,12 +20,11 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/campaign"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/simmpi"
-	"repro/internal/simnet"
 	"repro/internal/trace"
 )
 
@@ -109,42 +108,32 @@ func run(args []string, stdout io.Writer) error {
 	if !*simulate {
 		return nil
 	}
+	if *iters <= 0 {
+		return fmt.Errorf("-simiters %d: invalid iteration count, want 1 or more", *iters)
+	}
 	p := ps[0]
-	dec, err := grid.SquareDecomposition(bm.App.Grid, p)
-	if err != nil {
-		return err
-	}
-	bmSim := bm.WithIterations(*iters)
-	rep, err := core.New(bmSim.App, mach).Evaluate(dec)
-	if err != nil {
-		return err
-	}
-	sched, err := bmSim.Schedule(dec, *iters)
-	if err != nil {
-		return err
-	}
-	topo, err := simnet.NewMachineTopology(mach, dec)
+	runs, err := campaign.Spec{
+		Name:       "plugplay",
+		Iterations: *iters,
+		Apps:       []campaign.AppDim{{Spec: &f.App}},
+		Machines:   []campaign.MachineDim{{MachineSpec: f.Machine}},
+		Ranks:      []int{p},
+	}.Expand()
 	if err != nil {
 		return err
 	}
 	rec := &obs.Recorder{Spans: true}
-	sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Obs: rec})
+	s, err := runs[0].Simulate(nil, simmpi.Options{Obs: rec})
 	if err != nil {
 		return err
 	}
-	for r, prog := range sched.Programs() {
-		sim.SetProgram(r, prog)
-	}
-	res, err := sim.Run()
-	if err != nil {
-		return err
-	}
+	rep, res := s.Report, s.Result
 
 	fmt.Fprintf(stdout, "\n# simulation at P=%d (%d iteration(s))\n", p, *iters)
 	fmt.Fprintf(stdout, "simulated: %.3f ms   model: %.3f ms   error: %+.2f%%\n",
 		res.Time/1e3, rep.Total/1e3, (rep.Total-res.Time)/res.Time*100)
 	spans := rec.SpanList()
-	profiles := trace.Profile(spans, dec.P())
+	profiles := trace.Profile(spans, p)
 	sum := trace.Summarize(profiles)
 	fmt.Fprintf(stdout, "mean comm share: %.1f%% (model predicts %.1f%%); busiest rank %d; most comm-bound rank %d\n",
 		sum.MeanCommShare*100, rep.CommPerIter/rep.TimePerIteration*100,
@@ -155,7 +144,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *gantt {
 		fmt.Fprintln(stdout)
-		trace.Gantt(stdout, spans, dec.P(), 100)
+		trace.Gantt(stdout, spans, p, 100)
 	}
 	return nil
 }

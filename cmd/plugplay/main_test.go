@@ -97,4 +97,14 @@ func TestRunErrors(t *testing.T) {
 	if !strings.Contains(out.String(), "     65536 ") || strings.Contains(out.String(), "# simulation") {
 		t.Errorf("-p 65536 -simulate printed:\n%s", out.Bytes())
 	}
+	// A campaign spec reads 0 iterations as 1; -simiters 0 is refused, not
+	// simulated as one iteration.
+	out.Reset()
+	err = run([]string{"-f", example, "-p", "64", "-simulate", "-simiters", "0"}, &out)
+	if want := "invalid iteration count"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("-simiters 0: %v, want an error containing %q", err, want)
+	}
+	if strings.Contains(out.String(), "# simulation") {
+		t.Errorf("-simiters 0 printed:\n%s", out.Bytes())
+	}
 }

@@ -10,17 +10,13 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/apps"
+	"repro/internal/campaign"
 	"repro/internal/cliflags"
 	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/replay"
 	"repro/internal/simmpi"
-	"repro/internal/simnet"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -60,46 +56,32 @@ func run(args []string, out io.Writer) (err error) {
 	if *cube <= 0 {
 		return fmt.Errorf("-cube %d: the grid edge must be positive", *cube)
 	}
-	g := grid.Cube(*cube)
-	bm, err := apps.Preset(*app, g, *htile)
-	if err != nil {
-		return err
+	if *iters <= 0 {
+		return fmt.Errorf("-iters %d: invalid iteration count, want 1 or more", *iters)
 	}
-	bm = bm.WithIterations(*iters)
-
-	var wl workload.Spec
+	g := config.GridSpec{Nx: *cube, Ny: *cube, Nz: *cube}
+	ad := campaign.AppDim{Preset: *app, Grid: &g, Htile: *htile}
 	if *wlJSON != "" {
-		if err := config.DecodeStrict([]byte(*wlJSON), &wl); err != nil {
+		ad.Workload = new(config.WorkloadSpec)
+		if err := config.DecodeStrict([]byte(*wlJSON), ad.Workload); err != nil {
 			return fmt.Errorf("-workload: %w", err)
 		}
-		bm = bm.WithWorkload(wl)
 	}
-
-	// The machine is built from its config spec so a recorded trace
-	// header describes exactly the hardware this run simulated.
+	// The machine is given as its config spec so a recorded trace header
+	// describes exactly the hardware this run simulated.
 	mspec := config.MachineSpec{Preset: "xt4", CoresPerNode: *cores}
-	mach, err := mspec.Machine()
+	runs, err := campaign.Spec{
+		Name:       "sweepsim",
+		Iterations: *iters,
+		Apps:       []campaign.AppDim{ad},
+		Machines:   []campaign.MachineDim{{MachineSpec: mspec}},
+		Ranks:      []int{*p},
+	}.Expand()
 	if err != nil {
 		return err
 	}
-	dec, err := grid.SquareDecomposition(g, *p)
-	if err != nil {
-		return err
-	}
+	run := runs[0]
 
-	rep, err := core.New(bm.App, mach).Evaluate(dec)
-	if err != nil {
-		return err
-	}
-
-	sched, err := bm.Schedule(dec, *iters)
-	if err != nil {
-		return err
-	}
-	topo, err := simnet.NewMachineTopology(mach, dec)
-	if err != nil {
-		return err
-	}
 	rec := obsFlags.Recorder()
 	if obsFlags.Hist {
 		if rec == nil {
@@ -113,40 +95,34 @@ func run(args []string, out io.Writer) (err error) {
 		}
 		rec.Ops = true
 	}
-	sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Shards: *shards, Obs: rec})
+	s, err := run.Simulate(nil, simmpi.Options{Shards: *shards, Obs: rec})
 	if err != nil {
 		return err
 	}
-	for r, prog := range sched.Programs() {
-		sim.SetProgram(r, prog)
-	}
-	res, err := sim.Run()
-	if err != nil {
-		return err
-	}
+	rep, res := s.Report, s.Result
 
-	fmt.Fprintf(out, "app=%s grid=%v P=%d (%dx%d) cores/node=%d Htile=%d iterations=%d\n",
-		bm.App.Name, g, dec.P(), dec.N, dec.M, mach.CoresPerNode, bm.App.Htile, *iters)
+	fmt.Fprintf(out, "app=%s grid=%s P=%d (%dx%d) cores/node=%d Htile=%d iterations=%d\n",
+		run.App, run.Grid, run.P, rep.N, rep.M, s.Model.Machine.CoresPerNode, run.Htile, run.Iterations)
 	fmt.Fprintf(out, "simulated:   %12.1f µs  (%.4f s)\n", res.Time, res.Time/1e6)
 	fmt.Fprintf(out, "model:       %12.1f µs  (%.4f s)\n", rep.Total, rep.Total/1e6)
 	fmt.Fprintf(out, "error:       %+11.2f%%\n", (rep.Total-res.Time)/res.Time*100)
 	fmt.Fprintf(out, "breakdown:   fill=%.1fµs stack=%.1fµs non-wavefront=%.1fµs per iteration\n",
-		rep.FillTimePerIter, float64(bm.App.NSweeps)*rep.TStack, rep.TNonWavefront)
+		rep.FillTimePerIter, float64(s.Model.App.NSweeps)*rep.TStack, rep.TNonWavefront)
 	fmt.Fprintf(out, "model comm:  %.1f%% of iteration\n", rep.CommPerIter/rep.TimePerIteration*100)
 	fmt.Fprintf(out, "simulator:   %d events, %d messages, %d bus waits (%.1fµs total wait)\n",
 		res.Events, res.Sends, res.BusQueued, res.BusWait)
-	if k, windows, stalls := sim.ParallelStats(); k > 1 {
+	if k, windows, stalls := s.Sim.ParallelStats(); k > 1 {
 		fmt.Fprintf(out, "parallel:    %d shards, %d lookahead windows, %d barrier stalls\n",
 			k, windows, stalls)
 	}
 	if *recordTrace != "" {
 		hdr := replay.Header{
-			App:      bm.App.Name,
-			Workload: workloadLabel(bm),
+			App:      run.App,
+			Workload: run.Workload,
 			Machine:  mspec,
-			Grid:     config.GridSpec{Nx: g.Nx, Ny: g.Ny, Nz: g.Nz},
-			DecN:     dec.N,
-			DecM:     dec.M,
+			Grid:     g,
+			DecN:     rep.N,
+			DecM:     rep.M,
 		}.WithResult(res)
 		if err := cliflags.WriteArtifact(*recordTrace, func(f *os.File) error {
 			return replay.Write(f, hdr, rec)
@@ -169,11 +145,4 @@ func run(args []string, out io.Writer) (err error) {
 		fmt.Fprintf(out, "samples:     %s (every %gµs)\n", obsFlags.SampleOut, obsFlags.SampleEvery)
 	}
 	return nil
-}
-
-func workloadLabel(bm apps.Benchmark) string {
-	if bm.Workload == nil {
-		return ""
-	}
-	return bm.Workload.String()
 }

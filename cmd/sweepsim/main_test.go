@@ -43,9 +43,10 @@ func TestRunUnknownApp(t *testing.T) {
 	}
 }
 
-// TestRunRefusesBadShape: a grid edge below one and a processor array
-// wider than the grid are errors, as they are for a campaign run, not a
-// panic or a simulation of empty tiles.
+// TestRunRefusesBadShape: a grid edge below one, a processor array wider
+// than the grid and an iteration count below one are errors, as the first
+// two are for a campaign run, not a panic, a simulation of empty tiles or
+// a simulation of one iteration under another name.
 func TestRunRefusesBadShape(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -55,6 +56,7 @@ func TestRunRefusesBadShape(t *testing.T) {
 		{[]string{"-cube", "-4"}, "-cube -4: the grid edge must be positive"},
 		{[]string{"-cube", "4", "-p", "64"}, "8x8 processor array exceeds the 4x4x4 grid"},
 		{[]string{"-cube", "8", "-p", "11"}, "11x1 processor array exceeds the 8x8x8 grid"},
+		{[]string{"-iters", "0"}, "invalid iteration count"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)

@@ -342,9 +342,10 @@ func (e *Engine) Merge(runs []Run, w io.Writer) error {
 //
 // A panic in the run — parameters that overflow the simulated clock, say —
 // fails only this run: its row's Error carries the panic value's first
-// line (a sharded run's panic goes on with the helper's stack), and the
-// worker's simulator, whose state is unknown after a panic, is dropped, so
-// the worker's next run builds a fresh one.
+// line (a sharded run's panic on a helper goroutine goes on with the shard
+// and its stack, so the first line is the same at every GOMAXPROCS), and
+// the worker's simulator, whose state is unknown after a panic, is
+// dropped, so the worker's next run builds a fresh one.
 func executeRun(r Run, rec *obs.Recorder, cfg Config, simp **simmpi.Sim) (out RunResult) {
 	start := time.Now()
 	defer func() {
@@ -365,57 +366,84 @@ func executeRun(r Run, rec *obs.Recorder, cfg Config, simp **simmpi.Sim) (out Ru
 	return r.row(o)
 }
 
-// simulate computes the run's outcome: the model's prediction and the
-// simulator's counters.
-func simulate(r Run, rec *obs.Recorder, cfg Config, simp **simmpi.Sim) (outcome, error) {
+// Simulation is one run as Run.Simulate simulated it.
+type Simulation struct {
+	// Model is the analytic model of the run: the app with the run's
+	// iteration count, and the machine.
+	Model  core.Model
+	Report core.Report
+	Result simmpi.Result
+	// MaxLinkUtil is the hottest link's busy time over the makespan; zero
+	// on the flat wire.
+	MaxLinkUtil float64
+	// Sim is the simulator that ran, for the caller to reuse and to read
+	// ParallelStats from.
+	Sim *simmpi.Sim
+}
+
+// Simulate evaluates the analytic model for the run and simulates it: the
+// one simulation path of every program that compares the two. A nil sim
+// builds a simulator with the options; a non-nil one is reset with them
+// and reused. The returned Sim is whichever simulator the run got to, also
+// on error. A non-finite model or simulated time is an error, since a row
+// cannot hold it.
+func (r Run) Simulate(sim *simmpi.Sim, opt simmpi.Options) (s Simulation, err error) {
+	s.Sim = sim
 	bm := r.bm.WithIterations(r.Iterations)
-	rep, err := core.New(bm.App, r.mach).Evaluate(r.dec)
-	if err != nil {
-		return outcome{}, err
+	s.Model = core.Model{App: bm.App, Machine: r.mach}
+	if s.Report, err = s.Model.Evaluate(r.dec); err != nil {
+		return s, err
 	}
 	sched, err := bm.Schedule(r.dec, r.Iterations)
 	if err != nil {
-		return outcome{}, err
+		return s, err
 	}
 	tp, err := simnet.NewMachineTopology(r.mach, r.dec)
 	if err != nil {
-		return outcome{}, err
+		return s, err
 	}
-	shards, _ := cfg.execMode(r)
-	opt := simmpi.Options{Shards: shards, Obs: rec}
-	if *simp == nil {
-		s, err := simmpi.NewWithOptions(tp, opt)
-		if err != nil {
-			return outcome{}, err
-		}
-		*simp = s
-	} else if err := (*simp).ResetWithOptions(tp, opt); err != nil {
-		return outcome{}, err
+	if s.Sim == nil {
+		s.Sim, err = simmpi.NewWithOptions(tp, opt)
+	} else {
+		err = s.Sim.ResetWithOptions(tp, opt)
 	}
-	sim := *simp
+	if err != nil {
+		return s, err
+	}
 	for rank, prog := range sched.Programs() {
-		sim.SetProgram(rank, prog)
+		s.Sim.SetProgram(rank, prog)
 	}
-	res, err := sim.Run()
+	if s.Result, err = s.Sim.Run(); err != nil {
+		return s, err
+	}
+	model, simulated := s.Report.Total, s.Result.Time
+	if math.IsInf(model, 0) || math.IsNaN(model) || math.IsInf(simulated, 0) || math.IsNaN(simulated) {
+		// JSON has no spelling for either, so the row could not be written.
+		return s, fmt.Errorf("campaign: non-finite result: model %v µs, simulated %v µs", model, simulated)
+	}
+	if ic := tp.Interconnect(); ic != nil && simulated > 0 {
+		s.MaxLinkUtil = ic.MaxLinkBusy() / simulated
+	}
+	return s, nil
+}
+
+// simulate computes the run's outcome: the model's prediction and the
+// simulator's counters.
+func simulate(r Run, rec *obs.Recorder, cfg Config, simp **simmpi.Sim) (outcome, error) {
+	shards, _ := cfg.execMode(r)
+	s, err := r.Simulate(*simp, simmpi.Options{Shards: shards, Obs: rec})
+	*simp = s.Sim
 	if err != nil {
 		return outcome{}, err
 	}
-
-	if math.IsInf(rep.Total, 0) || math.IsNaN(rep.Total) || math.IsInf(res.Time, 0) || math.IsNaN(res.Time) {
-		// JSON has no spelling for either, so the row could not be written.
-		return outcome{}, fmt.Errorf("campaign: non-finite result: model %v µs, simulated %v µs", rep.Total, res.Time)
-	}
+	res := &s.Result
 	o := outcome{
-		model: rep.Total, sim: res.Time,
+		model: s.Report.Total, sim: res.Time,
 		events: res.Events, messages: res.Sends, bytes: res.BytesSent,
 		busWait: res.BusWait,
 	}
-	if ic := tp.Interconnect(); ic != nil {
-		o.linkWait = res.LinkWait
-		o.linkQueued = res.LinkQueued
-		if res.Time > 0 {
-			o.maxLinkUtil = ic.MaxLinkBusy() / res.Time
-		}
+	if r.mach.Interconnect.Kind != topo.Bus {
+		o.linkWait, o.linkQueued, o.maxLinkUtil = res.LinkWait, res.LinkQueued, s.MaxLinkUtil
 	}
 	if cfg.Hist && res.Hists != nil {
 		rh := &RunHists{

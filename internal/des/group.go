@@ -146,9 +146,13 @@ func (g *Group) SetObserver(fn WindowObserver) { g.obs = fn }
 //
 // A panic in a shard or in apply reaches the goroutine that called Run. A
 // shard the coordinator runs panics there directly; a helper recovers the
-// panic, and Run re-raises it as an error naming the shard and carrying the
-// helper's stack. Either way every helper has exited when the panic leaves
-// Run, as on a normal return.
+// panic, and Run re-raises it as an error that reads as the original value
+// and goes on, after its first line, to name the shard and carry the
+// helper's stack. Run raises the panic of the lowest-index shard that
+// panicked in the window, the first the coordinator meets in its own
+// shards and then in the helpers' in order, so the text up to its first
+// newline is the same at every participant count. Either way every helper
+// has exited when the panic leaves Run, as on a normal return.
 func (g *Group) Run(barrier func() float64, apply func(shard int)) {
 	n := min(len(g.engines), runtime.GOMAXPROCS(0))
 	g.quit.Store(false)
@@ -304,8 +308,10 @@ type shardPanic struct {
 	stack []byte
 }
 
+// Error starts with the original value, as a panic the coordinator ran
+// into itself would read.
 func (p *shardPanic) Error() string {
-	return fmt.Sprintf("des: shard %d panicked: %v\n\n%s", p.shard, p.value, p.stack)
+	return fmt.Sprintf("%v\n\ndes: shard %d panicked on a helper goroutine:\n%s", p.value, p.shard, p.stack)
 }
 
 // Unwrap returns the original panic value if it is an error.

@@ -559,7 +559,8 @@ var errShard = errors.New("shard handler failed")
 // TestGroupShardPanicReachesCaller: a panic in any shard or in its apply —
 // on the caller inline, or on a helper — is recoverable by Run's caller,
 // and no helper outlives it. A helper's panic comes back as an error that
-// names the shard and wraps the original value.
+// wraps the original value, reads as it up to the first newline, and names
+// the shard after it.
 func TestGroupShardPanicReachesCaller(t *testing.T) {
 	for _, tc := range []struct {
 		procs, shard int
@@ -608,6 +609,36 @@ func TestGroupShardPanicReachesCaller(t *testing.T) {
 		if tc.helper != named || tc.helper != (err != errShard) {
 			t.Errorf("GOMAXPROCS=%d shard %d apply=%v: recovered %q; want the shard named only for a helper's panic",
 				tc.procs, tc.shard, tc.inApply, err)
+		}
+		if first, _, _ := strings.Cut(err.Error(), "\n"); first != errShard.Error() {
+			t.Errorf("GOMAXPROCS=%d shard %d apply=%v: first line %q, want %q", tc.procs, tc.shard, tc.inApply, first, errShard)
+		}
+	}
+}
+
+// TestGroupPanicTextIgnoresLayout: when shards 1 and 2 both panic in one
+// window, Run raises shard 1's panic, the lower index, whether one
+// participant runs every shard, the shards share a helper, or each has
+// its own; and its first line is the same in all three. So a failed run
+// reads the same on every host.
+func TestGroupPanicTextIgnoresLayout(t *testing.T) {
+	const want = "shard 1 failed"
+	for _, procs := range []int{1, 2, 3} {
+		withProcs(t, procs)
+		r := newRing(3)
+		var applies [3]int // each counter written only by its shard's participant
+		r.applyHook = func(shard int) {
+			if applies[shard]++; shard > 0 && applies[shard] == 3 {
+				panic(fmt.Errorf("shard %d failed", shard))
+			}
+		}
+		v := func() (v any) {
+			defer func() { v = recover() }()
+			r.run(nil)
+			return nil
+		}()
+		if first, _, _ := strings.Cut(fmt.Sprint(v), "\n"); first != want {
+			t.Errorf("GOMAXPROCS=%d: recovered %q, want %q", procs, first, want)
 		}
 	}
 }

@@ -9,10 +9,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/apps"
-	"repro/internal/core"
+	"repro/internal/config"
 	"repro/internal/grid"
-	"repro/internal/machine"
 	"repro/internal/stats"
 )
 
@@ -31,41 +29,35 @@ type ContentionPoint struct {
 	BusQueued    uint64  // number of delayed DMAs
 }
 
-// ContentionData sweeps cores per node at a fixed total core count.
+// ContentionData sweeps cores per node at a fixed total core count, one
+// XT4 machine per core count.
 func ContentionData(g grid.Grid, p int, coreCounts []int, iters int) ([]ContentionPoint, error) {
-	out := make([]ContentionPoint, 0, len(coreCounts))
-	bm := apps.Sweep3D(g, 2).WithIterations(iters)
+	var machines []config.MachineSpec
 	for _, cores := range coreCounts {
-		mach, err := machine.XT4MultiCore(cores)
+		machines = append(machines, config.MachineSpec{Preset: "xt4", CoresPerNode: cores})
+	}
+	spec := sweep3DSpec("contention", g, []int{p}, machines...)
+	spec.Iterations = iters
+	sims, err := simulate(spec)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]ContentionPoint, len(sims))
+	for i, s := range sims {
+		noCont := s.Model
+		noCont.Opts.NoContention = true
+		without, err := noCont.EvaluateP(p)
 		if err != nil {
 			return nil, err
 		}
-		dec, err := grid.SquareDecomposition(g, p)
-		if err != nil {
-			return nil, err
-		}
-		model := core.New(bm.App, mach)
-		with, err := model.Evaluate(dec)
-		if err != nil {
-			return nil, err
-		}
-		model.Opts.NoContention = true
-		without, err := model.Evaluate(dec)
-		if err != nil {
-			return nil, err
-		}
-		res, err := SimulateBenchmark(bm, mach, dec, iters)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ContentionPoint{
-			Cores:        cores,
-			ModelTotal:   with.Total,
+		out[i] = ContentionPoint{
+			Cores:        s.Model.Machine.CoresPerNode,
+			ModelTotal:   s.Report.Total,
 			NoContention: without.Total,
-			Simulated:    res.Time,
-			BusWait:      res.BusWait,
-			BusQueued:    res.BusQueued,
-		})
+			Simulated:    s.Result.Time,
+			BusWait:      s.Result.BusWait,
+			BusQueued:    s.Result.BusQueued,
+		}
 	}
 	return out, nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/baseline"
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/machine"
@@ -113,10 +114,15 @@ type Fig6Point struct {
 }
 
 // Fig6Data computes the Sweep3D 10⁹ scaling curve (10⁴ time steps, 30
-// energy groups, Htile = 2), with simulator "measurements" at the
-// processor counts in simPs.
+// energy groups, Htile = 2), with simulator "measurements" of one
+// iteration on the dual-core XT4 at the processor counts in simPs.
 func Fig6Data(ps, simPs []int) ([]Fig6Point, error) {
-	mach := machine.XT4()
+	// One description of the machine for both columns.
+	xt4 := config.MachineSpec{Preset: "xt4", CoresPerNode: 2}
+	mach, err := xt4.Machine()
+	if err != nil {
+		return nil, err
+	}
 	bm := apps.Sweep3D(Sweep3DBillion, 2)
 	simSet := map[int]bool{}
 	for _, p := range simPs {
@@ -130,15 +136,11 @@ func Fig6Data(ps, simPs []int) ([]Fig6Point, error) {
 		}
 		pt := Fig6Point{P: p, PredictedDays: us * ProductionTimeSteps / 1e6 / 86400, MeasuredDays: -1}
 		if simSet[p] {
-			dec, err := grid.SquareDecomposition(bm.App.Grid, p)
+			sims, err := simulate(sweep3DSpec("fig6", Sweep3DBillion, []int{p}, xt4))
 			if err != nil {
 				return nil, err
 			}
-			res, err := SimulateBenchmark(bm, mach, dec, 1)
-			if err != nil {
-				return nil, err
-			}
-			perStep := res.Time * float64(bm.App.Iterations) * EnergyGroups
+			perStep := sims[0].Result.Time * float64(bm.App.Iterations) * EnergyGroups
 			pt.MeasuredDays = perStep * ProductionTimeSteps / 1e6 / 86400
 		}
 		out = append(out, pt)

@@ -11,6 +11,11 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"repro/internal/campaign"
+	"repro/internal/config"
+	"repro/internal/grid"
+	"repro/internal/simmpi"
 )
 
 // Table is a formatted experiment result.
@@ -109,3 +114,33 @@ func f(v float64) string { return fmt.Sprintf("%.4g", v) }
 
 // pct formats a ratio as a percentage.
 func pct(v float64) string { return fmt.Sprintf("%+.2f%%", v*100) }
+
+// sweep3DSpec is a campaign of Sweep3D at Htile 2 on grid g, one run per
+// machine and rank count, of one iteration unless the caller sets
+// Iterations.
+func sweep3DSpec(name string, g grid.Grid, ranks []int, machines ...config.MachineSpec) campaign.Spec {
+	gs := config.GridSpec{Nx: g.Nx, Ny: g.Ny, Nz: g.Nz}
+	s := campaign.Spec{Name: name, Apps: []campaign.AppDim{{Preset: "sweep3d", Grid: &gs, Htile: 2}}, Ranks: ranks}
+	for _, m := range machines {
+		s.Machines = append(s.Machines, campaign.MachineDim{MachineSpec: m})
+	}
+	return s
+}
+
+// simulate expands the spec and simulates its runs in order through
+// campaign.Run.Simulate, on one serial simulator reused from run to run.
+func simulate(s campaign.Spec) ([]campaign.Simulation, error) {
+	runs, err := s.Expand()
+	if err != nil {
+		return nil, err
+	}
+	sims := make([]campaign.Simulation, len(runs))
+	var sim *simmpi.Sim
+	for i, r := range runs {
+		if sims[i], err = r.Simulate(sim, simmpi.Options{}); err != nil {
+			return nil, err
+		}
+		sim = sims[i].Sim
+	}
+	return sims, nil
+}

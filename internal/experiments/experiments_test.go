@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/logp"
+	"repro/internal/simmpi"
+	"repro/internal/stats"
 )
 
 func TestRegistryHasAllPaperArtefacts(t *testing.T) {
@@ -112,8 +114,7 @@ func TestAllReduceExperiment(t *testing.T) {
 }
 
 func TestValidationWithinPaperBounds(t *testing.T) {
-	cfg := DefaultValidationConfig(true)
-	pts, err := ValidateData(cfg)
+	pts, err := ValidateData(ValidationSpec(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestValidationWithinPaperBounds(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/quick.sha256")
+var update = flag.Bool("update", false, "rewrite the testdata manifests")
 
 // TestQuickDriversRun runs every registered driver in quick mode and pins
 // its rendered table byte for byte: each line of testdata/quick.sha256 is
@@ -145,18 +146,7 @@ var update = flag.Bool("update", false, "rewrite testdata/quick.sha256")
 // and explain the changed lines in the commit message.
 func TestQuickDriversRun(t *testing.T) {
 	const path = "testdata/quick.sha256"
-	want := map[string]string{}
-	if !*update {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%v (run with -update to record)", err)
-		}
-		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-			if sum, id, ok := strings.Cut(line, "  "); ok {
-				want[id] = sum
-			}
-		}
-	}
+	want := readDigests(t, path)
 	var manifest strings.Builder
 	for _, id := range IDs() {
 		wantSum := want[id]
@@ -224,35 +214,38 @@ func TestFig11CommunicationEventuallyDominates(t *testing.T) {
 	}
 }
 
-// TestValidateCampaignParity pins the campaign-engine port of the
-// validation driver to the direct CompareOne path: same apps, same order,
-// bit-identical model and simulator numbers.
+// TestValidateCampaignParity pins the validation driver, whose engine
+// runs on pooled simulators reset between runs, to Run.Simulate on a fresh
+// simulator per run: same runs, same order, bit-identical model and
+// simulator numbers.
 func TestValidateCampaignParity(t *testing.T) {
-	cfg := DefaultValidationConfig(true)
-	got, err := ValidateData(cfg)
+	spec := ValidationSpec(true)
+	got, err := ValidateData(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := 0
-	for _, bm := range ValidationBenchmarks(cfg.Grid) {
-		for _, p := range cfg.Ps {
-			want, err := CompareOne(bm, cfg.Machine, p, cfg.Iters)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i >= len(got) {
-				t.Fatalf("campaign produced %d points, want more", len(got))
-			}
-			g := got[i]
-			if g.App != want.App || g.P != want.P ||
-				g.Model != want.Model || g.Simulated != want.Simulated {
-				t.Errorf("point %d: campaign %+v != direct %+v", i, g, want)
-			}
-			i++
-		}
+	runs, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if i != len(got) {
-		t.Errorf("campaign produced %d extra points", len(got)-i)
+	if len(got) != len(runs) {
+		t.Fatalf("driver produced %d points for %d runs", len(got), len(runs))
+	}
+	for i, r := range runs {
+		s, err := r.Simulate(nil, simmpi.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ValidationPoint{
+			App:       r.App,
+			P:         r.P,
+			Model:     s.Report.Total,
+			Simulated: s.Result.Time,
+			RelErr:    stats.SignedRelErr(s.Report.Total, s.Result.Time),
+		}
+		if got[i] != want {
+			t.Errorf("point %d: driver %+v != fresh simulator %+v", i, got[i], want)
+		}
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/campaign"
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/machine"
@@ -88,19 +90,13 @@ func TestFig12EmergentValidation(t *testing.T) {
 // 1, 2 and 4 cores per node, model error against the simulator stays
 // within the paper's bounds on a compute-dominated configuration.
 func TestMulticoreModelTracksSimulator(t *testing.T) {
-	g := grid.Cube(64)
-	for _, cores := range []int{1, 2, 4} {
-		mach, err := machine.XT4MultiCore(cores)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bm := apps.Sweep3D(g, 2)
-		pt, err := CompareOne(bm, mach, 64, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(pt.RelErr) > 0.12 {
-			t.Errorf("%d cores/node: model error %.2f%%", cores, pt.RelErr*100)
+	pts, err := ContentionData(grid.Cube(64), 64, []int{1, 2, 4}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range pts {
+		if re := stats.SignedRelErr(pt.ModelTotal, pt.Simulated); math.Abs(re) > 0.12 {
+			t.Errorf("%d cores/node: model error %.2f%%", pt.Cores, re*100)
 		}
 	}
 }
@@ -151,35 +147,40 @@ func TestTraceCommShareTracksModelBreakdown(t *testing.T) {
 // end to end on a small configuration: the Htile minimising the model also
 // (nearly) minimises the simulated time.
 func TestHtileModelMinimumAgreesWithSimulator(t *testing.T) {
-	g := grid.NewGrid(32, 32, 48)
-	dec := grid.MustDecompose(g, 8, 8)
-	mach := machine.XT4()
-	hs := []int{1, 2, 4, 8, 16}
-	bestModel, bestSim := -1, -1
-	var bmT, bsT float64
-	simTimes := map[int]float64{}
-	for _, h := range hs {
-		bm := apps.Sweep3D(g, h).WithIterations(1)
-		rep, err := core.New(bm.App, mach).Evaluate(dec)
-		if err != nil {
-			t.Fatal(err)
+	g := config.GridSpec{Nx: 32, Ny: 32, Nz: 48}
+	spec := campaign.Spec{
+		Name:     "htile",
+		Machines: []campaign.MachineDim{{MachineSpec: config.MachineSpec{Preset: "xt4", CoresPerNode: 2}}},
+		Ranks:    []int{64},
+	}
+	for _, h := range []int{1, 2, 4, 8, 16} {
+		spec.Apps = append(spec.Apps, campaign.AppDim{Preset: "sweep3d", Grid: &g, Htile: h})
+	}
+	runs, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := campaign.NewEngine(campaign.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := eng.Execute(runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bestModel, bestSim := rows[0], rows[0]
+	for _, r := range rows {
+		if r.ModelMicros < bestModel.ModelMicros {
+			bestModel = r
 		}
-		res, err := SimulateBenchmark(bm, mach, dec, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		simTimes[h] = res.Time
-		if bestModel < 0 || rep.Total < bmT {
-			bestModel, bmT = h, rep.Total
-		}
-		if bestSim < 0 || res.Time < bsT {
-			bestSim, bsT = h, res.Time
+		if r.SimMicros < bestSim.SimMicros {
+			bestSim = r
 		}
 	}
 	// The model's chosen Htile must be within 5% of the simulator's true
 	// optimum (the paper uses the model exactly this way).
-	if loss := simTimes[bestModel]/bsT - 1; loss > 0.05 {
+	if loss := bestModel.SimMicros/bestSim.SimMicros - 1; loss > 0.05 {
 		t.Errorf("model picked Htile=%d (sim %.0f), true optimum Htile=%d (sim %.0f): %.1f%% loss",
-			bestModel, simTimes[bestModel], bestSim, bsT, loss*100)
+			bestModel.Htile, bestModel.SimMicros, bestSim.Htile, bestSim.SimMicros, loss*100)
 	}
 }

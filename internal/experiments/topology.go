@@ -10,12 +10,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/apps"
-	"repro/internal/core"
+	"repro/internal/config"
 	"repro/internal/grid"
-	"repro/internal/machine"
-	"repro/internal/simmpi"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/topo"
 )
@@ -36,55 +32,28 @@ type TopologyPoint struct {
 	MaxUtil   float64 // hottest link's busy/makespan ratio (0 on the flat wire)
 }
 
-// TopologyData sweeps interconnect specs × rank counts for one benchmark.
-func TopologyData(bm apps.Benchmark, cores int, specs []topo.Spec, ranks []int) ([]TopologyPoint, error) {
-	bm = bm.WithIterations(1) // model and simulator compare one iteration
-	base, err := machine.XT4MultiCore(cores)
+// TopologyData sweeps interconnect specs × rank counts for Sweep3D on the
+// grid, one XT4 machine with the given cores per node per fabric. Model
+// and simulator compare one iteration.
+func TopologyData(g grid.Grid, cores int, specs []topo.Spec, ranks []int) ([]TopologyPoint, error) {
+	var machines []config.MachineSpec
+	for i := range specs {
+		machines = append(machines, config.MachineSpec{Preset: "xt4", CoresPerNode: cores, Interconnect: &specs[i]})
+	}
+	sims, err := simulate(sweep3DSpec("topology", g, ranks, machines...))
 	if err != nil {
 		return nil, err
 	}
-	var out []TopologyPoint
-	for _, spec := range specs {
-		mach := base.WithInterconnect(spec)
-		for _, p := range ranks {
-			dec, err := grid.SquareDecomposition(bm.App.Grid, p)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := core.New(bm.App, mach).Evaluate(dec)
-			if err != nil {
-				return nil, err
-			}
-			// Built inline (not via SimulateBenchmark) to keep the topology
-			// handle: the hottest link's utilisation needs per-link stats.
-			sched, err := bm.Schedule(dec, 1)
-			if err != nil {
-				return nil, err
-			}
-			t, err := simnet.NewMachineTopology(mach, dec)
-			if err != nil {
-				return nil, err
-			}
-			sim := simmpi.New(t)
-			for r, prog := range sched.Programs() {
-				sim.SetProgram(r, prog)
-			}
-			res, err := sim.Run()
-			if err != nil {
-				return nil, err
-			}
-			pt := TopologyPoint{
-				Spec:      spec,
-				P:         p,
-				Model:     rep.Total,
-				Simulated: res.Time,
-				LinkWait:  res.LinkWait,
-				LinkHops:  res.LinkRequests,
-			}
-			if ic := t.Interconnect(); ic != nil && res.Time > 0 {
-				pt.MaxUtil = ic.MaxLinkBusy() / res.Time
-			}
-			out = append(out, pt)
+	out := make([]TopologyPoint, len(sims))
+	for i, s := range sims {
+		out[i] = TopologyPoint{
+			Spec:      s.Model.Machine.Interconnect,
+			P:         s.Report.P,
+			Model:     s.Report.Total,
+			Simulated: s.Result.Time,
+			LinkWait:  s.Result.LinkWait,
+			LinkHops:  s.Result.LinkRequests,
+			MaxUtil:   s.MaxLinkUtil,
 		}
 	}
 	return out, nil
@@ -98,14 +67,13 @@ func Topology(quick bool) (Table, error) {
 		g = grid.Cube(32)
 		ranks = []int{16, 64, 256}
 	}
-	bm := apps.Sweep3D(g, 2)
 	specs := []topo.Spec{
 		{}, // flat wire
 		{Kind: topo.Torus2D},
 		{Kind: topo.Torus3D},
 		{Kind: topo.FatTree},
 	}
-	pts, err := TopologyData(bm, 2, specs, ranks)
+	pts, err := TopologyData(g, 2, specs, ranks)
 	if err != nil {
 		return Table{}, err
 	}

@@ -23,9 +23,96 @@ var unreachedKeepers = map[string]string{
 	"repro/internal/coll.Collective.Messages":                         "TestByteConservation",
 	"repro/internal/coll.Collective.TotalBytes":                       "TestByteConservation",
 	"repro/internal/coll.rounds":                                      "TestByteConservation",
-	"repro/internal/experiments.CompareOne":                           "TestValidateCampaignParity",
-	"repro/internal/experiments.ValidationBenchmarks":                 "TestValidateCampaignParity",
 	"repro/internal/sweep.(*MultiGroupProblem).SolveSequentialGroups": "TestPipelinedScheduleSolvesSameFluxes",
+}
+
+// simulationOwners are the directories whose programs may place a
+// wavefront decomposition onto a machine themselves, with
+// simnet.NewMachineTopology or simnet.GridPlacement, each with the reason.
+// Every other program simulates a benchmark run through
+// campaign.Run.Simulate.
+var simulationOwners = map[string]string{
+	"internal/campaign":       "Run.Simulate, the one path",
+	"internal/replay":         "re-executes recorded op streams, not an app's schedule",
+	"examples/replay":         "walks through recording and internal/replay",
+	"bench":                   "the timed benchmark harness, a module of its own",
+	"examples/quickstart":     "teaches the model and the simulator on their own APIs",
+	"examples/customapp":      "simulates an app that no campaign preset names",
+	"examples/energygroups":   "simulates schedules with reordered sweep corners",
+	"examples/flightrecorder": "teaches attaching a recorder to the simulator",
+}
+
+// TestOneSimulationPath keeps every program that simulates a benchmark on
+// campaign.Run.Simulate, so each gets the campaign's checks and options:
+// it parses the module's non-test Go files and fails for each use of
+// simnet.NewMachineTopology or simnet.GridPlacement outside
+// simulationOwners, and for each owner that uses neither.
+func TestOneSimulationPath(t *testing.T) {
+	fset := token.NewFileSet()
+	used := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		simnet := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"repro/internal/simnet"` {
+				simnet = "simnet"
+				if imp.Name != nil {
+					simnet = imp.Name.Name
+				}
+			}
+		}
+		if simnet == "" {
+			return nil
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		owner := ""
+		for o := range simulationOwners {
+			if dir == o || strings.HasPrefix(dir, o+"/") {
+				owner = o
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); !ok || x.Name != simnet ||
+				(sel.Sel.Name != "NewMachineTopology" && sel.Sel.Name != "GridPlacement") {
+				return true
+			}
+			if owner != "" {
+				used[owner] = true
+			} else {
+				t.Errorf("%s: simnet.%s places a benchmark by hand; simulate through campaign.Run.Simulate",
+					fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for o := range simulationOwners {
+		if !used[o] {
+			t.Errorf("simulationOwners names %s, which no longer places a decomposition; drop it", o)
+		}
+	}
 }
 
 // nmText matches a text symbol line of `go tool nm`: address, type T or t,
