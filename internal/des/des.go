@@ -227,14 +227,18 @@ func (e *Engine) NextEventTime() (t float64, ok bool) {
 // Resource models a single FCFS server (e.g. a node's shared memory bus).
 // Requests occupy the resource for a fixed duration in arrival order; a
 // request arriving while the resource is busy is queued and experiences
-// waiting time. Resource tracks aggregate utilisation statistics so that
-// experiments can report contention.
+// waiting time.
+//
+// A Resource keeps only what must be per resource: when it frees up and
+// its total busy and waiting time, 24 bytes. It does not count requests.
+// Acquire returns each request's wait, so the caller that owns a set of
+// resources tallies how many requests it made and how many queued
+// (topo.Interconnect for links, each simmpi shard for buses); that keeps
+// the count exact and its owner single-threaded.
 type Resource struct {
-	freeAt   float64
-	busyTime float64
-	waits    float64
-	requests uint64
-	queued   uint64
+	freeAt float64
+	busy   float64
+	waits  float64
 }
 
 // Acquire reserves the resource for duration dur starting no earlier than
@@ -250,17 +254,12 @@ func (r *Resource) Acquire(now, dur float64) (wait float64) {
 	}
 	wait = start - now
 	r.freeAt = start + dur
-	r.busyTime += dur
+	r.busy += dur
 	r.waits += wait
-	r.requests++
-	if wait > 0 {
-		r.queued++
-	}
 	return wait
 }
 
-// Stats returns aggregate counters: total requests, requests that queued,
-// total busy time and total waiting time.
-func (r *Resource) Stats() (requests, queued uint64, busy, waited float64) {
-	return r.requests, r.queued, r.busyTime, r.waits
+// Stats returns the total busy time and the total waiting time.
+func (r *Resource) Stats() (busy, waited float64) {
+	return r.busy, r.waits
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // funcs runs test closures as events: each closure is appended to fns and
@@ -134,9 +135,20 @@ func TestResourceFCFS(t *testing.T) {
 	if w := r.Acquire(12, 1); w != 0 {
 		t.Errorf("third acquire wait = %v", w)
 	}
-	req, q, busy, waited := r.Stats()
-	if req != 3 || q != 1 || busy != 11 || waited != 3 {
-		t.Errorf("Stats = %d %d %v %v", req, q, busy, waited)
+	busy, waited := r.Stats()
+	if busy != 11 || waited != 3 {
+		t.Errorf("Stats = %v %v, want 11 3", busy, waited)
+	}
+}
+
+// TestResourceSize pins a Resource at three floats on 64-bit platforms:
+// the simulator keeps one per bus and per link.
+func TestResourceSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Resource{}); got != 24 {
+		t.Errorf("Resource is %d bytes, want 24", got)
 	}
 }
 
@@ -182,7 +194,7 @@ func TestResourceConservationProperty(t *testing.T) {
 			lastStart = start
 			sum += ds[i]
 		}
-		_, _, busy, _ := r.Stats()
+		busy, _ := r.Stats()
 		return busy == sum
 	}
 	if err := quick.Check(prop, cfg); err != nil {

@@ -110,7 +110,7 @@ func (sh *shard) handle(ev des.Event) {
 
 	case evComm:
 		r := &sh.ranks[ev.Arg0]
-		sh.execComm(r, r.pending)
+		sh.execComm(r, Op{Kind: r.pendKind, Peer: r.pendPeer, Bytes: r.pendBytes})
 
 	case evDeliver:
 		sh.deliver(ev.Arg0, sh.eng.Now())
@@ -122,7 +122,7 @@ func (sh *shard) handle(ev des.Event) {
 		m := &sh.msgs[ev.Arg0]
 		p := &sh.par
 		inject := sh.eng.Now()
-		wait := sh.topo.AcquireBus(int(m.src), inject, int(m.bytes))
+		wait := sh.acquireBus(m.src, inject, m.bytes)
 		start := inject + wait
 		if sh.deferLinks() {
 			sh.pushLinkOp(inject, start, ev.Arg0, false)
@@ -130,7 +130,7 @@ func (sh *shard) handle(ev des.Event) {
 		}
 		start += sh.topo.AcquireLinks(int(m.src), int(m.dst), start, int(m.bytes))
 		arrive := start + float64(m.bytes)*p.G + p.L
-		if m.cross {
+		if m.flags&msgCross != 0 {
 			sh.emitArrive(xkEagerArrive, arrive, ev.Arg0)
 			return
 		}
@@ -139,20 +139,20 @@ func (sh *shard) handle(ev des.Event) {
 	case evEagerArrive:
 		m := &sh.msgs[ev.Arg0]
 		arrive := sh.eng.Now()
-		w2 := sh.topo.AcquireBus(int(m.dst), arrive, int(m.bytes))
+		w2 := sh.acquireBus(m.dst, arrive, m.bytes)
 		sh.deliver(ev.Arg0, arrive+w2)
 
 	case evChipDMA:
 		// Table 1(b) eq (6) continued: DMA via the shared bus.
 		m := &sh.msgs[ev.Arg0]
 		start := sh.eng.Now()
-		wait := sh.topo.AcquireBus(int(m.src), start, int(m.bytes))
+		wait := sh.acquireBus(m.src, start, m.bytes)
 		sh.resumeAt(&sh.ranks[m.src], start+wait)
 		ready := start + wait + float64(m.bytes)*sh.par.Gdma
 		sh.at(ready, evDeliver, m.dst, m.src, ev.Arg0)
 
 	case evRTS:
-		sh.msgs[ev.Arg0].rtsArrived = true
+		sh.msgs[ev.Arg0].flags |= msgRTS
 		sh.maybeHandshake(ev.Arg0)
 
 	case evCTS:
@@ -165,7 +165,7 @@ func (sh *shard) handle(ev des.Event) {
 		m := &sh.msgs[ev.Arg0]
 		p := &sh.par
 		inject := sh.eng.Now()
-		wait := sh.topo.AcquireBus(int(m.src), inject, int(m.bytes))
+		wait := sh.acquireBus(m.src, inject, m.bytes)
 		sh.resumeAt(&sh.ranks[m.src], inject+wait)
 		start := inject + wait
 		if sh.deferLinks() {
@@ -174,7 +174,7 @@ func (sh *shard) handle(ev des.Event) {
 		}
 		start += sh.topo.AcquireLinks(int(m.src), int(m.dst), start, int(m.bytes))
 		arrive := start + float64(m.bytes)*p.G + p.L
-		if m.cross {
+		if m.flags&msgCross != 0 {
 			sh.emitArrive(xkRdvArrive, arrive, ev.Arg0)
 			return
 		}
@@ -183,9 +183,9 @@ func (sh *shard) handle(ev des.Event) {
 	case evRdvArrive:
 		m := &sh.msgs[ev.Arg0]
 		arrive := sh.eng.Now()
-		w2 := sh.topo.AcquireBus(int(m.dst), arrive, int(m.bytes))
+		w2 := sh.acquireBus(m.dst, arrive, m.bytes)
 		ready := arrive + w2
-		m.ready = true
+		m.flags |= msgReady
 		m.readyAt = ready
 		req := m.recv
 		resume := ready + sh.par.O
@@ -247,7 +247,7 @@ func (sh *shard) execSend(r *rankState, peer, bytes int) {
 	default:
 		// Table 1(a) eq (2): rendezvous. The sender stays blocked until the
 		// clear-to-send arrives and the data is injected.
-		m.rendezvous = true
+		m.flags |= msgRdv
 		sh.at(ts+p.O+p.L, evRTS, m.dst, m.src, mi)
 	}
 }
@@ -257,13 +257,13 @@ func (sh *shard) execSend(r *rankState, peer, bytes int) {
 // called at the virtual time of the later of those two events.
 func (sh *shard) maybeHandshake(mi int32) {
 	m := &sh.msgs[mi]
-	if m.ctsIssued || !m.rtsArrived || m.recv == none {
+	if m.flags&(msgCTS|msgRTS) != msgRTS || m.recv == none {
 		return
 	}
-	m.ctsIssued = true
+	m.flags |= msgCTS
 	p := &sh.par
 	th := sh.eng.Now() // max(recv post, RTS arrival)
-	if m.cross {
+	if m.flags&msgCross != 0 {
 		// Receiver-side proxy of a cross-shard rendezvous: the CTS executes
 		// on the sender's shard. Routed through the barrier (parallel.go).
 		sh.emitCTS(th+p.H+p.L, mi)
@@ -276,7 +276,7 @@ func (sh *shard) maybeHandshake(mi int32) {
 // receiver and completes a matched waiting receive.
 func (sh *shard) deliver(mi int32, ready float64) {
 	m := &sh.msgs[mi]
-	m.ready = true
+	m.flags |= msgReady
 	m.readyAt = ready
 	if m.recv != none {
 		sh.completeRecv(mi)
@@ -348,9 +348,9 @@ func (sh *shard) execRecv(r *rankState, peer int) {
 	m := &sh.msgs[mi]
 	m.recv = ri
 	switch {
-	case m.rendezvous:
+	case m.flags&msgRdv != 0:
 		sh.maybeHandshake(mi)
-	case m.ready:
+	case m.flags&msgReady != 0:
 		sh.completeRecv(mi)
 	}
 	// Otherwise the message is still in flight; deliver() completes it.

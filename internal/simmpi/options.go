@@ -105,13 +105,17 @@ func (s *Sim) ResetWithOptions(topo *simnet.Topology, o Options) error {
 	}
 	for i := range s.ranks {
 		out := s.ranks[i].out
-		coll := s.ranks[i].coll
-		s.ranks[i] = rankState{id: int32(i), out: out[:0], coll: coll[:0]}
+		s.ranks[i] = rankState{id: int32(i), out: out[:0], collIx: none}
+	}
+	// A collective side table, once allocated, covers every rank, and its
+	// buffers are kept for the next expansions.
+	if s.coll != nil && len(s.coll) < n {
+		s.coll = append(s.coll, make([][]Op, n-len(s.coll))...)
 	}
 	// Truncating (not clearing) keeps backing arrays; claimChannel appends
 	// into the channel slice's old array, and AllocSlot repopulates the
 	// pools in the same order a fresh Sim would. Run resizes and empties
-	// the spans and in-port side tables itself.
+	// the spans side table itself.
 	s.arGens = s.arGens[:0]
 	for _, sh := range s.shards {
 		sh.clear()

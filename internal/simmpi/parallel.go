@@ -257,13 +257,6 @@ func (s *Sim) runParallel(k int) (Result, error) {
 	for len(s.shards) < k {
 		s.shards = append(s.shards, s.newShard(int32(len(s.shards))))
 	}
-	// Size and empty the in-port table here, single-threaded: inside the
-	// run each entry grows only from its rank's shard or the barrier.
-	n := len(s.ranks)
-	s.in = slices.Grow(s.in[:0], n)[:n]
-	for i := range s.in {
-		s.in[i] = s.in[i][:0]
-	}
 	xlinks := s.topo.Interconnect() != nil
 	for i := 0; i < k; i++ {
 		sh := s.shards[i]
@@ -314,7 +307,7 @@ func (sh *shard) execSendCross(r *rankState, peer, bytes int) {
 	m := &sh.msgs[mi]
 	m.src, m.dst, m.bytes, m.ch = r.id, int32(peer), int32(bytes), none
 	m.sendAt = ts
-	m.cross = true
+	m.flags = msgCross
 	rdv := bytes > logp.EagerThreshold
 	sh.xrecs = append(sh.xrecs, crossRec{
 		t: ts, pt: sh.eng.Now(), kind: xkMsg, shard: sh.id, idx: sh.emit, rank: r.id,
@@ -324,7 +317,7 @@ func (sh *shard) execSendCross(r *rankState, peer, bytes int) {
 	if rdv {
 		// Table 1(a) eq (2): the sender blocks until the CTS round-trip;
 		// the receiver-side RTS is scheduled by the coordinator.
-		m.rendezvous = true
+		m.flags |= msgRdv
 		return
 	}
 	// Table 1(a) eq (1): eager, sender buffers and continues after o.
@@ -352,7 +345,7 @@ func (sh *shard) pushLinkOp(t, start float64, mi int32, rdv bool) {
 	op := linkOp{
 		t: t, ctx: sh.eng.CurCtx(), pri: evPri(kind, m.src, m.dst), start: start,
 		src: m.src, dst: m.dst, bytes: m.bytes, mi: mi,
-		lo: lo, hi: int32(len(sh.routes)), rdv: rdv, cross: m.cross,
+		lo: lo, hi: int32(len(sh.routes)), rdv: rdv, cross: m.flags&msgCross != 0,
 	}
 	if n := len(sh.linkOps); n > 0 && linkBefore(&op, &sh.linkOps[n-1]) {
 		sh.linkUnsorted = true
@@ -530,12 +523,12 @@ func (s *Sim) applyMsg(p *parRun, rec *crossRec) {
 	m := &dsh.msgs[mi]
 	m.src, m.dst, m.bytes = rec.src, rec.dst, rec.bytes
 	m.sendAt = rec.t
-	m.cross = true
+	m.flags = msgCross
 	m.proxy = rec.smsg
 	ssh.msgs[rec.smsg].proxy = mi
 	dsh.enqueue(ci, mi)
 	if rec.rdv {
-		m.rendezvous = true
+		m.flags |= msgRdv
 		pp := &dsh.par
 		dsh.atCtx(rec.t+pp.O+pp.L, rec.pt, evRTS, m.dst, m.src, mi)
 	}

@@ -22,22 +22,27 @@ import (
 // none marks an empty index reference (no matched receive, no message).
 const none int32 = -1
 
-// message is a pooled in-flight message record.
+// message is a pooled in-flight message record, 48 bytes.
 type message struct {
-	readyAt    float64 // valid once ready
-	sendAt     float64 // sender's op start; set unconditionally (no branch)
-	src, dst   int32
-	bytes      int32
-	ch         int32 // owning channel index
-	recv       int32 // matched recvReq pool index, or none
-	proxy      int32 // cross-shard: the peer shard's record for this message
-	next       int32 // the next message queued on the same channel, or none
-	rendezvous bool
-	ready      bool // data fully available at the receiver
-	rtsArrived bool // rendezvous: request-to-send reached the receiver
-	ctsIssued  bool // rendezvous: clear-to-send was generated
-	cross      bool // message crosses a shard boundary (parallel runs only)
+	readyAt  float64 // valid once msgReady is set
+	sendAt   float64 // sender's op start; set unconditionally (no branch)
+	src, dst int32
+	bytes    int32
+	ch       int32 // owning channel index
+	recv     int32 // matched recvReq pool index, or none
+	proxy    int32 // cross-shard: the peer shard's record for this message
+	next     int32 // the next message queued on the same channel, or none
+	flags    uint8 // msgRdv | msgReady | msgRTS | msgCTS | msgCross
 }
+
+// Message flag bits (message.flags).
+const (
+	msgRdv   uint8 = 1 << iota // rendezvous protocol
+	msgReady                   // data fully available at the receiver
+	msgRTS                     // rendezvous: request-to-send reached the receiver
+	msgCTS                     // rendezvous: clear-to-send was generated
+	msgCross                   // message crosses a shard boundary (parallel runs only)
+)
 
 // recvReq is a pooled posted-receive record. Completion always navigates
 // message→request (message.recv), never the reverse, so the request does
@@ -59,8 +64,9 @@ func (sh *shard) allocReq() int32 {
 
 func (sh *shard) freeReq(i int32) { sh.reqFree = append(sh.reqFree, i) }
 
-// port is one entry of a rank's flat channel table: the peer rank and the
-// index of the channel in the owning shard's channel slice.
+// port is one entry of a rank's flat channel table: the peer rank, or ^src
+// for an in-port from a sender on another shard, and the index of the
+// channel in the owning shard's channel slice.
 type port struct {
 	peer int32
 	ch   int32
@@ -83,20 +89,21 @@ func (sh *shard) chanIndex(src, dst int32) int32 {
 }
 
 // chanIndexIn is chanIndex for a cross-shard (src, dst) pair, resolved and
-// created in the *receiver's* shard: the sender's out-table belongs to the
+// created in the *receiver's* shard: the sender's table belongs to the
 // sender's shard and its indices address that shard's channel slice, so
-// cross traffic is keyed off the Sim's per-receiver in-table instead
-// (Sim.in, sized before the shards start). Only the receiving shard (during
-// windows) and the barrier coordinator (between windows) touch an entry.
+// cross traffic is keyed off an in-port in the receiver's own table, under
+// the marked peer ^src. A marked peer is negative, so it never matches a
+// send's peer. Only the receiving shard (during windows) and the barrier
+// coordinator (between windows) touch the receiver's table.
 func (sh *shard) chanIndexIn(src, dst int32) int32 {
-	in := sh.sim.in[dst]
-	for i := range in {
-		if in[i].peer == src {
-			return in[i].ch
+	out, in := sh.ranks[dst].out, ^src
+	for i := range out {
+		if out[i].peer == in {
+			return out[i].ch
 		}
 	}
 	ci := sh.claimChannel()
-	sh.sim.in[dst] = append(in, port{peer: src, ch: ci})
+	sh.ranks[dst].out = append(out, port{peer: in, ch: ci})
 	return ci
 }
 

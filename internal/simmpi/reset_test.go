@@ -239,6 +239,62 @@ func TestResetCollectiveBitIdentical(t *testing.T) {
 	}
 }
 
+// TestShardedCollectives: expanded collectives give one answer at every
+// shard count ≥ 2, on fresh simulators and on one reused across rank and
+// shard counts. Each rank exchanges a message with a neighbour first, so
+// the shards of a run reach their first expansion inside a window, at
+// once, and share the collective side table, which the race detector
+// checks.
+func TestShardedCollectives(t *testing.T) {
+	mach := machine.XT4()
+	run := func(sim *simmpi.Sim, ranks, shards int) (*simmpi.Sim, simmpi.Result) {
+		t.Helper()
+		topo := simnet.NewTopology(mach.Params, ranks, simnet.LinearPlacement(mach))
+		opt := simmpi.Options{Shards: shards}
+		var err error
+		if sim == nil {
+			sim, err = simmpi.NewWithOptions(topo, opt)
+		} else {
+			err = sim.ResetWithOptions(topo, opt)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < ranks; r++ {
+			first := simmpi.Send(r^1, 64)
+			if r%2 == 1 {
+				first = simmpi.Recv(r ^ 1)
+			}
+			sim.SetProgram(r, simmpi.Ops(first,
+				simmpi.Bcast(0, 4096),
+				simmpi.AllReduceAlg(8192, simmpi.AlgRing),
+				simmpi.Compute(1.0),
+				simmpi.AllReduceAlg(64, simmpi.AlgRecDouble),
+				simmpi.Barrier(),
+			))
+		}
+		res, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k, _, _ := sim.ParallelStats(); k != shards {
+			t.Fatalf("%d ranks at %d shards ran on %d", ranks, shards, k)
+		}
+		return sim, res
+	}
+	var reused *simmpi.Sim
+	for _, ranks := range []int{16, 32, 8} {
+		_, want := run(nil, ranks, 2)
+		for _, shards := range []int{2, 3, 4} {
+			name := fmt.Sprintf("%d ranks, %d shards", ranks, shards)
+			_, got := run(nil, ranks, shards)
+			sameResult(t, name, want, got)
+			reused, got = run(reused, ranks, shards)
+			sameResult(t, name+", reused", want, got)
+		}
+	}
+}
+
 // allocsPerReuse returns the mean heap allocations of resetting sim onto a
 // fresh topology, setting fresh programs and running, over n re-runs. The
 // topology and programs are built before the count starts, as the campaign

@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/des"
 	"repro/internal/logp"
@@ -156,11 +157,16 @@ type Sim struct {
 
 	// Per-rank side tables, kept out of rankState because most runs never
 	// touch them. spans holds each rank's open communication op while the
-	// recorder records spans, and is empty otherwise. in holds each rank's
-	// cross-shard in-ports (chanIndexIn), and is sized only for a sharded
-	// run.
-	spans []commSpan
-	in    [][]port
+	// recorder records spans, and is empty otherwise. coll holds each rank's
+	// collective buffer: the point-to-point constituents of the collective
+	// it is running (collops.go), reused across collectives and resets so
+	// that collective programs run allocation-free. Only a run that expands
+	// a collective allocates coll, at its first expansion (collTable);
+	// ResetWithOptions alone resizes it, so it never changes size while
+	// shards run.
+	spans  []commSpan
+	coll   [][]Op
+	collMu sync.Mutex // guards the allocation of coll
 
 	// shards hold all hot-path state (engines, pools, channel tables,
 	// counters). A serial run is shards[0] executing alone; a sharded run
@@ -172,25 +178,32 @@ type Sim struct {
 	prun    *parRun
 }
 
-// rankState is one rank's hot-path record: 128 bytes, two cache lines.
+// rankState is one rank's hot-path record, 80 bytes. What most runs never
+// use lives in the Sim's side tables (spans, coll).
 type rankState struct {
-	id      int32
 	prog    Program
 	t       float64 // local time of last completed operation
 	compute float64
-	arGen   int32 // next all-reduce generation this rank enters
-	done    bool
 
-	pending Op // comm op waiting for its evComm event
+	// out is the rank's flat channel table (pool.go): a port for each peer
+	// it sends to and, in a sharded run, an in-port for each sender on
+	// another shard, under the marked peer ^src (chanIndexIn).
+	out []port
 
-	out []port // flat channel table: peers this rank sends to
+	id    int32
+	arGen int32 // next all-reduce generation this rank enters
 
-	// Collective sub-schedule in progress: the point-to-point constituent
-	// ops of an expanded collective (collops.go) and the next one to run.
-	// The buffer is pooled — expansion reuses it across collectives and
-	// across resets, so steady-state collective execution is allocation-free.
-	coll   []Op
+	// collIx is the next constituent op of the rank's collective in
+	// progress, an index into its buffer Sim.coll[id]; none when no
+	// collective is in progress.
 	collIx int32
+
+	// The comm op waiting for its evComm event. A send, receive or
+	// all-reduce has no duration, so only its kind, peer and size are kept.
+	pendPeer, pendBytes int32
+	pendKind            OpKind
+
+	done bool
 }
 
 // commSpan is a rank's communication op in progress and its start time, for
@@ -248,6 +261,10 @@ type shard struct {
 	// implementation (golden_test.go).
 	canon bool
 
+	// coll is the Sim's collective side table, loaded at the shard's first
+	// expansion in a run (expand).
+	coll [][]Op
+
 	// Pooled hot-path state (pool.go).
 	channels []channel
 	msgs     []message
@@ -258,6 +275,11 @@ type shard struct {
 	sends uint64
 	recvs uint64
 	bytes uint64
+
+	// Bus requests the shard made and those that queued (acquireBus). The
+	// buses keep only their busy and waiting time; the shard counts its own
+	// requests, because shards acquire their buses concurrently.
+	busReqs, busQueued uint64
 
 	// Parallel-run boundary buffers (parallel.go): cross-shard message
 	// records, deferred link reservations with their routes and closed-form
@@ -283,6 +305,7 @@ func New(topo *simnet.Topology) *Sim {
 	}
 	for i := range s.ranks {
 		s.ranks[i].id = int32(i)
+		s.ranks[i].collIx = none
 	}
 	s.shards = []*shard{s.newShard(0)}
 	return s
@@ -305,6 +328,7 @@ func (sh *shard) bind() {
 	sh.topo = s.topo
 	sh.par = s.topo.Params
 	sh.ranks = s.ranks
+	sh.coll = s.coll
 	sh.obs = s.obs
 	sh.obsSpans = s.obs != nil && s.obs.Spans
 	sh.obsMsg = s.obs != nil && s.obs.Messages
@@ -327,6 +351,7 @@ func (sh *shard) clear() {
 	sh.msgs, sh.msgFree = sh.msgs[:0], sh.msgFree[:0]
 	sh.reqs, sh.reqFree = sh.reqs[:0], sh.reqFree[:0]
 	sh.sends, sh.recvs, sh.bytes = 0, 0, 0
+	sh.busReqs, sh.busQueued = 0, 0
 	sh.obsMsgs = sh.obsMsgs[:0]
 	sh.xrecs = sh.xrecs[:0]
 	sh.linkOps, sh.linkUnsorted, sh.routes = sh.linkOps[:0], false, sh.routes[:0]
@@ -392,8 +417,10 @@ func (s *Sim) assemble(end float64) (Result, error) {
 		res.Recvs += sh.recvs
 		res.BytesSent += sh.bytes
 		res.Events += sh.eng.EventsRun()
+		res.BusRequests += sh.busReqs
+		res.BusQueued += sh.busQueued
 	}
-	res.BusRequests, res.BusQueued, res.BusBusy, res.BusWait = s.topo.BusStats()
+	res.BusBusy, res.BusWait = s.topo.BusStats()
 	res.LinkRequests, res.LinkQueued, res.LinkBusy, res.LinkWait = s.topo.LinkStats()
 
 	if o := s.obs; o != nil {
@@ -446,10 +473,13 @@ func (sh *shard) advance(r *rankState) {
 	}
 	for {
 		var op Op
-		if r.collIx < int32(len(r.coll)) {
+		if r.collIx != none {
 			// Drain the constituent ops of the collective in progress.
-			op = r.coll[r.collIx]
-			r.collIx++
+			buf := sh.coll[r.id]
+			op = buf[r.collIx]
+			if r.collIx++; int(r.collIx) == len(buf) {
+				r.collIx = none
+			}
 		} else {
 			if r.prog == nil {
 				sh.finish(r)
@@ -468,8 +498,7 @@ func (sh *shard) advance(r *rankState) {
 				sh.obs.RankOp(r.id, uint8(op.Kind), op.Peer, op.Bytes, op.Dur)
 			}
 			if expandsToP2P(op) {
-				r.coll = AppendCollective(r.coll[:0], op, int(r.id), len(sh.ranks))
-				r.collIx = 0
+				sh.expand(r, op)
 				continue
 			}
 		}
@@ -482,7 +511,7 @@ func (sh *shard) advance(r *rankState) {
 			r.t += op.Dur
 		case OpSend, OpRecv, OpAllReduce:
 			if r.t > sh.eng.Now() {
-				r.pending = op
+				r.pendKind, r.pendPeer, r.pendBytes = op.Kind, op.Peer, op.Bytes
 				sh.at(r.t, evComm, r.id, r.id, r.id)
 			} else {
 				sh.execComm(r, op)
@@ -496,6 +525,44 @@ func (sh *shard) advance(r *rankState) {
 
 func (sh *shard) finish(r *rankState) {
 	r.done = true
+}
+
+// expand writes rank r's point-to-point share of the collective op into its
+// buffer in the side table and starts draining it; an empty share leaves
+// no collective in progress.
+func (sh *shard) expand(r *rankState, op Op) {
+	if sh.coll == nil {
+		sh.coll = sh.sim.collTable()
+	}
+	buf := AppendCollective(sh.coll[r.id][:0], op, int(r.id), len(sh.ranks))
+	sh.coll[r.id] = buf
+	if len(buf) > 0 {
+		r.collIx = 0
+	}
+}
+
+// collTable returns the collective side table, allocating it for every
+// rank at the Sim's first expansion. The shards of a parallel run may get
+// here at once, so the allocation is locked; afterwards each shard writes
+// only its own ranks' entries.
+func (s *Sim) collTable() [][]Op {
+	s.collMu.Lock()
+	defer s.collMu.Unlock()
+	if s.coll == nil {
+		s.coll = make([][]Op, len(s.ranks))
+	}
+	return s.coll
+}
+
+// acquireBus reserves rank r's bus (simnet.Topology.AcquireBus), counts the
+// request, and returns its queueing delay.
+func (sh *shard) acquireBus(r int32, now float64, size int32) float64 {
+	wait := sh.topo.AcquireBus(int(r), now, int(size))
+	sh.busReqs++
+	if wait > 0 {
+		sh.busQueued++
+	}
+	return wait
 }
 
 // resumeAt unblocks r at virtual time t ≥ now.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/logp"
 	"repro/internal/machine"
@@ -399,5 +400,20 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 	if r1.Time != r2.Time || r1.Events != r2.Events {
 		t.Errorf("non-deterministic: %v/%d vs %v/%d", r1.Time, r1.Events, r2.Time, r2.Events)
+	}
+}
+
+// TestRecordSizes pins the sizes of the simulator's hot records on 64-bit
+// platforms, so a field more in either fails by name, before it shows in
+// TestLiveBytesPerRank.
+func TestRecordSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("record sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(rankState{}); got != 80 {
+		t.Errorf("rankState is %d bytes, want 80", got)
+	}
+	if got := unsafe.Sizeof(message{}); got != 48 {
+		t.Errorf("message is %d bytes, want 48", got)
 	}
 }

@@ -79,7 +79,8 @@ type Topology struct {
 	ic      *topo.Interconnect // nil: flat wire between nodes (paper model)
 }
 
-// NewTopology resolves a placement for the given number of ranks.
+// NewTopology resolves a placement for the given number of ranks. Buses are
+// numbered in the order their first rank appears.
 func NewTopology(p logp.Params, ranks int, place Placement) *Topology {
 	if ranks <= 0 {
 		panic(fmt.Sprintf("simnet: invalid rank count %d", ranks))
@@ -92,19 +93,27 @@ func NewTopology(p logp.Params, ranks int, place Placement) *Topology {
 		nodeOf:  make([]int32, ranks),
 		busOf:   make([]int32, ranks),
 	}
-	busIndex := map[[2]int]int32{}
+	// busOf holds each rank's bus group until the ids are known.
+	nodes, groups := 0, 0
 	for r := 0; r < ranks; r++ {
 		node, bus := place(r)
-		key := [2]int{node, bus}
-		id, ok := busIndex[key]
-		if !ok {
-			id = int32(len(busIndex))
-			busIndex[key] = id
+		if node < 0 || bus < 0 {
+			panic(fmt.Sprintf("simnet: placement puts rank %d on node %d, bus group %d", r, node, bus))
 		}
-		t.nodeOf[r] = int32(node)
-		t.busOf[r] = id
+		t.nodeOf[r], t.busOf[r] = int32(node), int32(bus)
+		nodes, groups = max(nodes, node+1), max(groups, bus+1)
 	}
-	t.buses = make([]des.Resource, len(busIndex))
+	id := make([]int32, nodes*groups) // (node, bus group) → bus id + 1
+	buses := int32(0)
+	for r := range t.busOf {
+		k := int(t.nodeOf[r])*groups + int(t.busOf[r])
+		if id[k] == 0 {
+			buses++
+			id[k] = buses
+		}
+		t.busOf[r] = id[k] - 1
+	}
+	t.buses = make([]des.Resource, buses)
 	return t
 }
 
@@ -214,16 +223,17 @@ func (t *Topology) LinkStats() (requests, queued uint64, busy, waited float64) {
 	return t.ic.Stats()
 }
 
-// BusStats aggregates contention counters over all buses.
-func (t *Topology) BusStats() (requests, queued uint64, busy, waited float64) {
+// BusStats returns the busy and waiting time summed over all buses in bus
+// order. A bus does not count its requests: AcquireBus returns each wait,
+// and the simulator tallies requests and queued requests per shard, since
+// the shards of a parallel run acquire their own buses concurrently.
+func (t *Topology) BusStats() (busy, waited float64) {
 	for i := range t.buses {
-		rq, q, b, w := t.buses[i].Stats()
-		requests += rq
-		queued += q
+		b, w := t.buses[i].Stats()
 		busy += b
 		waited += w
 	}
-	return requests, queued, busy, waited
+	return busy, waited
 }
 
 // Lookahead returns the minimum virtual-time distance any interaction

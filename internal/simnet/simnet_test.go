@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/grid"
@@ -111,6 +112,42 @@ func TestAppendRoute(t *testing.T) {
 	}
 }
 
+// TestMachineTopologyLinks: NewMachineTopology attaches the machine's
+// interconnect, off-node segments reserve its links, LinkStats reads the
+// fabric's hop tallies, and the flat wire costs and counts nothing.
+func TestMachineTopologyLinks(t *testing.T) {
+	dec := grid.MustDecompose(grid.Cube(16), 4, 4)
+	flat, err := NewMachineTopology(machine.XT4(), dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flat.Interconnect() != nil || flat.AcquireLinks(0, 15, 0, 4096) != 0 {
+		t.Error("flat-wire machine routed over links")
+	}
+	if rq, q, busy, waited := flat.LinkStats(); rq != 0 || q != 0 || busy != 0 || waited != 0 {
+		t.Errorf("flat-wire LinkStats = %d %d %v %v", rq, q, busy, waited)
+	}
+	if l := flat.Lookahead(); l != flat.Params.L {
+		t.Errorf("Lookahead = %v, want L = %v", l, flat.Params.L)
+	}
+	torus, err := NewMachineTopology(machine.XT4().WithInterconnect(topo.Spec{Kind: topo.Torus2D}), dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traced int
+	torus.SetLinkTracer(func(int32, float64, float64, float64) { traced++ })
+	hops := len(torus.AppendRoute(nil, 0, 15))
+	torus.AcquireLinks(0, 15, 0, 4096)
+	torus.AcquireLinks(0, 15, 0, 4096)
+	rq, q, busy, _ := torus.LinkStats()
+	if hops == 0 || rq != uint64(2*hops) || q == 0 || busy <= 0 || traced != 2*hops {
+		t.Errorf("LinkStats = %d hops (%d traced), %d queued, busy %v; want %d hops, some queued", rq, traced, q, busy, 2*hops)
+	}
+	if _, err := NewMachineTopology(machine.XT4().WithInterconnect(topo.Spec{Kind: topo.Torus2D, Dims: []int{2, 2}}), dec); err == nil {
+		t.Error("a 2×2 torus accepted the 8 nodes of a 16-rank XT4 run")
+	}
+}
+
 func TestSpreadPlacement(t *testing.T) {
 	topo := NewTopology(logp.XT4(), 5, SpreadPlacement())
 	for a := 0; a < 5; a++ {
@@ -139,10 +176,72 @@ func TestBusGroups(t *testing.T) {
 	if w := topo.AcquireBus(4, 0, 4096); w != 0 {
 		t.Errorf("different-bus acquire waited %v", w)
 	}
-	req, q, busy, waited := topo.BusStats()
-	if req != 3 || q != 1 || busy <= 0 || waited <= 0 {
-		t.Errorf("BusStats = %d %d %v %v", req, q, busy, waited)
+	busy, waited := topo.BusStats()
+	if want := 3 * topo.BusOccupancy(4096); busy != want || waited != topo.BusOccupancy(4096) {
+		t.Errorf("BusStats = %v %v, want %v busy and one occupancy of wait", busy, waited, want)
 	}
+}
+
+// referenceBusIDs numbers buses through a map keyed by (node, bus group), in
+// order of first appearance: the reference NewTopology's numbering must
+// match.
+func referenceBusIDs(ranks int, place Placement) []int32 {
+	index := map[[2]int]int32{}
+	ids := make([]int32, ranks)
+	for r := range ids {
+		node, bus := place(r)
+		id, ok := index[[2]int{node, bus}]
+		if !ok {
+			id = int32(len(index))
+			index[[2]int{node, bus}] = id
+		}
+		ids[r] = id
+	}
+	return ids
+}
+
+// TestBusIDsFirstAppearance: bus ids come out in the order their first rank
+// appears, as the map-based numbering gave them, for every placement over
+// several machine shapes, so BusStats sums the buses in the same order.
+func TestBusIDsFirstAppearance(t *testing.T) {
+	var machs []machine.Machine
+	for _, shape := range [][2]int{{1, 1}, {2, 1}, {4, 1}, {4, 2}, {8, 4}, {16, 4}, {16, 16}} {
+		m, err := machine.XT4MultiCoreGrouped(shape[0], shape[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		machs = append(machs, m)
+	}
+	machs = append(machs, machine.XT4())
+	for _, m := range machs {
+		for _, pq := range [][2]int{{8, 8}, {16, 4}, {12, 20}} {
+			dec := grid.MustDecompose(grid.NewGrid(64, 64, 8), pq[0], pq[1])
+			places := map[string]Placement{
+				"grid":   GridPlacement(dec, m),
+				"linear": LinearPlacement(m),
+				"spread": SpreadPlacement(),
+			}
+			for name, place := range places {
+				tp := NewTopology(m.Params, dec.P(), place)
+				want := referenceBusIDs(dec.P(), place)
+				if !reflect.DeepEqual(tp.busOf, want) {
+					t.Errorf("%s, %s on %d×%d: bus ids %v, want %v", m.Name, name, pq[0], pq[1], tp.busOf, want)
+				}
+				if n := int(slices.Max(want)) + 1; len(tp.buses) != n {
+					t.Errorf("%s, %s on %d×%d: %d buses, want %d", m.Name, name, pq[0], pq[1], len(tp.buses), n)
+				}
+			}
+		}
+	}
+}
+
+func TestNewTopologyPanicsOnNegativePlacement(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic")
+		}
+	}()
+	NewTopology(logp.XT4(), 2, func(r int) (int, int) { return r - 1, 0 })
 }
 
 func TestBusOccupancyIsPaperI(t *testing.T) {

@@ -27,6 +27,12 @@
 // internal/simmpi's pools), and link lookup is pure arithmetic. Routing
 // (AppendRoute) is read-only and separate from reservation (Reserve), so a
 // sharded simulation can walk routes concurrently and reserve them later.
+//
+// Each link is a 24-byte des.Resource holding only its own state: when it
+// frees up and its busy and waiting time. The request tallies that Stats
+// reports, hops reserved and hops that queued, are kept once per fabric
+// and counted in Reserve, which always runs single-threaded: inline in a
+// serial simulation, and at the window barrier in a sharded one.
 package topo
 
 import (
@@ -224,6 +230,10 @@ type Interconnect struct {
 	links   []des.Resource
 	scratch []int32 // route buffer reused across Acquire calls
 	ltrace  LinkTracer
+
+	// Request tallies over every link, counted in Reserve: link
+	// reservations (one per hop) and those that had to wait.
+	hops, queued uint64
 }
 
 // LinkTracer receives one callback per link reservation: the link index,
@@ -325,9 +335,8 @@ func (ic *Interconnect) Reset() {
 	if ic == nil {
 		return
 	}
-	for i := range ic.links {
-		ic.links[i] = des.Resource{}
-	}
+	clear(ic.links)
+	ic.hops, ic.queued = 0, 0
 }
 
 // Acquire routes one message of the given size from srcNode to dstNode at
@@ -348,8 +357,9 @@ func (ic *Interconnect) Acquire(srcNode, dstNode int, now float64, size int) flo
 // returns the extra delay relative to the flat-wire model, as Acquire does.
 // Acquire is AppendRoute plus Reserve; a caller that walks routes
 // elsewhere, such as the sharded simulator inside its windows, reserves
-// them here in the order the serial run would acquire them. A nil fabric
-// costs zero.
+// them here in the order the serial run would acquire them. Reserve counts
+// the fabric's hop and queued-hop tallies, so callers must not invoke it
+// concurrently. A nil fabric costs zero.
 func (ic *Interconnect) Reserve(route []int32, now float64, size int) float64 {
 	if ic == nil {
 		return 0
@@ -361,11 +371,15 @@ func (ic *Interconnect) Reserve(route []int32, now float64, size int) float64 {
 			t += ic.hopL
 		}
 		wait := ic.links[l].Acquire(t, occ)
+		if wait > 0 {
+			ic.queued++
+		}
 		if ic.ltrace != nil {
 			ic.ltrace(l, t+wait, wait, occ)
 		}
 		t += wait
 	}
+	ic.hops += uint64(len(route))
 	return t - now
 }
 
@@ -513,24 +527,24 @@ func (ic *Interconnect) MaxLinkBusy() float64 {
 	}
 	var m float64
 	for i := range ic.links {
-		if _, _, b, _ := ic.links[i].Stats(); b > m {
+		if b, _ := ic.links[i].Stats(); b > m {
 			m = b
 		}
 	}
 	return m
 }
 
-// Stats aggregates contention counters over every link.
+// Stats aggregates contention counters over every link: link reservations
+// (one per hop), those that queued, and the busy and waiting times summed
+// in link index order.
 func (ic *Interconnect) Stats() (requests, queued uint64, busy, waited float64) {
 	if ic == nil {
 		return 0, 0, 0, 0
 	}
 	for i := range ic.links {
-		rq, q, b, w := ic.links[i].Stats()
-		requests += rq
-		queued += q
+		b, w := ic.links[i].Stats()
 		busy += b
 		waited += w
 	}
-	return requests, queued, busy, waited
+	return ic.hops, ic.queued, busy, waited
 }

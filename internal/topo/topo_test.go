@@ -281,13 +281,82 @@ func TestResetClearsLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	ic.Acquire(0, 7, 0, 1<<16)
-	if rq, _, _, _ := ic.Stats(); rq == 0 {
-		t.Fatal("no link acquisitions recorded")
+	ic.Acquire(0, 7, 0, 1<<16)
+	if rq, q, _, _ := ic.Stats(); rq == 0 || q == 0 {
+		t.Fatalf("stats before reset: %d hops, %d queued; want both non-zero", rq, q)
 	}
 	ic.Reset()
 	rq, q, busy, waited := ic.Stats()
-	if rq != 0 || q != 0 || busy != 0 || waited != 0 {
-		t.Errorf("stats after reset: %d %d %v %v", rq, q, busy, waited)
+	if rq != 0 || q != 0 || busy != 0 || waited != 0 || ic.MaxLinkBusy() != 0 {
+		t.Errorf("stats after reset: %d %d %v %v, max busy %v", rq, q, busy, waited, ic.MaxLinkBusy())
+	}
+}
+
+// TestReserveTallies: Reserve counts one request per hop and one queued
+// request per hop that waits, and Stats sums the links' busy and waiting
+// time, on a torus and on a fat-tree. Two messages reserve the same route
+// at the same time: the second waits one occupancy at the first hop and
+// then trails the first by exactly that much, so no later hop waits.
+func TestReserveTallies(t *testing.T) {
+	const size = 1024
+	const linkG = 1.0 / 2048 // occupancy 0.5, exact in float arithmetic
+	for _, c := range []struct {
+		spec     Spec
+		nodes    int
+		src, dst int
+		hops     int
+	}{
+		{Spec{Kind: Torus2D, Dims: []int{4, 4}, LinkG: linkG, HopL: 0.125}, 16, 0, 10, 4},
+		{Spec{Kind: Torus3D, Dims: []int{2, 2, 2}, LinkG: linkG, HopL: 0.125}, 8, 0, 7, 3},
+		{Spec{Kind: FatTree, LeafRadix: 2, Spine: 2, LinkG: linkG, HopL: 0.125}, 8, 0, 7, 4},
+		{Spec{Kind: FatTree, LeafRadix: 2, Spine: 2, LinkG: linkG, HopL: 0.125}, 8, 0, 1, 2},
+	} {
+		ic, err := New(c.spec, c.nodes, 0.0004)
+		if err != nil {
+			t.Fatal(err)
+		}
+		route := ic.AppendRoute(nil, c.src, c.dst)
+		if len(route) != c.hops {
+			t.Fatalf("%s %d→%d: %d hops, want %d", c.spec, c.src, c.dst, len(route), c.hops)
+		}
+		first := ic.Reserve(route, 0, size)
+		second := ic.Reserve(route, 0, size)
+		extra := float64(c.hops-1) * 0.125
+		if first != extra || second != extra+0.5 {
+			t.Errorf("%s: delays %v and %v, want %v and %v", c.spec, first, second, extra, extra+0.5)
+		}
+		rq, q, busy, waited := ic.Stats()
+		if rq != uint64(2*c.hops) || q != 1 {
+			t.Errorf("%s: %d hops, %d queued; want %d and 1", c.spec, rq, q, 2*c.hops)
+		}
+		if busy != float64(2*c.hops)*0.5 || waited != 0.5 {
+			t.Errorf("%s: busy %v, waited %v; want %v and 0.5", c.spec, busy, waited, float64(2*c.hops)*0.5)
+		}
+		if m := ic.MaxLinkBusy(); m != 1 {
+			t.Errorf("%s: hottest link busy %v, want 1", c.spec, m)
+		}
+		ic.Reserve(nil, 5, size) // an empty route reserves nothing
+		if rq2, q2, _, _ := ic.Stats(); rq2 != rq || q2 != q {
+			t.Errorf("%s: empty route moved the tallies to %d, %d", c.spec, rq2, q2)
+		}
+	}
+}
+
+// TestSpecString: specs render compactly for labels, with fat-tree
+// defaults filled in once either parameter is set.
+func TestSpecString(t *testing.T) {
+	for text, spec := range map[string]Spec{
+		"bus":                   {},
+		"torus3d":               {Kind: Torus3D},
+		"torus2d[6x6]":          {Kind: Torus2D, Dims: []int{6, 6}},
+		"torus3d[4x4x2]":        {Kind: Torus3D, Dims: []int{4, 4, 2}},
+		"fattree":               {Kind: FatTree},
+		"fattree[leaf4,spine2]": {Kind: FatTree, Spine: 2},
+		"fattree[leaf8,spine8]": {Kind: FatTree, LeafRadix: 8},
+	} {
+		if got := spec.String(); got != text {
+			t.Errorf("%+v renders %q, want %q", spec, got, text)
+		}
 	}
 }
 

@@ -181,7 +181,8 @@ type Generator struct {
 	spec Spec
 	// rankMul folds everything that varies per rank but not per tile —
 	// block membership and hotspot status — into one precomputed
-	// multiplier, exactly 1.0 for unaffected ranks.
+	// multiplier, exactly 1.0 for unaffected ranks. It is nil when the
+	// spec has neither, and every rank's multiplier is 1.0.
 	rankMul []float64
 	// perTile is true when Dist draws a fresh multiplier per tile
 	// (uniform/normal/lognormal with Sigma > 0).
@@ -195,8 +196,10 @@ func New(spec Spec, dec grid.Decomposition) (*Generator, error) {
 	}
 	g := &Generator{
 		spec:    spec,
-		rankMul: make([]float64, dec.P()),
 		perTile: spec.Dist != DistHotspot && spec.Sigma > 0,
+	}
+	if len(spec.Blocks) > 0 || spec.Dist == DistHotspot && spec.HotFrac > 0 {
+		g.rankMul = make([]float64, dec.P())
 	}
 	for r := range g.rankMul {
 		mul := 1.0
@@ -233,7 +236,10 @@ const (
 // the distribution draw times the rank's block/hotspot multiplier.
 // A neutral spec returns exactly 1.0.
 func (g *Generator) TileMul(rank, sweep, tile int) float64 {
-	mul := g.rankMul[rank]
+	mul := 1.0
+	if g.rankMul != nil {
+		mul = g.rankMul[rank]
+	}
 	if g.perTile {
 		h := hash(g.spec.Seed, uint64(rank), mulLane, pack(sweep, tile))
 		switch g.spec.Dist {

@@ -196,6 +196,34 @@ func TestBlocks(t *testing.T) {
 
 // Noise totals must track Rate × AmpUS in expectation and be zero for
 // a disabled spec.
+// TestNoRankTableWithoutRankEffects: a spec with no blocks and no hotspot
+// keeps no per-rank table, and its tiles are bit-identical to the same
+// spec with a neutral block covering the grid, which does keep one.
+func TestNoRankTableWithoutRankEffects(t *testing.T) {
+	dec := dec4x4(t)
+	plain := Spec{Dist: DistLognormal, Sigma: 0.2, Seed: 7, Noise: &NoiseSpec{Rate: 0.5, AmpUS: 3}}
+	covered := plain
+	covered.Blocks = []Block{{X0: 0, Y0: 0, X1: 1, Y1: 1, Mul: 1}}
+	a, b := mustGen(t, plain, dec), mustGen(t, covered, dec)
+	if a.rankMul != nil {
+		t.Errorf("plain lognormal spec keeps a %d-rank table", len(a.rankMul))
+	}
+	if len(b.rankMul) != dec.P() {
+		t.Fatalf("block spec keeps %d rank multipliers, want %d", len(b.rankMul), dec.P())
+	}
+	for r := 0; r < dec.P(); r++ {
+		for sweep := 0; sweep < 3; sweep++ {
+			for tile := 0; tile < 5; tile++ {
+				am, ax := a.Tile(r, sweep, tile)
+				bm, bx := b.Tile(r, sweep, tile)
+				if math.Float64bits(am) != math.Float64bits(bm) || math.Float64bits(ax) != math.Float64bits(bx) {
+					t.Fatalf("rank %d sweep %d tile %d: (%x, %x) without the block, (%x, %x) with it", r, sweep, tile, am, ax, bm, bx)
+				}
+			}
+		}
+	}
+}
+
 func TestNoiseMoments(t *testing.T) {
 	dec := grid.MustDecompose(grid.Cube(32), 8, 8)
 	spec := Spec{Noise: &NoiseSpec{Rate: 2, AmpUS: 50}, Seed: 11}
